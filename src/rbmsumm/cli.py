@@ -137,22 +137,25 @@ class _CliError(Exception):
 
 
 def _configs(settings: dict):
-    feature_config = FeatureConfig(
-        thematic_count=settings["thematic_count"],
-        th_fraction=settings["th_fraction"],
-        short_sentence_min_words=settings["short_sentence_min_words"],
-    )
-    train_config = TrainConfig(
-        learning_rate=settings["learning_rate"],
-        epochs=settings["epochs"],
-        batch_size=settings["batch_size"],
-        n_chains=settings["chains"],
-        gibbs_steps_per_update=settings["gibbs_steps"],
-        seed=settings["seed"],
-    )
-    summary_config = SummaryConfig(
-        limit_sentences=settings["limit"], limit_ratio=settings["ratio"]
-    )
+    try:
+        feature_config = FeatureConfig(
+            thematic_count=settings["thematic_count"],
+            th_fraction=settings["th_fraction"],
+            short_sentence_min_words=settings["short_sentence_min_words"],
+        )
+        train_config = TrainConfig(
+            learning_rate=settings["learning_rate"],
+            epochs=settings["epochs"],
+            batch_size=settings["batch_size"],
+            n_chains=settings["chains"],
+            gibbs_steps_per_update=settings["gibbs_steps"],
+            seed=settings["seed"],
+        )
+        summary_config = SummaryConfig(
+            limit_sentences=settings["limit"], limit_ratio=settings["ratio"]
+        )
+    except ValueError as exc:
+        raise _CliError(EXIT_UNREADABLE, f"invalid setting: {exc}")
     lexicons = load_lexicons(
         stopwords_path=settings["stopwords"],
         abbreviations_path=settings["abbreviations"],
@@ -162,12 +165,12 @@ def _configs(settings: dict):
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
-        return Path(path).read_text("utf-8")
+        return sys.stdin.read() if path == "-" else Path(path).read_text("utf-8")
     except OSError as exc:
         raise _CliError(EXIT_UNREADABLE, f"cannot read input: {exc}")
+    except UnicodeDecodeError as exc:
+        raise _CliError(EXIT_UNREADABLE, f"input {path} is not UTF-8: {exc}")
 
 
 def _write_output(text: str, output: str | None) -> None:
@@ -264,7 +267,10 @@ def _cmd_features(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     settings = _merge_settings(args)
     feature_config, train_config, summary_config, lexicons = _configs(settings)
-    entries = load_corpus(args.corpus)
+    try:
+        entries = load_corpus(args.corpus)
+    except (OSError, ValueError) as exc:  # ValueError includes UnicodeDecodeError
+        raise _CliError(EXIT_UNREADABLE, f"cannot read corpus: {exc}")
     result = evaluate_corpus(
         entries,
         feature_config,

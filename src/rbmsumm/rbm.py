@@ -131,22 +131,15 @@ def gibbs_step(rbm: Rbm, v: np.ndarray, rng: Xorshift64Star) -> np.ndarray:
     return rng.bernoulli_array(visible_probabilities(rbm, h))
 
 
-def positive_statistics(rbm: Rbm, batch: np.ndarray):
-    """Data-driven sufficient statistics, using hidden probabilities."""
-    hp = hidden_probabilities(rbm, batch)
-    n = batch.shape[0]
-    return hp.T @ batch / n, batch.mean(axis=0), hp.mean(axis=0)
+def _phase_statistics(rbm: Rbm, visible: np.ndarray):
+    """Sufficient statistics of one phase, using hidden probabilities.
 
-
-def negative_statistics(rbm: Rbm, visible_states: np.ndarray):
-    """Model-driven statistics from the given chain visible states."""
-    hp = hidden_probabilities(rbm, visible_states)
-    n = visible_states.shape[0]
-    return (
-        hp.T @ visible_states / n,
-        visible_states.mean(axis=0),
-        hp.mean(axis=0),
-    )
+    The positive phase passes the data batch; the negative phase passes
+    the chains' visible states.
+    """
+    hp = hidden_probabilities(rbm, visible)
+    n = visible.shape[0]
+    return hp.T @ visible / n, visible.mean(axis=0), hp.mean(axis=0)
 
 
 def _check_finite(rbm: Rbm) -> None:
@@ -181,8 +174,8 @@ def pcd_update(
     for _ in range(config.gibbs_steps_per_update):
         states = gibbs_step(rbm, states, rng)
 
-    pos_w, pos_vb, pos_hb = positive_statistics(rbm, batch)
-    neg_w, neg_vb, neg_hb = negative_statistics(rbm, states)
+    pos_w, pos_vb, pos_hb = _phase_statistics(rbm, batch)
+    neg_w, neg_vb, neg_hb = _phase_statistics(rbm, states)
     lr = config.learning_rate
     updated = Rbm(
         weights=rbm.weights + lr * (pos_w - neg_w),
@@ -194,16 +187,29 @@ def pcd_update(
 
 
 def reconstruction_cross_entropy(rbm: Rbm, rows: np.ndarray) -> float:
-    """Mean-field reconstruction cross-entropy, averaged over rows."""
+    """Mean-field reconstruction cross-entropy, averaged over rows.
+
+    Computed from the visible logits z: -log sigmoid(z) = logaddexp(0, -z)
+    and -log(1 - sigmoid(z)) = logaddexp(0, z), which stay finite where
+    the sigmoid saturates to exactly 0 or 1.
+    """
     rows = np.asarray(rows, dtype=np.float64)
-    recon = visible_probabilities(rbm, hidden_probabilities(rbm, rows))
-    ce = -(rows * np.log(recon) + (1.0 - rows) * np.log(1.0 - recon)).sum(axis=1)
-    return float(ce.mean())
+    logits = hidden_probabilities(rbm, rows) @ rbm.weights + rbm.visible_bias
+    ce = rows * np.logaddexp(0.0, -logits) + (1.0 - rows) * np.logaddexp(0.0, logits)
+    return float(ce.sum(axis=1).mean())
 
 
 def _train_rows(
-    rows: np.ndarray, config: TrainConfig, n_hidden: int
-) -> tuple[Rbm, list[float]]:
+    rows: np.ndarray,
+    config: TrainConfig,
+    n_hidden: int,
+    history: list[float] | None = None,
+) -> Rbm:
+    """Train a fresh RBM on ``rows``.
+
+    When ``history`` is given, the reconstruction cross-entropy after
+    each epoch is appended to it.
+    """
     rng = Xorshift64Star(config.seed)
     rbm = _init_from_rng(rows.shape[1], n_hidden, rng)
     chains = ChainState(
@@ -211,13 +217,13 @@ def _train_rows(
             np.full((config.n_chains, rows.shape[1]), 0.5)
         )
     )
-    history: list[float] = []
     for _ in range(config.epochs):
         for start in range(0, rows.shape[0], config.batch_size):
             batch = rows[start : start + config.batch_size]
             rbm, chains = pcd_update(rbm, batch, chains, config, rng)
-        history.append(reconstruction_cross_entropy(rbm, rows))
-    return rbm, history
+        if history is not None:
+            history.append(reconstruction_cross_entropy(rbm, rows))
+    return rbm
 
 
 def _require_normalized(matrix: SentenceFeatureMatrix) -> np.ndarray:
@@ -232,8 +238,10 @@ def train_with_history(
     n_hidden: int = 9,
 ) -> tuple[Rbm, list[float]]:
     """Train and report per-epoch mean reconstruction cross-entropy."""
-    config = config or TrainConfig()
-    return _train_rows(_require_normalized(matrix), config, n_hidden)
+    history: list[float] = []
+    rows = _require_normalized(matrix)
+    rbm = _train_rows(rows, config or TrainConfig(), n_hidden, history)
+    return rbm, history
 
 
 def train(
@@ -242,7 +250,7 @@ def train(
     n_hidden: int = 9,
 ) -> Rbm:
     """Train a fresh RBM on one document's normalized feature matrix."""
-    return train_with_history(matrix, config, n_hidden)[0]
+    return _train_rows(_require_normalized(matrix), config or TrainConfig(), n_hidden)
 
 
 def enhance(matrix: SentenceFeatureMatrix | EnhancedMatrix, rbm: Rbm) -> EnhancedMatrix:
@@ -272,5 +280,5 @@ def stack_enhance(
     enhanced = enhance(matrix, first)
     if layers == 1:
         return enhanced
-    second, _ = _train_rows(enhanced.values, config, n_hidden=enhanced.values.shape[1])
+    second = _train_rows(enhanced.values, config, n_hidden=enhanced.values.shape[1])
     return enhance(enhanced, second)

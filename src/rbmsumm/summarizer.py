@@ -6,12 +6,19 @@ strictly from the top half of the ranking.  The anchor is the most
 recently selected sentence by default ("latest") or always the seed
 ("first").  If the limit outruns the top half, remaining picks follow
 rank order.  All ties break toward the better-ranked candidate.
+
+Each top-half sentence's content stems are turned into a set once per
+``select`` call, and an inverted index maps every stem to the candidates
+that contain it.  A pick counts overlaps only for the candidates that
+share a stem with the anchor; every other candidate scores 0.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from .document import ProcessedDocument, RawDocument, Sentence
 from .features import (
@@ -90,32 +97,52 @@ def select(
     config: SummaryConfig | None = None,
     anchor: str = "latest",
 ) -> list[int]:
-    """Pick sentence indices, in selection order."""
+    """Pick sentence indices, in selection order.
+
+    Candidates are the top half of ``ranked`` after the seed.  For each
+    pick, the inverted index yields ``k``, the number of stems a live
+    candidate shares with the anchor, and its Jaccard score is
+    ``k / (len(a) + len(b) - k)``: the same ``int / int`` division as
+    ``jaccard``, so scores are bit-equal to it.  The best score wins and
+    ties go to the better rank.  When no live candidate shares a stem
+    with the anchor, all score 0 and the best-ranked live one wins.
+    """
     if anchor not in ("latest", "first"):
         raise ValueError("anchor must be 'latest' or 'first'")
     config = config or SummaryConfig()
     n = len(ranked)
     limit = config.effective_limit(n)
-    top_half = ranked[: math.ceil(n / 2)]
+    half = math.ceil(n / 2)
+    top = [r.doc_index for r in ranked[:half]]  # rank position -> doc index
+    stems = [frozenset(doc.sentences[i].content_stems()) for i in top]
+    postings: dict[str, set[int]] = {}  # stem -> live rank positions
+    for pos in range(1, half):
+        for stem in stems[pos]:
+            postings.setdefault(stem, set()).add(pos)
+    live = [True] * half
+    first_live = 1
 
-    selected = [ranked[0].doc_index]
-    pool = [r.doc_index for r in top_half[1:]]
-    while len(selected) < limit and pool:
-        anchor_idx = selected[-1] if anchor == "latest" else selected[0]
-        anchor_sentence = doc.sentences[anchor_idx]
-        best = pool[0]
-        best_sim = -1.0
-        for idx in pool:  # rank order, so the first maximum wins ties
-            sim = jaccard(doc.sentences[idx], anchor_sentence)
-            if sim > best_sim:
-                best, best_sim = idx, sim
+    selected = [0]  # rank positions
+    while len(selected) < limit and first_live < half:
+        a = stems[selected[-1] if anchor == "latest" else 0]
+        overlaps = Counter(chain.from_iterable(postings.get(s, ()) for s in a))
+        best, best_sim = first_live, 0.0
+        for pos, k in overlaps.items():
+            sim = k / (len(a) + len(stems[pos]) - k)
+            if sim > best_sim or (sim == best_sim and pos < best):
+                best, best_sim = pos, sim
         selected.append(best)
-        pool.remove(best)
-    for r in ranked[math.ceil(n / 2):]:
-        if len(selected) >= limit:
+        live[best] = False
+        for stem in stems[best]:
+            postings[stem].discard(best)
+        while first_live < half and not live[first_live]:
+            first_live += 1
+    picks = [top[pos] for pos in selected]
+    for r in ranked[half:]:
+        if len(picks) >= limit:
             break
-        selected.append(r.doc_index)
-    return selected
+        picks.append(r.doc_index)
+    return picks
 
 
 def assemble(

@@ -27,7 +27,7 @@ from rbmsumm import (
 from rbmsumm.cli import main
 from rbmsumm.evaluation import resolve_reference, score_sets
 from rbmsumm.porter import porter_stem
-from rbmsumm.rbm import TrainConfig, positive_statistics, train_with_history
+from rbmsumm.rbm import TrainConfig, _phase_statistics, train_with_history
 from rbmsumm.rng import Xorshift64Star
 from rbmsumm.summarizer import SummaryConfig, rank, score_sentences
 from rbmsumm.rbm import EnhancedMatrix
@@ -87,7 +87,7 @@ def test_c03_rbm_gradient_oracle():
     from rbmsumm.rbm import Rbm
 
     rbm = Rbm(weights=rbm_weights, visible_bias=visible_bias, hidden_bias=hidden_bias)
-    pos = positive_statistics(rbm, data)
+    pos = _phase_statistics(rbm, data)
     neg = exact_model_negative_statistics(rbm_weights, visible_bias, hidden_bias)
     grad = exact_log_likelihood_gradient(rbm_weights, visible_bias, hidden_bias, data)
     worst = max(

@@ -18,6 +18,11 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_one_error_line(err, fragment):
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert fragment in err
+
+
 class TestSummarizeCommand:
     def test_matches_golden_summary(self, capsys):
         code, out, err = run_cli(
@@ -60,6 +65,27 @@ class TestSummarizeCommand:
         code, _, err = run_cli(capsys, "summarize", str(tmp_path / "missing.txt"))
         assert code == 2
         assert "error" in err
+
+    def test_limit_zero_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "summarize", ARTICLE, "--limit", "0")
+        assert code == 2
+        assert out == ""
+        assert_one_error_line(err, "limit_sentences")
+
+    def test_latin1_input_exits_2(self, capsys, tmp_path):
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes("Caf\u00e9 prices rose again.".encode("latin-1"))
+        code, _, err = run_cli(capsys, "summarize", str(latin1))
+        assert code == 2
+        assert_one_error_line(err, "UTF-8")
+
+    @pytest.mark.filterwarnings("error")
+    def test_extreme_learning_rate_is_warning_free(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"learning_rate": 1000}))
+        code, out, _ = run_cli(capsys, "summarize", ARTICLE, "--config", str(config))
+        assert code == 0
+        assert out.strip()
 
     def test_stdin_input(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("One sentence from a pipe."))
@@ -137,6 +163,20 @@ class TestEvaluateCommand:
         code, _, err = run_cli(capsys, "evaluate", str(tmp_path))
         assert code == 4
         assert "lone" in err
+
+    def test_latin1_document_exits_2(self, capsys, tmp_path):
+        (tmp_path / "cafe.txt").write_bytes("Caf\u00e9 prices rose.".encode("latin-1"))
+        (tmp_path / "cafe.ref").write_text("0\n")
+        code, out, err = run_cli(capsys, "evaluate", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert_one_error_line(err, "utf-8")
+
+    def test_empty_corpus_exits_2(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "evaluate", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert_one_error_line(err, "no .txt documents")
 
     def test_compare_writes_both_files(self, capsys, tmp_path):
         out = tmp_path / "metrics.csv"

@@ -6,15 +6,14 @@ from rbmsumm import DimensionMismatch
 from rbmsumm.features import SentenceFeatureMatrix
 from rbmsumm.rbm import (
     ChainState,
+    _phase_statistics,
     Rbm,
     TrainConfig,
     enhance,
     gibbs_step,
     hidden_probabilities,
     init_rbm,
-    negative_statistics,
     pcd_update,
-    positive_statistics,
     reconstruction_cross_entropy,
     stack_enhance,
     train,
@@ -222,7 +221,7 @@ class TestGradientOracle:
         rng = Xorshift64Star(seed + 1)
         data = (rng.normal_array((5, n_visible)) > 0).astype(float)
 
-        pos_w, pos_vb, pos_hb = positive_statistics(rbm, data)
+        pos_w, pos_vb, pos_hb = _phase_statistics(rbm, data)
         neg_w, neg_vb, neg_hb = exact_model_negative_statistics(
             rbm.weights, rbm.visible_bias, rbm.hidden_bias
         )
@@ -247,7 +246,7 @@ class TestGradientOracle:
         draws = 4000
         for _ in range(draws):
             states = gibbs_step(rbm, states, rng)
-            w, vb, _ = negative_statistics(rbm, states)
+            w, vb, _ = _phase_statistics(rbm, states)
             acc_w += w
             acc_vb += vb
         np.testing.assert_allclose(acc_w / draws, neg_w_exact, atol=0.02)
@@ -294,6 +293,33 @@ class TestTrain:
         _, history = train_with_history(norm, TrainConfig(seed=42))
         assert len(history) == 5
         assert history[-1] <= history[0]
+
+    def test_history_only_computed_on_request(self, article_doc, monkeypatch):
+        from rbmsumm import build_feature_matrix, normalize_columns
+
+        norm = normalize_columns(build_feature_matrix(article_doc))
+        calls = []
+        original = rbm_module.reconstruction_cross_entropy
+
+        def counting(rbm, rows):
+            calls.append(1)
+            return original(rbm, rows)
+
+        monkeypatch.setattr(rbm_module, "reconstruction_cross_entropy", counting)
+        plain = train(norm, TrainConfig(seed=42))
+        stack_enhance(norm, TrainConfig(seed=42), layers=2)
+        assert calls == []
+        traced, history = train_with_history(norm, TrainConfig(seed=42))
+        assert len(calls) == len(history) == 5
+        np.testing.assert_array_equal(plain.weights, traced.weights)
+
+    @pytest.mark.filterwarnings("error")
+    def test_extreme_learning_rate_history_is_finite(self, article_doc):
+        from rbmsumm import build_feature_matrix, normalize_columns
+
+        norm = normalize_columns(build_feature_matrix(article_doc))
+        _, history = train_with_history(norm, TrainConfig(learning_rate=1000, seed=42))
+        assert all(np.isfinite(history))
 
     def test_parameters_stay_finite(self, article_doc):
         from rbmsumm import build_feature_matrix, normalize_columns
@@ -426,3 +452,24 @@ class TestReconstructionCrossEntropy:
         # reconstruction is 0.5 everywhere: CE = -9 * log(0.5) per row
         value = reconstruction_cross_entropy(zero_rbm(), np.full((3, 9), 0.5))
         assert value == pytest.approx(9 * np.log(2.0), abs=1e-12)
+
+    def test_matches_probability_form(self):
+        rbm = random_rbm(4, 3, seed=5, scale=2.0)
+        rows = np.random.default_rng(6).random((7, 4))
+        recon = visible_probabilities(rbm, hidden_probabilities(rbm, rows))
+        expected = -(rows * np.log(recon) + (1 - rows) * np.log(1 - recon)).sum(axis=1)
+        assert reconstruction_cross_entropy(rbm, rows) == pytest.approx(
+            float(expected.mean()), rel=1e-12
+        )
+
+    @pytest.mark.filterwarnings("error")
+    def test_saturated_reconstruction_stays_finite(self):
+        # visible logits of +-1000 give sigmoids of exactly 1 and 0
+        rbm = Rbm(
+            weights=np.zeros((2, 2)),
+            visible_bias=np.array([1000.0, -1000.0]),
+            hidden_bias=np.zeros(2),
+        )
+        rows = np.array([[0.0, 1.0], [0.5, 0.5]])
+        value = reconstruction_cross_entropy(rbm, rows)
+        assert value == pytest.approx((2000.0 + 1000.0) / 2)

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rbmsumm import (
     DegenerateDocument,
@@ -153,23 +155,52 @@ class TestSelect:
         enhanced = stack_enhance(norm, TrainConfig(seed=42), layers=1)
         ranked = rank(score_sentences(enhanced))
         stems = [set(s.content_stems()) for s in article_doc.sentences]
-        for limit in range(1, article_doc.n_sentences + 1):
-            expected = trace_selection(ranked, stems, limit)
-            got = select(ranked, article_doc, SummaryConfig(limit_sentences=limit))
-            assert got == expected, limit
+        for anchor in ("latest", "first"):
+            for limit in range(1, article_doc.n_sentences + 1):
+                expected = trace_selection(ranked, stems, limit, anchor)
+                config = SummaryConfig(limit_sentences=limit)
+                got = select(ranked, article_doc, config, anchor)
+                assert got == expected, (anchor, limit)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_trace_on_random_stem_lists(self, data):
+        # a tiny alphabet gives many ties, and the stop word "the" gives
+        # sentences with no content stems at all
+        stem_lists = data.draw(
+            st.lists(
+                st.lists(st.sampled_from(["a", "b", "c", "d", "e", "the"]), max_size=4),
+                min_size=1,
+                max_size=16,
+            )
+        )
+        n = len(stem_lists)
+        order = data.draw(st.permutations(range(n)))
+        limit = data.draw(st.integers(1, n + 2))
+        anchor = data.draw(st.sampled_from(["latest", "first"]))
+        doc = make_doc(stem_lists, stopwords={"the"})
+        ranked = [RankedSentence(i, float(n - pos)) for pos, i in enumerate(order)]
+        stems = [set(s.content_stems()) for s in doc.sentences]
+        got = select(ranked, doc, SummaryConfig(limit_sentences=limit), anchor)
+        assert got == trace_selection(ranked, stems, limit, anchor)
 
 
-def trace_selection(ranked, stems, limit):
-    """Step-by-step re-derivation of the selection loop."""
+def trace_selection(ranked, stems, limit, anchor="latest"):
+    """Step-by-step re-derivation of the selection loop.
+
+    Scores every pool candidate against the anchor (the latest pick, or
+    the seed when ``anchor`` is "first"); the first maximum in rank
+    order wins.
+    """
     top = [r.doc_index for r in ranked[: math.ceil(len(ranked) / 2)]]
     chosen = [top[0]]
     pool = top[1:]
     while len(chosen) < limit and pool:
-        anchor = stems[chosen[-1]]
+        anchor_stems = stems[chosen[-1] if anchor == "latest" else chosen[0]]
         best, best_sim = None, -1.0
         for idx in pool:
-            inter = len(stems[idx] & anchor)
-            union = len(stems[idx] | anchor)
+            inter = len(stems[idx] & anchor_stems)
+            union = len(stems[idx] | anchor_stems)
             sim = inter / union if union else 0.0
             if sim > best_sim:
                 best, best_sim = idx, sim
