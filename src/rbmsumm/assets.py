@@ -17,7 +17,6 @@ _LEXICON_FILES = {
     "pronouns": "pronouns.txt",
     "conjunctions": "conjunctions.txt",
     "common_verbs": "common_verbs.txt",
-    "verb_stems": "verb_stems.txt",
     "common_words": "common_words.txt",
 }
 
@@ -51,7 +50,6 @@ class Lexicons:
     pronouns: frozenset[str]
     conjunctions: frozenset[str]
     common_verbs: frozenset[str]
-    verb_stems: frozenset[str]
     common_words: frozenset[str] = field(repr=False)
 
 

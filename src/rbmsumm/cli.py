@@ -1,16 +1,23 @@
 """Command-line interface: summarize, features, evaluate.
 
-Settings are merged from built-in defaults, then an optional JSON
-config file whose keys mirror the flag names, then explicit flags.
-Every run resolves to a concrete seed (default 42) which is echoed on
-standard error so results can be reproduced.
+Settings are merged from the defaults, then an optional JSON config
+file whose keys mirror the flag names, then explicit flags.  Each key
+sets one parameter of a config class or library call, whose default is
+the key's default and whose annotation is the type a config value must
+have.  Every run resolves to a concrete seed (default 42) which is
+echoed on standard error so results can be reproduced.  Each subcommand
+makes one pass through the library; ``evaluate --compare`` runs both
+layer counts and prints the metrics of the one ``--layers`` names.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
+import typing
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .assets import load_lexicons
@@ -24,34 +31,58 @@ from .evaluation import (
     render_metrics_csv,
 )
 from .features import FEATURE_NAMES, FeatureConfig
-from .rbm import TrainConfig
-from .summarizer import SummaryConfig, run_pipeline
+from .rbm import TrainConfig, stack_enhance
+from .summarizer import SummaryConfig, featurize, run_pipeline
 
 EXIT_OK = 0
 EXIT_UNREADABLE = 2
 EXIT_EMPTY = 3
 EXIT_MISSING_REFERENCE = 4
 
-_DEFAULTS = {
-    "seed": 42,
-    "layers": 1,
-    "similarity_anchor": "latest",
-    "format": "text",
-    "limit": None,
-    "ratio": None,
-    "thematic_count": 10,
-    "th_fraction": 0.2,
-    "short_sentence_min_words": 3,
-    "learning_rate": 0.1,
-    "epochs": 5,
-    "batch_size": 4,
-    "chains": 4,
-    "gibbs_steps": 1,
-    "stopwords": None,
-    "abbreviations": None,
-    "lexicon_dir": None,
-    "output": None,
+
+@dataclass(frozen=True)
+class _CliSettings:
+    """The settings that no library call takes."""
+
+    format: str = "text"
+    output: str | None = None
+    no_enhance: bool = False
+    compare: bool = False
+
+
+# config key -> (class or function, parameter).  These are the legal
+# config keys; the parameter's default is the key's default and its
+# annotation the key's type.
+_KEYS = {
+    "seed": (TrainConfig, "seed"),
+    "learning_rate": (TrainConfig, "learning_rate"),
+    "epochs": (TrainConfig, "epochs"),
+    "batch_size": (TrainConfig, "batch_size"),
+    "chains": (TrainConfig, "n_chains"),
+    "gibbs_steps": (TrainConfig, "gibbs_steps_per_update"),
+    "thematic_count": (FeatureConfig, "thematic_count"),
+    "th_fraction": (FeatureConfig, "th_fraction"),
+    "short_sentence_min_words": (FeatureConfig, "short_sentence_min_words"),
+    "limit": (SummaryConfig, "limit_sentences"),
+    "ratio": (SummaryConfig, "limit_ratio"),
+    "layers": (run_pipeline, "layers"),
+    "similarity_anchor": (run_pipeline, "anchor"),
+    "stopwords": (load_lexicons, "stopwords_path"),
+    "abbreviations": (load_lexicons, "abbreviations_path"),
+    "lexicon_dir": (load_lexicons, "lexicon_dir"),
+    **{f.name: (_CliSettings, f.name) for f in fields(_CliSettings)},
 }
+
+_CHOICES = {
+    "layers": (1, 2),
+    "similarity_anchor": ("first", "latest"),
+    "format": ("text", "json"),
+}
+
+
+def _parameter(key: str) -> inspect.Parameter:
+    owner, name = _KEYS[key]
+    return inspect.signature(owner, eval_str=True).parameters[name]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -63,10 +94,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--seed", type=int, help="RNG seed (default 42)")
-        p.add_argument("--layers", type=int, choices=(1, 2),
+        p.add_argument("--layers", type=int, choices=_CHOICES["layers"],
                        help="RBM layers: 1 (default) or 2 (stacked)")
         p.add_argument("--similarity-anchor", dest="similarity_anchor",
-                       choices=("first", "latest"),
+                       choices=_CHOICES["similarity_anchor"],
                        help="sentence the Jaccard pick compares against")
         p.add_argument("--config", help="JSON config file mirroring flag names")
         p.add_argument("--stopwords", help="override stop-word list file")
@@ -81,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sum = sub.add_parser("summarize", help="summarize one document")
     p_sum.add_argument("input", help="input text file, or - for stdin")
-    p_sum.add_argument("--format", choices=("text", "json"),
+    p_sum.add_argument("--format", choices=_CHOICES["format"],
                        help="output format (default text)")
     add_common(p_sum)
 
@@ -99,33 +130,49 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_value(key: str, value) -> None:
+    """Reject a config value of the wrong type or outside the choices."""
+    annotation = _parameter(key).annotation
+    types = typing.get_args(annotation) or (annotation,)
+    names = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+    if float in types:
+        types += (int,)
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        raise _CliError(EXIT_UNREADABLE, f"config key {key!r} must be {names}, not {value!r}")
+    choices = _CHOICES.get(key)
+    if choices is not None and value not in choices:
+        raise _CliError(
+            EXIT_UNREADABLE, f"config key {key!r} must be one of {choices}, not {value!r}"
+        )
+
+
+def _read_config(path: str) -> dict:
+    try:
+        loaded = json.loads(Path(path).read_text("utf-8"))
+    except OSError as exc:
+        raise _CliError(EXIT_UNREADABLE, f"cannot read config file: {exc}")
+    except ValueError as exc:  # includes JSONDecodeError and UnicodeDecodeError
+        raise _CliError(EXIT_UNREADABLE, f"config file is not valid JSON: {exc}")
+    if not isinstance(loaded, dict):
+        raise _CliError(EXIT_UNREADABLE, "config file must hold a JSON object")
+    unknown = set(loaded) - set(_KEYS)
+    if unknown:
+        raise _CliError(EXIT_UNREADABLE, f"unknown config keys: {sorted(unknown)}")
+    for key, value in loaded.items():
+        _check_value(key, value)
+    return loaded
+
+
 def _merge_settings(args: argparse.Namespace) -> dict:
-    settings = dict(_DEFAULTS)
-    settings.update({"no_enhance": False, "compare": False, "format": "text"})
-    config_path = getattr(args, "config", None)
-    if config_path:
-        try:
-            loaded = json.loads(Path(config_path).read_text("utf-8"))
-        except OSError as exc:
-            raise _CliError(EXIT_UNREADABLE, f"cannot read config file: {exc}")
-        except json.JSONDecodeError as exc:
-            raise _CliError(EXIT_UNREADABLE, f"config file is not valid JSON: {exc}")
-        unknown = set(loaded) - set(settings)
-        if unknown:
-            raise _CliError(
-                EXIT_UNREADABLE, f"unknown config keys: {sorted(unknown)}"
-            )
-        if loaded.get("limit") is not None and loaded.get("ratio") is not None:
-            raise _CliError(EXIT_UNREADABLE, "config sets both limit and ratio")
-        settings.update(loaded)
-    for key in settings:
-        value = getattr(args, key, None)
-        if value is not None:
-            settings[key] = value
+    settings = {key: _parameter(key).default for key in _KEYS}
+    if getattr(args, "config", None):
+        settings.update(_read_config(args.config))
+    flags = {key: v for key in _KEYS if (v := getattr(args, key, None)) is not None}
+    settings.update(flags)
     # an explicit flag wins over the config file's choice of the pair
-    if getattr(args, "limit", None) is not None:
+    if "limit" in flags:
         settings["ratio"] = None
-    elif getattr(args, "ratio", None) is not None:
+    elif "ratio" in flags:
         settings["limit"] = None
     return settings
 
@@ -136,37 +183,37 @@ class _CliError(Exception):
         self.code = code
 
 
-def _configs(settings: dict):
+def _library_kwargs(settings: dict) -> dict:
+    """The keyword arguments that every pipeline entry point takes."""
+
+    def build(owner):
+        return owner(**{name: settings[key] for key, (o, name) in _KEYS.items() if o is owner})
+
     try:
-        feature_config = FeatureConfig(
-            thematic_count=settings["thematic_count"],
-            th_fraction=settings["th_fraction"],
-            short_sentence_min_words=settings["short_sentence_min_words"],
-        )
-        train_config = TrainConfig(
-            learning_rate=settings["learning_rate"],
-            epochs=settings["epochs"],
-            batch_size=settings["batch_size"],
-            n_chains=settings["chains"],
-            gibbs_steps_per_update=settings["gibbs_steps"],
-            seed=settings["seed"],
-        )
-        summary_config = SummaryConfig(
-            limit_sentences=settings["limit"], limit_ratio=settings["ratio"]
-        )
+        kwargs = {
+            "feature_config": build(FeatureConfig),
+            "train_config": build(TrainConfig),
+            "summary_config": build(SummaryConfig),
+        }
     except ValueError as exc:
         raise _CliError(EXIT_UNREADABLE, f"invalid setting: {exc}")
-    lexicons = load_lexicons(
-        stopwords_path=settings["stopwords"],
-        abbreviations_path=settings["abbreviations"],
-        lexicon_dir=settings["lexicon_dir"],
-    )
-    return feature_config, train_config, summary_config, lexicons
-
-
-def _read_input(path: str) -> str:
     try:
-        return sys.stdin.read() if path == "-" else Path(path).read_text("utf-8")
+        kwargs["lexicons"] = load_lexicons(
+            settings["stopwords"], settings["abbreviations"], settings["lexicon_dir"]
+        )
+    except (OSError, ValueError) as exc:  # ValueError includes UnicodeDecodeError
+        raise _CliError(EXIT_UNREADABLE, f"cannot read word list: {exc}")
+    kwargs["anchor"] = settings["similarity_anchor"]
+    return kwargs
+
+
+def _read_input(path: str) -> RawDocument:
+    try:
+        if path == "-":
+            # stdin may decode with surrogateescape; decode its bytes strictly
+            text = sys.stdin.read().encode("utf-8", "surrogateescape").decode("utf-8")
+            return RawDocument(text=text, source_id="stdin")
+        return RawDocument(text=Path(path).read_text("utf-8"), source_id=Path(path).stem)
     except OSError as exc:
         raise _CliError(EXIT_UNREADABLE, f"cannot read input: {exc}")
     except UnicodeDecodeError as exc:
@@ -180,22 +227,11 @@ def _write_output(text: str, output: str | None) -> None:
         Path(output).write_text(text, encoding="utf-8", newline="\n")
 
 
-def _cmd_summarize(args: argparse.Namespace) -> int:
-    settings = _merge_settings(args)
-    feature_config, train_config, summary_config, lexicons = _configs(settings)
-    text = _read_input(args.input)
-    result = run_pipeline(
-        RawDocument(text=text, source_id=Path(args.input).stem if args.input != "-" else "stdin"),
-        feature_config,
-        train_config,
-        summary_config,
-        layers=settings["layers"],
-        anchor=settings["similarity_anchor"],
-        lexicons=lexicons,
-    )
+def _cmd_summarize(args: argparse.Namespace, settings: dict, kwargs: dict) -> int:
+    result = run_pipeline(_read_input(args.input), layers=settings["layers"], **kwargs)
     summary = result.summary
     n = result.doc.n_sentences
-    limit = summary_config.effective_limit(n)
+    limit = kwargs["summary_config"].effective_limit(n)
     print(
         f"seed={settings['seed']} sentences={n} limit={limit}",
         file=sys.stderr,
@@ -214,37 +250,12 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_features(args: argparse.Namespace) -> int:
-    settings = _merge_settings(args)
-    feature_config, train_config, summary_config, lexicons = _configs(settings)
-    text = _read_input(args.input)
-    raw = RawDocument(
-        text=text, source_id=Path(args.input).stem if args.input != "-" else "stdin"
-    )
-    if settings["no_enhance"]:
-        from .features import build_feature_matrix, normalize_columns
-        from .preprocess import preprocess
-
-        doc = preprocess(raw, lexicons)
-        raw_matrix = build_feature_matrix(doc, feature_config)
-        normalized = normalize_columns(raw_matrix)
-        enhanced = None
-    else:
-        result = run_pipeline(
-            raw,
-            feature_config,
-            train_config,
-            summary_config,
-            layers=settings["layers"],
-            anchor=settings["similarity_anchor"],
-            lexicons=lexicons,
-        )
-        doc = result.doc
-        raw_matrix, normalized, enhanced = (
-            result.raw_matrix,
-            result.normalized,
-            result.enhanced,
-        )
+def _cmd_features(args: argparse.Namespace, settings: dict, kwargs: dict) -> int:
+    raw = _read_input(args.input)
+    doc, raw_matrix, normalized = featurize(raw, kwargs["feature_config"], kwargs["lexicons"])
+    enhanced = None
+    if not settings["no_enhance"]:
+        enhanced = stack_enhance(normalized, kwargs["train_config"], settings["layers"])
     records = []
     for i in range(doc.n_sentences):
         record: dict = {"doc_index": i}
@@ -264,49 +275,30 @@ def _cmd_features(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
-    settings = _merge_settings(args)
-    feature_config, train_config, summary_config, lexicons = _configs(settings)
+def _cmd_evaluate(args: argparse.Namespace, settings: dict, kwargs: dict) -> int:
     try:
         entries = load_corpus(args.corpus)
-    except (OSError, ValueError) as exc:  # ValueError includes UnicodeDecodeError
+    except (OSError, ValueError) as exc:  # ValueError includes undecodable files
         raise _CliError(EXIT_UNREADABLE, f"cannot read corpus: {exc}")
-    result = evaluate_corpus(
-        entries,
-        feature_config,
-        train_config,
-        summary_config,
-        layers=settings["layers"],
-        anchor=settings["similarity_anchor"],
-        lexicons=lexicons,
-    )
-    metrics_csv = render_metrics_csv(result)
+    comparison = None
+    try:
+        if settings["compare"]:
+            comparison = compare_modes(entries, **kwargs)
+            result = comparison.by_layers[settings["layers"]]
+        else:
+            result = evaluate_corpus(entries, layers=settings["layers"], **kwargs)
+    except ValueError as exc:  # a reference that does not fit its document
+        raise _CliError(EXIT_UNREADABLE, str(exc))
     print(
         f"seed={settings['seed']} documents={len(entries)}",
         file=sys.stderr,
     )
-    comparison_csv = None
-    if settings["compare"]:
-        comparison = compare_modes(
-            entries,
-            feature_config,
-            train_config,
-            summary_config,
-            anchor=settings["similarity_anchor"],
-            lexicons=lexicons,
-        )
-        comparison_csv = render_comparison_csv(comparison)
-    if settings["output"] is None:
-        sys.stdout.write(metrics_csv)
-        if comparison_csv is not None:
-            sys.stdout.write(comparison_csv)
-    else:
-        _write_output(metrics_csv, settings["output"])
-        if comparison_csv is not None:
-            out = Path(settings["output"])
-            _write_output(
-                comparison_csv, str(out.with_name(out.stem + ".compare.csv"))
-            )
+    output = settings["output"]
+    _write_output(render_metrics_csv(result), output)
+    if comparison is not None:
+        if output is not None:
+            output = str(Path(output).with_name(Path(output).stem + ".compare.csv"))
+        _write_output(render_comparison_csv(comparison), output)
     return EXIT_OK
 
 
@@ -319,7 +311,8 @@ def main(argv: list[str] | None = None) -> int:
         "evaluate": _cmd_evaluate,
     }
     try:
-        return handlers[args.command](args)
+        settings = _merge_settings(args)
+        return handlers[args.command](args, settings, _library_kwargs(settings))
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -10,8 +10,6 @@ class PosTag(Enum):
     NOUN = "noun"
     PROPER_NOUN = "proper_noun"
     VERB = "verb"
-    ADJECTIVE = "adjective"
-    ADVERB = "adverb"
     DETERMINER = "determiner"
     PRONOUN = "pronoun"
     PREPOSITION = "preposition"

@@ -2,13 +2,15 @@
 
 References either name sentence indices directly or carry literal
 sentence strings, which are matched to document sentences by equality
-of their non-stopword stem multisets.
+of their non-stopword stem multisets.  ``evaluate_corpus`` runs the
+pipeline once per document; ``compare_modes`` runs it once per document
+and layer count, and keeps both corpus evaluations.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .assets import Lexicons, default_lexicons
@@ -160,6 +162,8 @@ def evaluate_corpus(
 class ModeComparison:
     proposed_1layer: EvalScores
     existing_2layer: EvalScores
+    # the corpus evaluations behind the two means, by layer count
+    by_layers: dict[int, CorpusEvaluation] = field(default_factory=dict)
 
 
 def compare_modes(
@@ -171,13 +175,13 @@ def compare_modes(
     lexicons: Lexicons | None = None,
 ) -> ModeComparison:
     """Mean scores for the single-layer mode next to the stacked mode."""
-    one = evaluate_corpus(
-        entries, feature_config, train_config, summary_config, 1, anchor, lexicons
-    )
-    two = evaluate_corpus(
-        entries, feature_config, train_config, summary_config, 2, anchor, lexicons
-    )
-    return ModeComparison(proposed_1layer=one.mean, existing_2layer=two.mean)
+    by_layers = {
+        n: evaluate_corpus(
+            entries, feature_config, train_config, summary_config, n, anchor, lexicons
+        )
+        for n in (1, 2)
+    }
+    return ModeComparison(by_layers[1].mean, by_layers[2].mean, by_layers)
 
 
 def render_metrics_csv(result: CorpusEvaluation) -> str:
@@ -217,11 +221,9 @@ def load_corpus(directory: str | Path) -> list[tuple[RawDocument, ReferenceSumma
         ref_path = txt_path.with_suffix(".ref")
         if not ref_path.exists():
             raise MissingReference(f"no reference file for document {source_id!r}")
-        raw = RawDocument(text=txt_path.read_text("utf-8"), source_id=source_id)
+        raw = RawDocument(text=_read_utf8(txt_path), source_id=source_id)
         lines = [
-            line.strip()
-            for line in ref_path.read_text("utf-8").splitlines()
-            if line.strip()
+            line.strip() for line in _read_utf8(ref_path).splitlines() if line.strip()
         ]
         if not lines:
             raise MissingReference(f"reference file for {source_id!r} is empty")
@@ -235,6 +237,13 @@ def load_corpus(directory: str | Path) -> list[tuple[RawDocument, ReferenceSumma
     if not entries:
         raise ValueError(f"no .txt documents found in {directory}")
     return entries
+
+
+def _read_utf8(path: Path) -> str:
+    try:
+        return path.read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not UTF-8: {exc}") from exc
 
 
 def _is_int(text: str) -> bool:

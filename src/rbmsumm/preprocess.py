@@ -92,19 +92,6 @@ def filter_stopwords(tokens: list[Token], stopwords: frozenset[str]) -> list[Tok
     return [replace(t, is_stopword=t.surface.lower() in stopwords) for t in tokens]
 
 
-def _matches_verb_stem(word: str, verb_stems: frozenset[str]) -> bool:
-    for suffix in ("ing", "ed"):
-        if not word.endswith(suffix) or len(word) <= len(suffix):
-            continue
-        base = word[: -len(suffix)]
-        candidates = [base, base + "e"]
-        if len(base) >= 2 and base[-1] == base[-2]:
-            candidates.append(base[:-1])
-        if any(c in verb_stems for c in candidates):
-            return True
-    return False
-
-
 def _tag_one(token: Token, sentence_initial: bool, lex: Lexicons) -> PosTag:
     surface = token.surface
     lowered = surface.lower()
@@ -123,12 +110,6 @@ def _tag_one(token: Token, sentence_initial: bool, lex: Lexicons) -> PosTag:
     if surface[:1].isupper() and not token.is_stopword:
         if not sentence_initial or lowered not in lex.common_words:
             return PosTag.PROPER_NOUN
-    if lowered.endswith("ly") and len(lowered) >= 4:
-        return PosTag.ADVERB
-    if _matches_verb_stem(lowered, lex.verb_stems):
-        return PosTag.VERB
-    if lowered.endswith(("ous", "ful", "able")):
-        return PosTag.ADJECTIVE
     return PosTag.NOUN
 
 

@@ -166,6 +166,15 @@ class PipelineResult:
     summary: Summary
 
 
+def featurize(
+    raw: RawDocument, feature_config: FeatureConfig | None = None, lexicons=None
+) -> tuple[ProcessedDocument, SentenceFeatureMatrix, SentenceFeatureMatrix]:
+    """Preprocess, then the raw and the column-normalized feature matrix."""
+    doc = preprocess(raw, lexicons)
+    raw_matrix = build_feature_matrix(doc, feature_config)
+    return doc, raw_matrix, normalize_columns(raw_matrix)
+
+
 def run_pipeline(
     raw: RawDocument,
     feature_config: FeatureConfig | None = None,
@@ -175,9 +184,7 @@ def run_pipeline(
     anchor: str = "latest",
     lexicons=None,
 ) -> PipelineResult:
-    doc = preprocess(raw, lexicons)
-    raw_matrix = build_feature_matrix(doc, feature_config)
-    normalized = normalize_columns(raw_matrix)
+    doc, raw_matrix, normalized = featurize(raw, feature_config, lexicons)
     enhanced = stack_enhance(normalized, train_config, layers)
     ranked = rank(score_sentences(enhanced))
     picks = select(ranked, doc, summary_config, anchor)

@@ -1,9 +1,11 @@
 import io
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
+import rbmsumm.summarizer
 from rbmsumm import RawDocument, run_pipeline
 from rbmsumm.cli import main
 
@@ -93,6 +95,17 @@ class TestSummarizeCommand:
         assert code == 0
         assert out.strip() == "One sentence from a pipe."
 
+    def test_undecodable_stdin_exits_2(self, capsys, monkeypatch):
+        # as in UTF-8 mode, where stdin decodes with surrogateescape
+        stdin = io.TextIOWrapper(
+            io.BytesIO(b"Caf\xe9 prices rose."), encoding="utf-8", errors="surrogateescape"
+        )
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run_cli(capsys, "summarize", "-")
+        assert code == 2
+        assert out == ""
+        assert_one_error_line(err, "is not UTF-8")
+
     def test_byte_identical_across_runs(self, capsys, tmp_path):
         out_a = tmp_path / "a.txt"
         out_b = tmp_path / "b.txt"
@@ -134,6 +147,25 @@ class TestFeaturesCommand:
             assert "enhanced_sum" not in record
             assert "feature_sum" in record
 
+    @pytest.mark.parametrize("layers", ["1", "2"])
+    def test_no_enhance_drops_only_the_enhanced_fields(self, capsys, layers):
+        _, full, _ = run_cli(capsys, "features", ARTICLE, "--layers", layers)
+        _, bare, _ = run_cli(capsys, "features", ARTICLE, "--layers", layers, "--no-enhance")
+        expected = [
+            {k: v for k, v in r.items() if k not in ("enhanced", "enhanced_sum")}
+            for r in json.loads(full)
+        ]
+        assert json.loads(bare) == expected
+
+    @pytest.mark.parametrize("flags", [[], ["--no-enhance"]])
+    def test_never_selects_a_summary(self, capsys, monkeypatch, flags):
+        def select(*args, **kwargs):
+            raise AssertionError("features ran sentence selection")
+
+        monkeypatch.setattr(rbmsumm.summarizer, "select", select)
+        code, _, _ = run_cli(capsys, "features", ARTICLE, *flags)
+        assert code == 0
+
     def test_sums_match_pipeline(self, capsys, article_raw):
         _, out, _ = run_cli(capsys, "features", ARTICLE, "--seed", "42")
         records = json.loads(out)
@@ -171,6 +203,24 @@ class TestEvaluateCommand:
         assert code == 2
         assert out == ""
         assert_one_error_line(err, "utf-8")
+        assert "cafe.txt" in err
+
+    @pytest.mark.parametrize(
+        "ref, fragment",
+        [
+            ("99\n", "out-of-range indices [99]"),
+            ("No sentence of the battery story reads like this.\n", "not found in 'battery'"),
+        ],
+        ids=["index", "literal"],
+    )
+    def test_reference_that_does_not_fit_exits_2(self, capsys, tmp_path, ref, fragment):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(CORPUS, corpus)
+        (corpus / "battery.ref").write_text(ref)
+        code, out, err = run_cli(capsys, "evaluate", str(corpus))
+        assert code == 2
+        assert out == ""
+        assert_one_error_line(err, fragment)
 
     def test_empty_corpus_exits_2(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "evaluate", str(tmp_path))
@@ -204,6 +254,31 @@ class TestEvaluateCommand:
         compare_rows = (tmp_path / "metrics.compare.csv").read_text().splitlines()[1:]
         one_layer_cells = [row.split(",")[1] for row in compare_rows]
         assert one_layer_cells == mean_cells
+
+
+    def test_compare_preprocesses_each_document_twice(self, capsys, monkeypatch):
+        calls = []
+        preprocess = rbmsumm.summarizer.preprocess
+
+        def counting(raw, *args, **kwargs):
+            calls.append(raw.source_id)
+            return preprocess(raw, *args, **kwargs)
+
+        monkeypatch.setattr(rbmsumm.summarizer, "preprocess", counting)
+        code, _, _ = run_cli(capsys, "evaluate", CORPUS, "--compare")
+        assert code == 0
+        ids = [p.stem for p in sorted(Path(CORPUS).glob("*.txt"))]
+        assert sorted(calls) == sorted(ids * 2)
+
+    def test_compare_keeps_the_metrics_of_the_chosen_layers(self, capsys, tmp_path):
+        plain = tmp_path / "plain" / "m.csv"
+        compared = tmp_path / "compared" / "m.csv"
+        for out, extra in ((plain, []), (compared, ["--compare"])):
+            out.parent.mkdir()
+            argv = ["evaluate", CORPUS, "--layers", "2", "--output", str(out), *extra]
+            assert main(argv) == 0
+        capsys.readouterr()
+        assert compared.read_bytes() == plain.read_bytes()
 
 
 class TestConfigPrecedence:
@@ -259,6 +334,37 @@ class TestConfigPrecedence:
         records = json.loads(out)
         # "market" flagged as a stop word: no sentence can count it as thematic
         assert all(r["thematic"] <= 0.5 for r in records)
+
+
+@pytest.mark.parametrize(
+    "config, flags, fragment",
+    [
+        ({"seed": "x"}, [], "'seed' must be int"),
+        ({"epochs": 2.5}, [], "'epochs' must be int"),
+        ({"layers": 3}, [], "'layers' must be one of"),
+        ({"similarity_anchor": "middle"}, [], "'similarity_anchor' must be one of"),
+        ([{"seed": 1}], [], "must hold a JSON object"),
+        ({"format": "xml"}, [], "'format' must be one of"),
+        ({"limit": True}, [], "'limit' must be int or null"),
+        ({"stopwords": "{missing}"}, [], "cannot read word list"),
+        (None, ["--stopwords", "{missing}"], "cannot read word list"),
+    ],
+    ids=[
+        "seed-str", "epochs-float", "layers-3", "anchor-middle", "top-level-list",
+        "format-xml", "limit-bool", "stopwords-key-missing", "stopwords-flag-missing",
+    ],
+)
+def test_bad_setting_exits_2(capsys, tmp_path, config, flags, fragment):
+    missing = str(tmp_path / "missing.txt")
+    argv = ["summarize", ARTICLE] + [f.format(missing=missing) for f in flags]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config).replace("{missing}", missing))
+        argv += ["--config", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert_one_error_line(err, fragment)
 
 
 class TestLayersFlag:
