@@ -60,10 +60,12 @@ def load_lexicons(
 ) -> Lexicons:
     """Load the bundled assets, honouring any override paths.
 
-    ``lexicon_dir`` must contain files with the bundled names
-    (determiners.txt, prepositions.txt, ...); missing files fall back
-    to the bundled copies.
+    ``lexicon_dir`` must be an existing directory.  It holds files with
+    the bundled names (determiners.txt, prepositions.txt, ...); missing
+    files fall back to the bundled copies.
     """
+    if lexicon_dir is not None and not Path(lexicon_dir).is_dir():
+        raise NotADirectoryError(f"lexicon directory {str(lexicon_dir)!r} is not a directory")
     if stopwords_path is not None:
         stopwords = load_wordlist(stopwords_path)
     else:

@@ -223,8 +223,11 @@ def _read_input(path: str) -> RawDocument:
 def _write_output(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(output).write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise _CliError(EXIT_UNREADABLE, f"cannot write output: {exc}")
 
 
 def _cmd_summarize(args: argparse.Namespace, settings: dict, kwargs: dict) -> int:

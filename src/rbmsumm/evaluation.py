@@ -17,7 +17,7 @@ from .assets import Lexicons, default_lexicons
 from .document import ProcessedDocument, RawDocument
 from .errors import EmptyReference, EmptySystemSummary, MissingReference
 from .features import FeatureConfig
-from .preprocess import build_tokens, filter_stopwords, tokenize
+from .preprocess import build_tokens, tokenize
 from .rbm import TrainConfig
 from .summarizer import SummaryConfig, run_pipeline
 
@@ -72,7 +72,7 @@ def score_sets(system: frozenset[int], reference: frozenset[int]) -> EvalScores:
 
 
 def _stem_multiset(text: str, lexicons: Lexicons) -> tuple[tuple[str, int], ...]:
-    tokens = filter_stopwords(build_tokens(tokenize(text)), lexicons.stopwords)
+    tokens = build_tokens(tokenize(text), lexicons)
     counts = Counter(t.stem for t in tokens if not t.is_stopword)
     return tuple(sorted(counts.items()))
 

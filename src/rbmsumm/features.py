@@ -148,9 +148,13 @@ def f_tf_isf(sentence: Sentence, doc: ProcessedDocument) -> float:
     return math.log1p(total) / len(sentence.tokens)
 
 
-def centroid_index(doc: ProcessedDocument) -> int:
-    """Index of the highest tf-isf sentence; ties go to the earliest."""
-    scores = [f_tf_isf(s, doc) for s in doc.sentences]
+def centroid_index(doc: ProcessedDocument, scores: list[float] | None = None) -> int:
+    """Index of the highest tf-isf sentence; ties go to the earliest.
+
+    ``scores`` are the sentences' ``f_tf_isf`` values, when already known.
+    """
+    if scores is None:
+        scores = [f_tf_isf(s, doc) for s in doc.sentences]
     best = 0
     for i, score in enumerate(scores):
         if score > scores[best]:
@@ -177,7 +181,8 @@ def feature_vectors(
     """Compute all nine features for every sentence."""
     config = config or FeatureConfig()
     thematic = thematic_words(doc, config)
-    centroid = doc.sentences[centroid_index(doc)]
+    tf_isf = [f_tf_isf(s, doc) for s in doc.sentences]
+    centroid = doc.sentences[centroid_index(doc, tf_isf)]
     n = doc.n_sentences
     return [
         FeatureVector(
@@ -188,10 +193,10 @@ def feature_vectors(
             proper_nouns=float(f_proper_nouns(s)),
             numerals=f_numerals(s),
             named_entities=float(f_named_entities(s)),
-            tf_isf=f_tf_isf(s, doc),
+            tf_isf=score,
             centroid_sim=f_centroid_sim(s, centroid),
         )
-        for s in doc.sentences
+        for s, score in zip(doc.sentences, tf_isf)
     ]
 
 

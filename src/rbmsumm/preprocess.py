@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import replace
+# never called: each Token is built once, and the benchmark in perfbench/
+# counts calls to this name as Token rebuilds
+from dataclasses import replace  # noqa: F401
 
 from .assets import Lexicons, default_lexicons
 from .document import PosTag, ProcessedDocument, RawDocument, Sentence, Token
@@ -77,48 +79,59 @@ def is_numeral(surface: str) -> bool:
     return _NUMERAL.fullmatch(surface) is not None
 
 
-def build_tokens(surfaces: list[str]) -> list[Token]:
-    """Attach stems and numeral flags; stop-word and tag passes follow."""
-    tokens = []
-    for surface in surfaces:
-        lowered = surface.lower()
-        stem = porter_stem(lowered) if lowered.isalpha() else lowered
-        tokens.append(Token(surface=surface, stem=stem, is_numeral=is_numeral(surface)))
-    return tokens
+def make_token(surface: str, sentence_initial: bool, lex: Lexicons) -> Token:
+    """Stem, numeral flag, stop-word flag and rule/lexicon tag of one word.
 
-
-def filter_stopwords(tokens: list[Token], stopwords: frozenset[str]) -> list[Token]:
-    """Flag stop words in place of deleting them, keeping positions intact."""
-    return [replace(t, is_stopword=t.surface.lower() in stopwords) for t in tokens]
-
-
-def _tag_one(token: Token, sentence_initial: bool, lex: Lexicons) -> PosTag:
-    surface = token.surface
+    Stop words are flagged, not deleted, so positions stay intact.
+    """
     lowered = surface.lower()
-    if token.is_numeral:
-        return PosTag.NUMERAL
-    if lowered in lex.determiners:
-        return PosTag.DETERMINER
-    if lowered in lex.prepositions:
-        return PosTag.PREPOSITION
-    if lowered in lex.pronouns:
-        return PosTag.PRONOUN
-    if lowered in lex.conjunctions:
-        return PosTag.CONJUNCTION
-    if lowered in lex.common_verbs:
-        return PosTag.VERB
-    if surface[:1].isupper() and not token.is_stopword:
-        if not sentence_initial or lowered not in lex.common_words:
-            return PosTag.PROPER_NOUN
-    return PosTag.NOUN
+    numeral = is_numeral(surface)
+    stopword = lowered in lex.stopwords
+    if numeral:
+        tag = PosTag.NUMERAL
+    elif lowered in lex.determiners:
+        tag = PosTag.DETERMINER
+    elif lowered in lex.prepositions:
+        tag = PosTag.PREPOSITION
+    elif lowered in lex.pronouns:
+        tag = PosTag.PRONOUN
+    elif lowered in lex.conjunctions:
+        tag = PosTag.CONJUNCTION
+    elif lowered in lex.common_verbs:
+        tag = PosTag.VERB
+    elif surface[:1].isupper() and not stopword and (
+        not sentence_initial or lowered not in lex.common_words
+    ):
+        tag = PosTag.PROPER_NOUN
+    else:
+        tag = PosTag.NOUN
+    return Token(
+        surface=surface,
+        stem=porter_stem(lowered) if lowered.isalpha() else lowered,
+        tag=tag,
+        is_stopword=stopword,
+        is_numeral=numeral,
+    )
 
 
-def pos_tag(tokens: list[Token], lex: Lexicons | None = None) -> list[Token]:
-    """Deterministic rule/lexicon tagging; token 0 is sentence-initial."""
-    lex = lex or default_lexicons()
-    return [
-        replace(t, tag=_tag_one(t, i == 0, lex)) for i, t in enumerate(tokens)
-    ]
+def build_tokens(
+    surfaces: list[str], lex: Lexicons, memo: dict[tuple[str, bool], Token] | None = None
+) -> list[Token]:
+    """One sentence's tokens; the first surface is sentence-initial.
+
+    With the lexicons fixed, a token depends only on its surface and on
+    whether it starts the sentence, so one ``memo`` can serve every
+    sentence of a document; ``Token`` is frozen, so sharing is safe.
+    """
+    memo = {} if memo is None else memo
+    tokens = []
+    for i, surface in enumerate(surfaces):
+        key = (surface, i == 0)
+        token = memo.get(key)
+        if token is None:
+            token = memo[key] = make_token(surface, i == 0, lex)
+        tokens.append(token)
+    return tokens
 
 
 def chunk_named_entities(sentence: Sentence) -> list[tuple[int, int]]:
@@ -144,6 +157,7 @@ def preprocess(raw: RawDocument, lexicons: Lexicons | None = None) -> ProcessedD
     paragraphs losing every sentence are dropped as well.
     """
     lex = lexicons or default_lexicons()
+    memo: dict[tuple[str, bool], Token] = {}  # one document's distinct words
     sentences: list[Sentence] = []
     para_index = 0
     for paragraph in segment_paragraphs(raw):
@@ -152,9 +166,7 @@ def preprocess(raw: RawDocument, lexicons: Lexicons | None = None) -> ProcessedD
             surfaces = tokenize(text)
             if not surfaces:
                 continue
-            tokens = build_tokens(surfaces)
-            tokens = filter_stopwords(tokens, lex.stopwords)
-            tokens = pos_tag(tokens, lex)
+            tokens = build_tokens(surfaces, lex, memo)
             retained.append((text, tokens))
         if not retained:
             continue

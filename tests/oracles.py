@@ -3,7 +3,10 @@
 Nothing here reuses the production feature or RBM code paths: features
 are recomputed with plain loops and ``math`` calls from a processed
 document, and RBM expectations come from brute-force enumeration of the
-joint state space.  Tests compare the package against these.
+joint state space.  The scalar xorshift64* generator, the three-pass
+token builder and the four-mask sigmoid are the plain forms that the
+package's block RNG stream, one-pass token builder and one-branch
+sigmoid must match exactly.  Tests compare the package against these.
 """
 
 from __future__ import annotations
@@ -11,10 +14,14 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 
-from rbmsumm.document import PosTag, ProcessedDocument
+from rbmsumm.assets import Lexicons
+from rbmsumm.document import PosTag, ProcessedDocument, Token
+from rbmsumm.porter import porter_stem
+from rbmsumm.preprocess import is_numeral
 
 
 def oracle_feature_matrix(
@@ -212,3 +219,104 @@ def exact_model_negative_statistics(weights, visible_bias, hidden_bias):
         neg_vb += p * va
         neg_hb += p * cond_h
     return neg_w, neg_vb, neg_hb
+
+
+# ---------------------------------------------------------------------
+# Scalar xorshift64*, one output per call
+# ---------------------------------------------------------------------
+
+_MASK64 = (1 << 64) - 1
+_STAR = 0x2545F4914F6CDD1D
+
+
+class ScalarXorshift64Star:
+    """The stream definition on Python ints: splitmix64 seeding, one
+    xorshift step and one multiplicative scramble per raw output."""
+
+    def __init__(self, seed: int):
+        x = ((seed & _MASK64) + 0x9E3779B97F4A7C15) & _MASK64
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+        state = x ^ (x >> 31)
+        self.state = state if state != 0 else _STAR
+        self._gauss_cache = None
+
+    def next_uint64(self) -> int:
+        x = self.state
+        x ^= x >> 12
+        x ^= (x << 25) & _MASK64
+        x ^= x >> 27
+        self.state = x
+        return (x * _STAR) & _MASK64
+
+    def random(self) -> float:
+        return (self.next_uint64() >> 11) * (2.0 ** -53)
+
+    def normal(self, mean: float = 0.0, std: float = 1.0) -> float:
+        if self._gauss_cache is not None:
+            z = self._gauss_cache
+            self._gauss_cache = None
+        else:
+            u1 = 1.0 - self.random()
+            u2 = self.random()
+            r = math.sqrt(-2.0 * math.log(u1))
+            z = r * math.cos(2.0 * math.pi * u2)
+            self._gauss_cache = r * math.sin(2.0 * math.pi * u2)
+        return mean + std * z
+
+    def bernoulli_array(self, probs) -> np.ndarray:
+        p = np.asarray(probs, dtype=np.float64)
+        out = np.empty(p.shape, dtype=np.float64)
+        flat_p = p.reshape(-1)
+        flat_out = out.reshape(-1)
+        for i in range(flat_p.size):
+            flat_out[i] = 1.0 if self.random() < flat_p[i] else 0.0
+        return out
+
+
+# ---------------------------------------------------------------------
+# Three-pass token builder: stems and numerals, stop words, tags
+# ---------------------------------------------------------------------
+
+
+def _oracle_tag(token: Token, sentence_initial: bool, lex: Lexicons) -> PosTag:
+    surface = token.surface
+    lowered = surface.lower()
+    if token.is_numeral:
+        return PosTag.NUMERAL
+    if lowered in lex.determiners:
+        return PosTag.DETERMINER
+    if lowered in lex.prepositions:
+        return PosTag.PREPOSITION
+    if lowered in lex.pronouns:
+        return PosTag.PRONOUN
+    if lowered in lex.conjunctions:
+        return PosTag.CONJUNCTION
+    if lowered in lex.common_verbs:
+        return PosTag.VERB
+    if surface[:1].isupper() and not token.is_stopword:
+        if not sentence_initial or lowered not in lex.common_words:
+            return PosTag.PROPER_NOUN
+    return PosTag.NOUN
+
+
+def oracle_tokens(surfaces: list[str], lex: Lexicons) -> list[Token]:
+    """Build every token, rebuild it with its stop-word flag, then again
+    with its tag; the first surface is sentence-initial."""
+    tokens = []
+    for surface in surfaces:
+        lowered = surface.lower()
+        stem = porter_stem(lowered) if lowered.isalpha() else lowered
+        tokens.append(Token(surface=surface, stem=stem, is_numeral=is_numeral(surface)))
+    tokens = [replace(t, is_stopword=t.surface.lower() in lex.stopwords) for t in tokens]
+    return [replace(t, tag=_oracle_tag(t, i == 0, lex)) for i, t in enumerate(tokens)]
+
+
+def four_mask_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function, each sign through its own masked branch."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out

@@ -7,6 +7,7 @@ install both, as the benchmark does, and check what they record.
 """
 
 import importlib
+import math
 import sys
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import pytest
 from rbmsumm import RawDocument
 from rbmsumm.assets import default_lexicons
 from rbmsumm.document import Sentence
+from rbmsumm.rbm import TrainConfig
 from rbmsumm.rng import Xorshift64Star
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -78,3 +80,29 @@ def test_tracer_and_capture_see_one_run_per_mode(bench, tmp_path, capsys):
     assert tracer.counts["preprocess.preprocess"] == 2 * len(ids) + 1
     assert tracer.counts["evaluation.compare_modes"] == 1
     assert _attributes() == before
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_layer_counters_of_one_pipeline_run(bench, article_raw, layers):
+    """Counts, not timings: each is exact for a given document and config."""
+    tracing, _ = bench
+    summarizer = importlib.import_module("rbmsumm.summarizer")
+    default_lexicons()
+    tracer = tracing.Tracer().install()
+    try:
+        result = summarizer.run_pipeline(article_raw, layers=layers)
+    finally:
+        tracer.close()
+    metrics = tracer.layer_metrics(ops=1, docs=1, rounds=1)
+    assert tracer.counts["preprocess.tokens"] > 0
+    assert metrics["preprocess.token_rebuilds_per_token"] == 0
+    assert metrics["features.tf_isf_calls_per_sentence"] == 1
+    # chain initialization, then per update one hidden and one visible
+    # sample of every chain, for each stacked machine
+    c = TrainConfig()
+    n, units = result.doc.n_sentences, 9
+    per_machine = c.n_chains * units + (
+        c.epochs * math.ceil(n / c.batch_size) * c.gibbs_steps_per_update
+        * c.n_chains * (units + units)
+    )
+    assert tracer.counts["rbm.draws"] == layers * per_machine

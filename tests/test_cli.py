@@ -348,10 +348,13 @@ class TestConfigPrecedence:
         ({"limit": True}, [], "'limit' must be int or null"),
         ({"stopwords": "{missing}"}, [], "cannot read word list"),
         (None, ["--stopwords", "{missing}"], "cannot read word list"),
+        ({"lexicon_dir": "{missing}"}, [], "lexicon directory '{missing}'"),
+        (None, ["--lexicon-dir", "{missing}"], "lexicon directory '{missing}'"),
     ],
     ids=[
         "seed-str", "epochs-float", "layers-3", "anchor-middle", "top-level-list",
         "format-xml", "limit-bool", "stopwords-key-missing", "stopwords-flag-missing",
+        "lexicon-dir-key-missing", "lexicon-dir-flag-missing",
     ],
 )
 def test_bad_setting_exits_2(capsys, tmp_path, config, flags, fragment):
@@ -364,7 +367,27 @@ def test_bad_setting_exits_2(capsys, tmp_path, config, flags, fragment):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert_one_error_line(err, fragment)
+    assert_one_error_line(err, fragment.format(missing=missing))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["summarize", ARTICLE],
+        ["features", ARTICLE],
+        ["evaluate", CORPUS],
+        ["evaluate", CORPUS, "--compare"],
+    ],
+    ids=["summarize", "features", "evaluate", "evaluate-compare"],
+)
+def test_unwritable_output_exits_2(capsys, tmp_path, argv):
+    target = tmp_path / "no-such-dir" / "out.txt"
+    code, out, err = run_cli(capsys, *argv, "--output", str(target))
+    assert code == 2
+    assert out == ""
+    error = err.splitlines(keepends=True)[-1]  # after the seed= line
+    assert_one_error_line(error, "cannot write output")
+    assert str(target) in error
 
 
 class TestLayersFlag:

@@ -9,17 +9,17 @@ from rbmsumm import (
     RawDocument,
     preprocess,
 )
-from rbmsumm.assets import default_lexicons
+from rbmsumm.assets import default_lexicons, load_lexicons
 from rbmsumm.preprocess import (
     build_tokens,
     chunk_named_entities,
-    filter_stopwords,
     is_numeral,
-    pos_tag,
     segment_paragraphs,
     segment_sentences,
     tokenize,
 )
+
+from oracles import oracle_tokens
 
 LEX = default_lexicons()
 
@@ -123,26 +123,25 @@ class TestNumeralRule:
 
 class TestStopwordsAndStems:
     def test_flags_not_deletions(self):
-        tokens = filter_stopwords(build_tokens(["the", "cat"]), LEX.stopwords)
+        tokens = build_tokens(["the", "cat"], LEX)
         assert [t.is_stopword for t in tokens] == [True, False]
         assert len(tokens) == 2
 
     def test_capitalized_stopword_flagged(self):
-        tokens = filter_stopwords(build_tokens(["Cat"]), LEX.stopwords)
+        tokens = build_tokens(["Cat"], LEX)
         assert [t.is_stopword for t in tokens] == [False]
 
     def test_empty(self):
-        assert filter_stopwords([], LEX.stopwords) == []
+        assert build_tokens([], LEX) == []
 
     def test_stems_are_lowercase(self):
-        for token in build_tokens(["Markets", "RALLIED", "Growing"]):
+        for token in build_tokens(["Markets", "RALLIED", "Growing"], LEX):
             assert token.stem == token.stem.lower()
 
 
 class TestPosTagger:
     def tag(self, words):
-        tokens = filter_stopwords(build_tokens(words), LEX.stopwords)
-        return [t.tag for t in pos_tag(tokens, LEX)]
+        return [t.tag for t in build_tokens(words, LEX)]
 
     def test_sentence_initial_determiner(self):
         assert self.tag(["The", "cat"])[0] is PosTag.DETERMINER
@@ -257,3 +256,56 @@ class TestPreprocessPipeline:
                 if s.para_index == para and s.is_para_last
             ]
             assert len(lasts) == 1
+
+
+# repeated words in and out of sentence-initial position, in several
+# cases, with numerals, stop words and words the tagger looks up
+WORDS = (
+    "the", "The", "THE", "market", "Market", "markets", "Markets", "rallied",
+    "Nairobi", "nairobi", "It", "it", "of", "Of", "and", "12", "1,234.5", "3rd",
+    "2016", "don't", "state-of-the-art", "Running", "running", "caf\u00e9",
+)
+
+
+class TestOneTokenPerWord:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from(WORDS), st.text(min_size=1, max_size=6)),
+                st.sampled_from((" ", " ", ". ", "! ", ", ", "\n\n")),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_matches_three_pass_builder(self, parts):
+        text = "".join(word + sep for word, sep in parts)
+        try:
+            doc = preprocess(RawDocument(text))
+        except (EmptyDocument, DegenerateDocument):
+            return
+        for sentence in doc.sentences:
+            assert list(sentence.tokens) == oracle_tokens(tokenize(sentence.original_text), LEX)
+
+    def test_repeated_words_share_one_token(self):
+        doc = preprocess(RawDocument("Markets rose. Markets fell as Markets rose."))
+        first, second = doc.sentences
+        assert first.tokens[0] is second.tokens[0]
+        assert first.tokens[1] is second.tokens[4]
+        # the same surface away from the sentence start is its own token
+        assert second.tokens[3] is not second.tokens[0]
+        assert second.tokens[3] == oracle_tokens(["fell", "Markets"], LEX)[1]
+
+
+class TestLexiconDir:
+    def test_missing_files_fall_back_to_bundled(self, tmp_path):
+        (tmp_path / "common_verbs.txt").write_text("# override\nzzgrobble\n")
+        lex = load_lexicons(lexicon_dir=tmp_path)
+        assert lex.common_verbs == frozenset({"zzgrobble"})
+        assert lex.determiners == LEX.determiners
+        assert lex.common_words == LEX.common_words
+
+    def test_missing_directory_raises(self, tmp_path):
+        with pytest.raises(NotADirectoryError, match="no-such-dir"):
+            load_lexicons(lexicon_dir=tmp_path / "no-such-dir")

@@ -7,6 +7,7 @@ from rbmsumm.features import SentenceFeatureMatrix
 from rbmsumm.rbm import (
     ChainState,
     _phase_statistics,
+    _sigmoid,
     Rbm,
     TrainConfig,
     enhance,
@@ -22,7 +23,11 @@ from rbmsumm.rbm import (
 )
 from rbmsumm.rng import Xorshift64Star
 
-from oracles import exact_log_likelihood_gradient, exact_model_negative_statistics
+from oracles import (
+    exact_log_likelihood_gradient,
+    exact_model_negative_statistics,
+    four_mask_sigmoid,
+)
 
 
 def zero_rbm(n_visible=9, n_hidden=9):
@@ -110,6 +115,16 @@ class TestActivations:
         np.testing.assert_allclose(
             hidden_probabilities(sym, x), visible_probabilities(sym, x), atol=1e-14
         )
+
+    @pytest.mark.filterwarnings("error")
+    def test_sigmoid_bit_equal_to_four_mask_form(self):
+        edges = [0.0, 1e-300, 36.0, 709.0, 745.0, 1e308, np.inf]
+        cases = [
+            np.array(edges + [-x for x in edges]),
+            np.random.default_rng(3).normal(scale=40.0, size=(7, 9)),
+        ]
+        for x in cases:
+            assert _sigmoid(x).tobytes() == four_mask_sigmoid(x).tobytes()
 
     def test_dimension_mismatch(self):
         rbm = zero_rbm(9, 9)
