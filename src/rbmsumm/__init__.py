@@ -15,6 +15,7 @@ from .errors import (
     EmptyReference,
     EmptySystemSummary,
     MissingReference,
+    NonFiniteParameter,
     SummarizerError,
 )
 from .evaluation import (

@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .assets import load_lexicons
-from .errors import DegenerateDocument, EmptyDocument, MissingReference
+from .errors import DegenerateDocument, EmptyDocument, MissingReference, NonFiniteParameter
 from .document import RawDocument
 from .evaluation import (
     compare_modes,
@@ -319,6 +319,9 @@ def main(argv: list[str] | None = None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except NonFiniteParameter as exc:  # a learning rate that training cannot take
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNREADABLE
     except (EmptyDocument, DegenerateDocument) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY

@@ -27,3 +27,7 @@ class EmptyReference(SummarizerError):
 
 class MissingReference(SummarizerError):
     """Raised when a corpus document has no matching reference summary."""
+
+
+class NonFiniteParameter(SummarizerError, ArithmeticError):
+    """Raised when an RBM update leaves a parameter infinite or NaN."""

@@ -4,7 +4,8 @@ References either name sentence indices directly or carry literal
 sentence strings, which are matched to document sentences by equality
 of their non-stopword stem multisets.  ``evaluate_corpus`` runs the
 pipeline once per document; ``compare_modes`` runs it once per document
-and layer count, and keeps both corpus evaluations.
+and layer count, stacking the 2-layer run on the 1-layer one, and keeps
+both corpus evaluations.
 """
 
 from __future__ import annotations
@@ -128,6 +129,42 @@ def _mean_scores(scores: list[EvalScores]) -> EvalScores:
     )
 
 
+def _evaluate(
+    entries: list[tuple[RawDocument, ReferenceSummary | None]],
+    layer_counts: tuple[int, ...],
+    feature_config: FeatureConfig | None,
+    train_config: TrainConfig | None,
+    summary_config: SummaryConfig | None,
+    anchor: str,
+    lexicons: Lexicons | None,
+) -> dict[int, CorpusEvaluation]:
+    """Score every document per layer count; ``(1, 2)`` stacks 2 on 1."""
+    if not entries:
+        raise ValueError("corpus is empty")
+    per_document: dict[int, list[DocumentScore]] = {n: [] for n in layer_counts}
+    for raw, reference in entries:
+        if reference is None:
+            raise MissingReference(f"no reference for document {raw.source_id!r}")
+        base = ref_indices = None
+        for layers in layer_counts:
+            base = run_pipeline(
+                raw, feature_config, train_config, summary_config, layers, anchor, lexicons,
+                base=base,
+            )
+            if ref_indices is None:
+                ref_indices = resolve_reference(reference, base.doc, lexicons)
+            system = frozenset(base.summary.selected)
+            per_document[layers].append(
+                DocumentScore(source_id=raw.source_id, scores=score_sets(system, ref_indices))
+            )
+    return {
+        n: CorpusEvaluation(
+            per_document=tuple(docs), mean=_mean_scores([d.scores for d in docs])
+        )
+        for n, docs in per_document.items()
+    }
+
+
 def evaluate_corpus(
     entries: list[tuple[RawDocument, ReferenceSummary | None]],
     feature_config: FeatureConfig | None = None,
@@ -138,24 +175,9 @@ def evaluate_corpus(
     lexicons: Lexicons | None = None,
 ) -> CorpusEvaluation:
     """Summarize every document and score it against its reference."""
-    if not entries:
-        raise ValueError("corpus is empty")
-    per_document = []
-    for raw, reference in entries:
-        if reference is None:
-            raise MissingReference(f"no reference for document {raw.source_id!r}")
-        result = run_pipeline(
-            raw, feature_config, train_config, summary_config, layers, anchor, lexicons
-        )
-        ref_indices = resolve_reference(reference, result.doc, lexicons)
-        system = frozenset(result.summary.selected)
-        per_document.append(
-            DocumentScore(source_id=raw.source_id, scores=score_sets(system, ref_indices))
-        )
-    return CorpusEvaluation(
-        per_document=tuple(per_document),
-        mean=_mean_scores([d.scores for d in per_document]),
-    )
+    return _evaluate(
+        entries, (layers,), feature_config, train_config, summary_config, anchor, lexicons
+    )[layers]
 
 
 @dataclass(frozen=True)
@@ -175,12 +197,9 @@ def compare_modes(
     lexicons: Lexicons | None = None,
 ) -> ModeComparison:
     """Mean scores for the single-layer mode next to the stacked mode."""
-    by_layers = {
-        n: evaluate_corpus(
-            entries, feature_config, train_config, summary_config, n, anchor, lexicons
-        )
-        for n in (1, 2)
-    }
+    by_layers = _evaluate(
+        entries, (1, 2), feature_config, train_config, summary_config, anchor, lexicons
+    )
     return ModeComparison(by_layers[1].mean, by_layers[2].mean, by_layers)
 
 

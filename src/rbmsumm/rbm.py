@@ -11,11 +11,12 @@ samples, row-major).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonFiniteParameter
 from .features import SentenceFeatureMatrix
 from .rng import Xorshift64Star
 
@@ -48,9 +49,9 @@ class TrainConfig:
 
     def __post_init__(self):
         # a zero learning rate is allowed: updates become no-ops while
-        # the chains still advance
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        # the chains still advance; NaN fails both comparisons
+        if not 0 <= self.learning_rate <= sys.float_info.max:
+            raise ValueError("learning_rate must be finite and >= 0")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
@@ -138,7 +139,9 @@ def _phase_statistics(rbm: Rbm, visible: np.ndarray):
     """
     hp = hidden_probabilities(rbm, visible)
     n = visible.shape[0]
-    return hp.T @ visible / n, visible.mean(axis=0), hp.mean(axis=0)
+    # x.sum(axis=0) / n is what x.mean(axis=0) computes, without its
+    # fixed cost per call
+    return hp.T @ visible / n, visible.sum(axis=0) / n, hp.sum(axis=0) / n
 
 
 def _check_finite(rbm: Rbm) -> None:
@@ -147,7 +150,7 @@ def _check_finite(rbm: Rbm) -> None:
         and np.isfinite(rbm.visible_bias).all()
         and np.isfinite(rbm.hidden_bias).all()
     ):
-        raise ArithmeticError("non-finite RBM parameter after update")
+        raise NonFiniteParameter("non-finite RBM parameter after update; lower the learning_rate")
 
 
 def pcd_update(
@@ -216,16 +219,19 @@ def _train_rows(
             np.full((config.n_chains, rows.shape[1]), 0.5)
         )
     )
-    for _ in range(config.epochs):
-        for start in range(0, rows.shape[0], config.batch_size):
-            batch = rows[start : start + config.batch_size]
-            rbm, chains = pcd_update(rbm, batch, chains, config, rng)
-        if history is not None:
-            history.append(reconstruction_cross_entropy(rbm, rows))
+    # a logit that overflows to +-inf saturates the sigmoid as any past
+    # +-40 does; a parameter that overflows fails ``_check_finite``
+    with np.errstate(over="ignore"):
+        for _ in range(config.epochs):
+            for start in range(0, rows.shape[0], config.batch_size):
+                batch = rows[start : start + config.batch_size]
+                rbm, chains = pcd_update(rbm, batch, chains, config, rng)
+            if history is not None:
+                history.append(reconstruction_cross_entropy(rbm, rows))
     return rbm
 
 
-def _require_normalized(matrix: SentenceFeatureMatrix) -> np.ndarray:
+def _require_normalized(matrix: SentenceFeatureMatrix | EnhancedMatrix) -> np.ndarray:
     if not matrix.normalized:
         raise ValueError("train expects a normalized feature matrix")
     return np.asarray(matrix.values, dtype=np.float64)
@@ -244,25 +250,25 @@ def train_with_history(
 
 
 def train(
-    matrix: SentenceFeatureMatrix,
+    matrix: SentenceFeatureMatrix | EnhancedMatrix,
     config: TrainConfig | None = None,
     n_hidden: int = 9,
 ) -> Rbm:
-    """Train a fresh RBM on one document's normalized feature matrix."""
+    """Train a fresh RBM on one document's normalized feature matrix, or
+    on a machine's output for it."""
     return _train_rows(_require_normalized(matrix), config or TrainConfig(), n_hidden)
 
 
 def enhance(matrix: SentenceFeatureMatrix | EnhancedMatrix, rbm: Rbm) -> EnhancedMatrix:
     """Deterministic pass through the hidden layer, row by row."""
     values = np.asarray(matrix.values, dtype=np.float64)
-    return EnhancedMatrix(
-        values=hidden_probabilities(rbm, values),
-        normalized=matrix.normalized,
-    )
+    with np.errstate(over="ignore"):  # saturating logits, as in _train_rows
+        probabilities = hidden_probabilities(rbm, values)
+    return EnhancedMatrix(values=probabilities, normalized=matrix.normalized)
 
 
 def stack_enhance(
-    matrix: SentenceFeatureMatrix,
+    matrix: SentenceFeatureMatrix | EnhancedMatrix,
     config: TrainConfig | None = None,
     layers: int = 1,
 ) -> EnhancedMatrix:
@@ -270,14 +276,13 @@ def stack_enhance(
 
     With two layers, the first layer's output becomes both training
     data and input for a second machine of the same shape, trained with
-    the same configuration.
+    the same configuration.  Given that output, one layer here is the
+    second machine alone.
     """
     if layers not in (1, 2):
         raise ValueError("layers must be 1 or 2")
     config = config or TrainConfig()
-    first = train(matrix, config)
-    enhanced = enhance(matrix, first)
-    if layers == 1:
-        return enhanced
-    second = _train_rows(enhanced.values, config, n_hidden=enhanced.values.shape[1])
-    return enhance(enhanced, second)
+    enhanced = enhance(matrix, train(matrix, config))
+    if layers == 2:
+        enhanced = enhance(enhanced, train(enhanced, config))
+    return enhanced

@@ -183,9 +183,20 @@ def run_pipeline(
     layers: int = 1,
     anchor: str = "latest",
     lexicons=None,
+    *,
+    base: PipelineResult | None = None,
 ) -> PipelineResult:
-    doc, raw_matrix, normalized = featurize(raw, feature_config, lexicons)
-    enhanced = stack_enhance(normalized, train_config, layers)
+    """Summarize ``raw``, keeping every stage.  ``base``, this document's
+    1-layer result from the same configs and lexicons, lets a 2-layer run
+    train only its second machine, for the same bits as from scratch."""
+    if base is None:
+        doc, raw_matrix, normalized = featurize(raw, feature_config, lexicons)
+        enhanced = stack_enhance(normalized, train_config, layers)
+    elif layers != 2:
+        raise ValueError("base is only for a 2-layer run")
+    else:
+        doc, raw_matrix, normalized = base.doc, base.raw_matrix, base.normalized
+        enhanced = stack_enhance(base.enhanced, train_config, 1)
     ranked = rank(score_sentences(enhanced))
     picks = select(ranked, doc, summary_config, anchor)
     return PipelineResult(

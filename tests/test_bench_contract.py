@@ -76,8 +76,8 @@ def test_tracer_and_capture_see_one_run_per_mode(bench, tmp_path, capsys):
     assert {k: sorted(v) for k, v in seen.items()} == {
         **{doc: [1, 2] for doc in ids}, "extra": [1]
     }
-    assert sorted(source_id for source_id, _ in resolved) == sorted(ids * 2)
-    assert tracer.counts["preprocess.preprocess"] == 2 * len(ids) + 1
+    assert sorted(source_id for source_id, _ in resolved) == sorted(ids)
+    assert tracer.counts["preprocess.preprocess"] == len(ids) + 1
     assert tracer.counts["evaluation.compare_modes"] == 1
     assert _attributes() == before
 

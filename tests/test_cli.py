@@ -1,13 +1,17 @@
 import io
 import json
+import math
 import shutil
+import typing
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import rbmsumm.summarizer
 from rbmsumm import RawDocument, run_pipeline
-from rbmsumm.cli import main
+from rbmsumm.cli import _KEYS, _parameter, main
 
 DATA = Path(__file__).parent / "data"
 ARTICLE = str(DATA / "article_market.txt")
@@ -86,6 +90,17 @@ class TestSummarizeCommand:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"learning_rate": 1000}))
         code, out, _ = run_cli(capsys, "summarize", ARTICLE, "--config", str(config))
+        assert code == 0
+        assert out.strip()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("layers", ["1", "2"])
+    def test_float_max_learning_rate_is_warning_free(self, capsys, tmp_path, layers):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"learning_rate": 1e308}))
+        code, out, _ = run_cli(
+            capsys, "summarize", ARTICLE, "--config", str(config), "--layers", layers
+        )
         assert code == 0
         assert out.strip()
 
@@ -256,7 +271,7 @@ class TestEvaluateCommand:
         assert one_layer_cells == mean_cells
 
 
-    def test_compare_preprocesses_each_document_twice(self, capsys, monkeypatch):
+    def test_compare_preprocesses_each_document_once(self, capsys, monkeypatch):
         calls = []
         preprocess = rbmsumm.summarizer.preprocess
 
@@ -268,7 +283,7 @@ class TestEvaluateCommand:
         code, _, _ = run_cli(capsys, "evaluate", CORPUS, "--compare")
         assert code == 0
         ids = [p.stem for p in sorted(Path(CORPUS).glob("*.txt"))]
-        assert sorted(calls) == sorted(ids * 2)
+        assert sorted(calls) == sorted(ids)
 
     def test_compare_keeps_the_metrics_of_the_chosen_layers(self, capsys, tmp_path):
         plain = tmp_path / "plain" / "m.csv"
@@ -350,11 +365,22 @@ class TestConfigPrecedence:
         (None, ["--stopwords", "{missing}"], "cannot read word list"),
         ({"lexicon_dir": "{missing}"}, [], "lexicon directory '{missing}'"),
         (None, ["--lexicon-dir", "{missing}"], "lexicon directory '{missing}'"),
+        ({"learning_rate": math.nan}, [], "learning_rate must be finite"),
+        ({"learning_rate": math.inf}, [], "learning_rate must be finite"),
+        ({"learning_rate": 10**400}, [], "learning_rate must be finite"),
+        # the first update moves a weight past the float maximum
+        (
+            {"learning_rate": 1.79e308, "epochs": 1, "batch_size": 1, "chains": 1},
+            ["--seed", "1"],
+            "non-finite RBM parameter",
+        ),
     ],
     ids=[
         "seed-str", "epochs-float", "layers-3", "anchor-middle", "top-level-list",
         "format-xml", "limit-bool", "stopwords-key-missing", "stopwords-flag-missing",
-        "lexicon-dir-key-missing", "lexicon-dir-flag-missing",
+        "lexicon-dir-key-missing", "lexicon-dir-flag-missing", "learning-rate-nan",
+        "learning-rate-infinity", "learning-rate-int-past-float-range",
+        "learning-rate-overflows-a-parameter",
     ],
 )
 def test_bad_setting_exits_2(capsys, tmp_path, config, flags, fragment):
@@ -368,6 +394,57 @@ def test_bad_setting_exits_2(capsys, tmp_path, config, flags, fragment):
     assert code == 2
     assert out == ""
     assert_one_error_line(err, fragment.format(missing=missing))
+
+
+_FUZZ_FLOATS = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 1e308, -1e308, 10**400, -0.5, 0.0, 1e-300, 0.2, 0.5, 2.5]
+)
+# relative paths land in the test's working directory
+_FUZZ_STRINGS = st.sampled_from(["", "first", "latest", "json", "text", "missing.txt"])
+_FUZZ_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 6), _FUZZ_FLOATS, _FUZZ_STRINGS
+)
+_FUZZ_VALUES = st.one_of(
+    _FUZZ_SCALARS, st.lists(st.one_of(_FUZZ_SCALARS, st.lists(_FUZZ_SCALARS, max_size=2)), max_size=2)
+)
+
+
+def _values_of_the_type(key):
+    """Values of the type the key's parameter is annotated with."""
+    annotation = _parameter(key).annotation
+    types = typing.get_args(annotation) or (annotation,)
+    options = {
+        type(None): st.none(), bool: st.booleans(), int: st.integers(-3, 6),
+        float: _FUZZ_FLOATS, str: _FUZZ_STRINGS,
+    }
+    return st.one_of([v for t, v in options.items() if t in types])
+
+
+@st.composite
+def _fuzzed_configs(draw):
+    keys = draw(st.lists(st.sampled_from(sorted(_KEYS)), unique=True, max_size=6))
+    mistyped = draw(st.sets(st.sampled_from(keys))) if keys else set()
+    return {
+        key: draw(_FUZZ_VALUES if key in mistyped else _values_of_the_type(key))
+        for key in keys
+    }
+
+
+@pytest.mark.filterwarnings("error")
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(config=_fuzzed_configs())
+def test_fuzzed_config_never_escapes_main(capsys, tmp_path, monkeypatch, config):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, _, err = run_cli(capsys, "summarize", ARTICLE, "--config", str(path))
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert err.splitlines()[-1].startswith("error: ")
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,12 @@
+import inspect
 import math
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import rbmsumm.evaluation
 
 from rbmsumm import (
     EmptyReference,
@@ -24,6 +28,7 @@ from rbmsumm.evaluation import (
     resolve_reference,
     score_sets,
 )
+from rbmsumm.rbm import TrainConfig
 from rbmsumm.summarizer import SummaryConfig
 
 
@@ -237,3 +242,48 @@ class TestCsvRendering:
         a = compare_modes(entries)
         b = compare_modes(entries)
         assert a == b
+
+
+class TestCompareModes:
+    @settings(max_examples=8, deadline=None)
+    @given(
+        config=st.builds(
+            TrainConfig,
+            learning_rate=st.floats(0.0, 10.0),
+            epochs=st.integers(0, 2),
+            batch_size=st.integers(1, 8),
+            n_chains=st.integers(1, 6),
+            gibbs_steps_per_update=st.integers(1, 3),
+            seed=st.integers(0, 2**64 - 1),
+        ),
+        anchor=st.sampled_from(["latest", "first"]),
+    )
+    def test_comparison_runs_are_bit_equal_to_standalone_runs(
+        self, corpus_dir, config, anchor
+    ):
+        runs = []
+
+        def recording(*args, **kwargs):
+            bound = inspect.signature(run_pipeline).bind(*args, **kwargs)
+            bound.apply_defaults()
+            result = run_pipeline(*args, **kwargs)
+            runs.append((bound.arguments["raw"], bound.arguments["layers"], result))
+            return result
+
+        with mock.patch.object(rbmsumm.evaluation, "run_pipeline", recording):
+            compare_modes(load_corpus(corpus_dir), train_config=config, anchor=anchor)
+        assert len(runs) == 2 * len(load_corpus(corpus_dir))
+        for raw, layers, result in runs:
+            alone = run_pipeline(raw, train_config=config, layers=layers, anchor=anchor)
+            assert result.enhanced.values.tobytes() == alone.enhanced.values.tobytes()
+            assert result.ranked == alone.ranked
+            assert result.summary == alone.summary
+
+    def test_empty_corpus_rejected(self):
+        with pytest.raises(ValueError, match="corpus is empty"):
+            compare_modes([])
+
+    def test_missing_reference_raised(self, corpus_dir):
+        (raw, _), *rest = load_corpus(corpus_dir)
+        with pytest.raises(MissingReference, match=raw.source_id):
+            compare_modes([*rest, (raw, None)])

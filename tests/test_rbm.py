@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import rbmsumm.rbm as rbm_module
-from rbmsumm import DimensionMismatch
+from rbmsumm import DimensionMismatch, NonFiniteParameter
 from rbmsumm.features import SentenceFeatureMatrix
 from rbmsumm.rbm import (
     ChainState,
@@ -226,6 +229,27 @@ class TestPcdUpdate:
         assert (new_chains.visible_states == 1.0).all()
 
 
+@st.composite
+def _phase_inputs(draw):
+    shape = (draw(st.integers(1, 39)), draw(st.integers(1, 11)))
+    magnitude = draw(st.sampled_from([1e-300, 1e-5, 1.0, 1e5, 1e300]))
+    elements = draw(st.sampled_from([
+        st.sampled_from([0.0, 1.0]),
+        st.floats(-magnitude, magnitude, allow_nan=False),
+    ]))
+    return draw(arrays(np.float64, shape, elements=elements)), draw(st.integers(1, 11))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_phase_inputs(), st.integers(0, 2**64 - 1))
+def test_phase_statistics_means_are_bit_equal_to_ndarray_mean(inputs, seed):
+    visible, n_hidden = inputs
+    rbm = init_rbm(visible.shape[1], n_hidden, seed)
+    _, vb, hb = _phase_statistics(rbm, visible)
+    assert vb.tobytes() == visible.mean(axis=0).tobytes()
+    assert hb.tobytes() == hidden_probabilities(rbm, visible).mean(axis=0).tobytes()
+
+
 class TestGradientOracle:
     @pytest.mark.parametrize(
         "n_visible,n_hidden,seed",
@@ -336,6 +360,16 @@ class TestTrain:
         _, history = train_with_history(norm, TrainConfig(learning_rate=1000, seed=42))
         assert all(np.isfinite(history))
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_parameter_raises_typed_error(self, article_doc):
+        from rbmsumm import build_feature_matrix, normalize_columns
+
+        norm = normalize_columns(build_feature_matrix(article_doc))
+        config = TrainConfig(learning_rate=1.79e308, epochs=1, batch_size=1, n_chains=1, seed=1)
+        with pytest.raises(NonFiniteParameter) as info:
+            train(norm, config)
+        assert isinstance(info.value, ArithmeticError)
+
     def test_parameters_stay_finite(self, article_doc):
         from rbmsumm import build_feature_matrix, normalize_columns
 
@@ -378,6 +412,9 @@ class TestTrain:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=-0.1)
+        for rate in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="finite"):
+                TrainConfig(learning_rate=rate)
         with pytest.raises(ValueError):
             TrainConfig(epochs=-1)
         with pytest.raises(ValueError):

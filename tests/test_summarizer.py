@@ -293,6 +293,19 @@ class TestSummarizeEndToEnd:
         for part in parts:
             assert part in article_raw.text
 
+    def test_base_reuses_the_one_layer_stages(self, article_raw):
+        one = run_pipeline(article_raw, layers=1)
+        two = run_pipeline(article_raw, layers=2, base=one)
+        assert (two.doc, two.raw_matrix, two.normalized) == (one.doc, one.raw_matrix, one.normalized)
+        scratch = run_pipeline(article_raw, layers=2)
+        assert two.enhanced.values.tobytes() == scratch.enhanced.values.tobytes()
+        assert (two.ranked, two.summary) == (scratch.ranked, scratch.summary)
+
+    def test_base_with_one_layer_rejected(self, article_raw):
+        one = run_pipeline(article_raw, layers=1)
+        with pytest.raises(ValueError, match="2-layer"):
+            run_pipeline(article_raw, layers=1, base=one)
+
     def test_selected_strictly_increasing(self, article_raw):
         summary = summarize(article_raw, summary_config=SummaryConfig(limit_sentences=4))
         assert list(summary.selected) == sorted(set(summary.selected))
