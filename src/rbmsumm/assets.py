@@ -1,4 +1,4 @@
-"""Loading of bundled word lists (stop words, abbreviations, lexicons).
+"""Loading of bundled word lists (stop words, abbreviations, name lexicons).
 
 Every asset is a plain-text file with one entry per line; blank lines
 and ``#`` comments are ignored.  The bundled files can be overridden
@@ -11,13 +11,18 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
+# Lexicons field -> the files whose entries it holds
 _LEXICON_FILES = {
-    "determiners": "determiners.txt",
-    "prepositions": "prepositions.txt",
-    "pronouns": "pronouns.txt",
-    "conjunctions": "conjunctions.txt",
-    "common_verbs": "common_verbs.txt",
-    "common_words": "common_words.txt",
+    # closed-class words and common verbs: never names, wherever they stand
+    "not_names": (
+        "determiners.txt",
+        "prepositions.txt",
+        "pronouns.txt",
+        "conjunctions.txt",
+        "common_verbs.txt",
+    ),
+    # words that are not names at the start of a sentence
+    "common_words": ("common_words.txt",),
 }
 
 
@@ -41,15 +46,12 @@ def load_wordlist(path: str | Path) -> frozenset[str]:
 
 @dataclass(frozen=True)
 class Lexicons:
-    """The word lists driving stop-word flagging, splitting and tagging."""
+    """The word lists driving stop-word flagging, splitting and the name
+    decision."""
 
     stopwords: frozenset[str]
     abbreviations: frozenset[str]
-    determiners: frozenset[str]
-    prepositions: frozenset[str]
-    pronouns: frozenset[str]
-    conjunctions: frozenset[str]
-    common_verbs: frozenset[str]
+    not_names: frozenset[str]
     common_words: frozenset[str] = field(repr=False)
 
 
@@ -75,14 +77,16 @@ def load_lexicons(
     else:
         abbreviations = _parse_wordlist(_read_bundled("abbreviations.txt"))
 
-    lexica: dict[str, frozenset[str]] = {}
-    for key, filename in _LEXICON_FILES.items():
+    def lexicon(filename: str) -> frozenset[str]:
         override = Path(lexicon_dir) / filename if lexicon_dir is not None else None
         if override is not None and override.exists():
-            lexica[key] = load_wordlist(override)
-        else:
-            lexica[key] = _parse_wordlist(_read_bundled(filename))
+            return load_wordlist(override)
+        return _parse_wordlist(_read_bundled(filename))
 
+    lexica = {
+        key: frozenset().union(*map(lexicon, files))
+        for key, files in _LEXICON_FILES.items()
+    }
     return Lexicons(stopwords=stopwords, abbreviations=abbreviations, **lexica)
 
 

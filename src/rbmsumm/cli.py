@@ -103,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--stopwords", help="override stop-word list file")
         p.add_argument("--abbreviations", help="override abbreviation list file")
         p.add_argument("--lexicon-dir", dest="lexicon_dir",
-                       help="directory overriding the tagger lexicons")
+                       help="directory overriding the name lexicons")
         p.add_argument("--output", help="write output to this path instead of stdout")
         limits = p.add_mutually_exclusive_group()
         limits.add_argument("--limit", type=int, help="summary length in sentences")

@@ -7,14 +7,9 @@ from enum import Enum
 
 
 class PosTag(Enum):
-    NOUN = "noun"
+    """Whether a token is a name: the one tag the features read."""
+
     PROPER_NOUN = "proper_noun"
-    VERB = "verb"
-    DETERMINER = "determiner"
-    PRONOUN = "pronoun"
-    PREPOSITION = "preposition"
-    CONJUNCTION = "conjunction"
-    NUMERAL = "numeral"
     OTHER = "other"
 
 

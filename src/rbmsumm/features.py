@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .document import PosTag, ProcessedDocument, Sentence
-from .preprocess import chunk_named_entities
 
 FEATURE_NAMES = (
     "thematic",
@@ -123,7 +122,14 @@ def f_numerals(sentence: Sentence) -> float:
 
 
 def f_named_entities(sentence: Sentence) -> int:
-    return len(chunk_named_entities(sentence))
+    """Number of maximal runs of proper-noun tokens."""
+    proper = PosTag.PROPER_NOUN  # an Enum member lookup costs more than a local
+    runs, previous = 0, False
+    for token in sentence.tokens:
+        name = token.tag is proper
+        runs += name and not previous
+        previous = name
+    return runs
 
 
 def _content_counts(sentence: Sentence) -> Counter:
@@ -148,13 +154,11 @@ def f_tf_isf(sentence: Sentence, doc: ProcessedDocument) -> float:
     return math.log1p(total) / len(sentence.tokens)
 
 
-def centroid_index(doc: ProcessedDocument, scores: list[float] | None = None) -> int:
-    """Index of the highest tf-isf sentence; ties go to the earliest.
+def centroid_index(scores: list[float]) -> int:
+    """Index of the highest tf-isf score; ties go to the earliest.
 
-    ``scores`` are the sentences' ``f_tf_isf`` values, when already known.
+    ``scores`` are the sentences' ``f_tf_isf`` values, in document order.
     """
-    if scores is None:
-        scores = [f_tf_isf(s, doc) for s in doc.sentences]
     best = 0
     for i, score in enumerate(scores):
         if score > scores[best]:
@@ -182,7 +186,7 @@ def feature_vectors(
     config = config or FeatureConfig()
     thematic = thematic_words(doc, config)
     tf_isf = [f_tf_isf(s, doc) for s in doc.sentences]
-    centroid = doc.sentences[centroid_index(doc, tf_isf)]
+    centroid = doc.sentences[centroid_index(tf_isf)]
     n = doc.n_sentences
     return [
         FeatureVector(

@@ -1,4 +1,4 @@
-"""Text preprocessing: segmentation, tokenization, stemming, tagging.
+"""Text preprocessing: segmentation, tokenization, stemming, name decision.
 
 The pipeline is deliberately rule-based and free of model downloads so
 that identical input bytes always produce the identical structured
@@ -80,37 +80,27 @@ def is_numeral(surface: str) -> bool:
 
 
 def make_token(surface: str, sentence_initial: bool, lex: Lexicons) -> Token:
-    """Stem, numeral flag, stop-word flag and rule/lexicon tag of one word.
+    """Stem, numeral flag, stop-word flag and name decision of one word.
 
-    Stop words are flagged, not deleted, so positions stay intact.
+    A name is capitalized and is neither a stop word nor in
+    ``lex.not_names``; at the start of a sentence it must also not be a
+    common word.  Stop words are flagged, not deleted, so positions stay
+    intact.
     """
     lowered = surface.lower()
-    numeral = is_numeral(surface)
     stopword = lowered in lex.stopwords
-    if numeral:
-        tag = PosTag.NUMERAL
-    elif lowered in lex.determiners:
-        tag = PosTag.DETERMINER
-    elif lowered in lex.prepositions:
-        tag = PosTag.PREPOSITION
-    elif lowered in lex.pronouns:
-        tag = PosTag.PRONOUN
-    elif lowered in lex.conjunctions:
-        tag = PosTag.CONJUNCTION
-    elif lowered in lex.common_verbs:
-        tag = PosTag.VERB
-    elif surface[:1].isupper() and not stopword and (
-        not sentence_initial or lowered not in lex.common_words
-    ):
-        tag = PosTag.PROPER_NOUN
-    else:
-        tag = PosTag.NOUN
+    name = (
+        surface[:1].isupper()
+        and not stopword
+        and lowered not in lex.not_names
+        and not (sentence_initial and lowered in lex.common_words)
+    )
     return Token(
         surface=surface,
         stem=porter_stem(lowered) if lowered.isalpha() else lowered,
-        tag=tag,
+        tag=PosTag.PROPER_NOUN if name else PosTag.OTHER,
         is_stopword=stopword,
-        is_numeral=numeral,
+        is_numeral=is_numeral(surface),
     )
 
 
@@ -132,22 +122,6 @@ def build_tokens(
             token = memo[key] = make_token(surface, i == 0, lex)
         tokens.append(token)
     return tokens
-
-
-def chunk_named_entities(sentence: Sentence) -> list[tuple[int, int]]:
-    """Maximal runs of proper-noun tokens as (start, length) spans."""
-    spans = []
-    run_start = None
-    for i, token in enumerate(sentence.tokens):
-        if token.tag is PosTag.PROPER_NOUN:
-            if run_start is None:
-                run_start = i
-        elif run_start is not None:
-            spans.append((run_start, i - run_start))
-            run_start = None
-    if run_start is not None:
-        spans.append((run_start, len(sentence.tokens) - run_start))
-    return spans
 
 
 def preprocess(raw: RawDocument, lexicons: Lexicons | None = None) -> ProcessedDocument:

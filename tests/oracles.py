@@ -6,7 +6,9 @@ document, and RBM expectations come from brute-force enumeration of the
 joint state space.  The scalar xorshift64* generator, the three-pass
 token builder and the four-mask sigmoid are the plain forms that the
 package's block RNG stream, one-pass token builder and one-branch
-sigmoid must match exactly.  Tests compare the package against these.
+sigmoid must match exactly; the nine-way part-of-speech chain is the
+former tagger, whose proper-noun decision the package's one-expression
+name decision must reproduce.  Tests compare the package against these.
 """
 
 from __future__ import annotations
@@ -15,10 +17,12 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import replace
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 
-from rbmsumm.assets import Lexicons
+import rbmsumm
 from rbmsumm.document import PosTag, ProcessedDocument, Token
 from rbmsumm.porter import porter_stem
 from rbmsumm.preprocess import is_numeral
@@ -279,37 +283,50 @@ class ScalarXorshift64Star:
 # ---------------------------------------------------------------------
 
 
-def _oracle_tag(token: Token, sentence_initial: bool, lex: Lexicons) -> PosTag:
+@cache
+def _bundled(name: str) -> frozenset[str]:
+    """One bundled word list, read straight from the package's assets."""
+    text = (Path(rbmsumm.__file__).parent / "assets" / f"{name}.txt").read_text("utf-8")
+    lines = (line.strip() for line in text.splitlines())
+    return frozenset(line.lower() for line in lines if line and not line.startswith("#"))
+
+
+def _oracle_tag(token: Token, sentence_initial: bool) -> str:
+    """Part-of-speech label from the rule/lexicon chain, tested in order."""
     surface = token.surface
     lowered = surface.lower()
     if token.is_numeral:
-        return PosTag.NUMERAL
-    if lowered in lex.determiners:
-        return PosTag.DETERMINER
-    if lowered in lex.prepositions:
-        return PosTag.PREPOSITION
-    if lowered in lex.pronouns:
-        return PosTag.PRONOUN
-    if lowered in lex.conjunctions:
-        return PosTag.CONJUNCTION
-    if lowered in lex.common_verbs:
-        return PosTag.VERB
+        return "numeral"
+    for label, name in (
+        ("determiner", "determiners"),
+        ("preposition", "prepositions"),
+        ("pronoun", "pronouns"),
+        ("conjunction", "conjunctions"),
+        ("verb", "common_verbs"),
+    ):
+        if lowered in _bundled(name):
+            return label
     if surface[:1].isupper() and not token.is_stopword:
-        if not sentence_initial or lowered not in lex.common_words:
-            return PosTag.PROPER_NOUN
-    return PosTag.NOUN
+        if not sentence_initial or lowered not in _bundled("common_words"):
+            return "proper_noun"
+    return "noun"
 
 
-def oracle_tokens(surfaces: list[str], lex: Lexicons) -> list[Token]:
-    """Build every token, rebuild it with its stop-word flag, then again
-    with its tag; the first surface is sentence-initial."""
+def oracle_tokens(surfaces: list[str]) -> list[Token]:
+    """Build every token with the bundled lexicons, rebuild it with its
+    stop-word flag, then again with its tag; the first surface is
+    sentence-initial.  Every label but a proper noun becomes ``OTHER``."""
     tokens = []
     for surface in surfaces:
         lowered = surface.lower()
         stem = porter_stem(lowered) if lowered.isalpha() else lowered
         tokens.append(Token(surface=surface, stem=stem, is_numeral=is_numeral(surface)))
-    tokens = [replace(t, is_stopword=t.surface.lower() in lex.stopwords) for t in tokens]
-    return [replace(t, tag=_oracle_tag(t, i == 0, lex)) for i, t in enumerate(tokens)]
+    tokens = [replace(t, is_stopword=t.surface.lower() in _bundled("stopwords")) for t in tokens]
+    tags = {"proper_noun": PosTag.PROPER_NOUN}
+    return [
+        replace(t, tag=tags.get(_oracle_tag(t, i == 0), PosTag.OTHER))
+        for i, t in enumerate(tokens)
+    ]
 
 
 def four_mask_sigmoid(x: np.ndarray) -> np.ndarray:

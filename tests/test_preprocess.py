@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rbmsumm
 from rbmsumm import (
     DegenerateDocument,
     EmptyDocument,
@@ -9,11 +12,12 @@ from rbmsumm import (
     RawDocument,
     preprocess,
 )
-from rbmsumm.assets import default_lexicons, load_lexicons
+from rbmsumm.assets import _LEXICON_FILES, default_lexicons, load_lexicons, load_wordlist
+from rbmsumm.features import f_named_entities
 from rbmsumm.preprocess import (
     build_tokens,
-    chunk_named_entities,
     is_numeral,
+    make_token,
     segment_paragraphs,
     segment_sentences,
     tokenize,
@@ -22,6 +26,7 @@ from rbmsumm.preprocess import (
 from oracles import oracle_tokens
 
 LEX = default_lexicons()
+ASSETS = Path(rbmsumm.__file__).parent / "assets"
 
 
 class TestSegmentParagraphs:
@@ -144,13 +149,15 @@ class TestPosTagger:
         return [t.tag for t in build_tokens(words, LEX)]
 
     def test_sentence_initial_determiner(self):
-        assert self.tag(["The", "cat"])[0] is PosTag.DETERMINER
+        assert self.tag(["The", "cat"])[0] is PosTag.OTHER
 
     def test_mid_sentence_capital_is_proper_noun(self):
         assert self.tag(["visited", "Delhi"])[1] is PosTag.PROPER_NOUN
 
     def test_digits_are_numerals(self):
-        assert self.tag(["120"])[0] is PosTag.NUMERAL
+        token = build_tokens(["120"], LEX)[0]
+        assert token.tag is PosTag.OTHER
+        assert token.is_numeral
 
     def test_sentence_initial_unknown_capital_is_proper_noun(self):
         assert self.tag(["Nairobi", "traders", "met"])[0] is PosTag.PROPER_NOUN
@@ -158,8 +165,8 @@ class TestPosTagger:
     def test_sentence_initial_common_word_is_not_proper_noun(self):
         assert self.tag(["Markets", "fell"])[0] is not PosTag.PROPER_NOUN
 
-    def test_default_noun(self):
-        assert self.tag(["zzgrobble"])[0] is PosTag.NOUN
+    def test_default_other(self):
+        assert self.tag(["zzgrobble"])[0] is PosTag.OTHER
 
     def test_every_token_gets_exactly_one_tag(self, article_doc):
         for sentence in article_doc.sentences:
@@ -174,18 +181,23 @@ class TestPosTagger:
 
 
 class TestEntityChunks:
+    """Entity runs as the tagger marks them and ``f_named_entities`` counts them."""
+
     def chunk(self, words):
-        doc = preprocess(RawDocument(" ".join(words)))
-        return chunk_named_entities(doc.sentences[0])
+        sentence = preprocess(RawDocument(" ".join(words))).sentences[0]
+        names = [t.tag is PosTag.PROPER_NOUN for t in sentence.tokens]
+        return names, f_named_entities(sentence)
 
     def test_one_maximal_run(self):
-        assert self.chunk(["visited", "Morgan", "Stanley", "today"]) == [(1, 2)]
+        assert self.chunk(["visited", "Morgan", "Stanley", "today"]) == (
+            [False, True, True, False], 1
+        )
 
     def test_no_proper_nouns(self):
-        assert self.chunk(["cats", "sleep"]) == []
+        assert self.chunk(["cats", "sleep"]) == ([False, False], 0)
 
     def test_two_runs(self):
-        assert self.chunk(["Paris", "hosted", "Lyon"]) == [(0, 1), (2, 1)]
+        assert self.chunk(["Paris", "hosted", "Lyon"]) == ([True, False, True], 2)
 
 
 class TestPreprocessPipeline:
@@ -259,12 +271,14 @@ class TestPreprocessPipeline:
 
 
 # repeated words in and out of sentence-initial position, in several
-# cases, with numerals, stop words and words the tagger looks up
+# cases, with numerals, stop words and words the name lexicons list
 WORDS = (
     "the", "The", "THE", "market", "Market", "markets", "Markets", "rallied",
     "Nairobi", "nairobi", "It", "it", "of", "Of", "and", "12", "1,234.5", "3rd",
     "2016", "don't", "state-of-the-art", "Running", "running", "caf\u00e9",
 )
+# every entry of every bundled word list
+BUNDLED_ENTRIES = tuple(sorted(frozenset().union(*map(load_wordlist, ASSETS.glob("*.txt")))))
 
 
 class TestOneTokenPerWord:
@@ -272,7 +286,13 @@ class TestOneTokenPerWord:
     @given(
         st.lists(
             st.tuples(
-                st.one_of(st.sampled_from(WORDS), st.text(min_size=1, max_size=6)),
+                st.one_of(
+                    st.sampled_from(WORDS),
+                    st.text(min_size=1, max_size=6),
+                    st.sampled_from(BUNDLED_ENTRIES).flatmap(
+                        lambda w: st.sampled_from((w, w.capitalize(), w.upper()))
+                    ),
+                ),
                 st.sampled_from((" ", " ", ". ", "! ", ", ", "\n\n")),
             ),
             min_size=1,
@@ -286,7 +306,7 @@ class TestOneTokenPerWord:
         except (EmptyDocument, DegenerateDocument):
             return
         for sentence in doc.sentences:
-            assert list(sentence.tokens) == oracle_tokens(tokenize(sentence.original_text), LEX)
+            assert list(sentence.tokens) == oracle_tokens(tokenize(sentence.original_text))
 
     def test_repeated_words_share_one_token(self):
         doc = preprocess(RawDocument("Markets rose. Markets fell as Markets rose."))
@@ -295,16 +315,54 @@ class TestOneTokenPerWord:
         assert first.tokens[1] is second.tokens[4]
         # the same surface away from the sentence start is its own token
         assert second.tokens[3] is not second.tokens[0]
-        assert second.tokens[3] == oracle_tokens(["fell", "Markets"], LEX)[1]
+        assert second.tokens[3] == oracle_tokens(["fell", "Markets"])[1]
+
+
+def is_name(word, lex, sentence_initial=False):
+    return make_token(word.capitalize(), sentence_initial, lex).tag is PosTag.PROPER_NOUN
+
+
+# per never-a-name file, an entry that no other word list blocks as a name
+ONLY_IN = {
+    "determiners.txt": "several",
+    "prepositions.txt": "amid",
+    "pronouns.txt": "everyone",
+    "conjunctions.txt": "whereas",
+    "common_verbs.txt": "bought",
+}
 
 
 class TestLexiconDir:
+    def test_every_asset_file_is_read(self):
+        read = {"stopwords.txt", "abbreviations.txt"}.union(*_LEXICON_FILES.values())
+        assert {p.name for p in ASSETS.iterdir()} == read
+
     def test_missing_files_fall_back_to_bundled(self, tmp_path):
-        (tmp_path / "common_verbs.txt").write_text("# override\nzzgrobble\n")
         lex = load_lexicons(lexicon_dir=tmp_path)
-        assert lex.common_verbs == frozenset({"zzgrobble"})
-        assert lex.determiners == LEX.determiners
-        assert lex.common_words == LEX.common_words
+        for word in BUNDLED_ENTRIES:
+            for sentence_initial in (True, False):
+                assert is_name(word, lex, sentence_initial) == is_name(word, LEX, sentence_initial)
+
+    @pytest.mark.parametrize("filename", sorted(ONLY_IN))
+    def test_one_file_override_replaces_only_that_file(self, tmp_path, filename):
+        (tmp_path / filename).write_text("# override\nzzgrobble\n")
+        lex = load_lexicons(lexicon_dir=tmp_path)
+        assert is_name("zzgrobble", LEX)
+        assert not is_name("zzgrobble", lex)
+        assert not is_name(ONLY_IN[filename], LEX)
+        assert is_name(ONLY_IN[filename], lex)
+        for other, word in ONLY_IN.items():
+            if other != filename:
+                assert not is_name(word, lex)
+
+    def test_common_words_override_changes_only_sentence_start(self, tmp_path):
+        (tmp_path / "common_words.txt").write_text("zzgrobble\n")
+        lex = load_lexicons(lexicon_dir=tmp_path)
+        assert not is_name("zzgrobble", lex, sentence_initial=True)
+        assert not is_name("markets", LEX, sentence_initial=True)
+        assert is_name("markets", lex, sentence_initial=True)
+        for word in BUNDLED_ENTRIES + ("zzgrobble",):
+            assert is_name(word, lex) == is_name(word, LEX)
 
     def test_missing_directory_raises(self, tmp_path):
         with pytest.raises(NotADirectoryError, match="no-such-dir"):

@@ -10,10 +10,13 @@ from rbmsumm import (
     DegenerateDocument,
     EmptyDocument,
     RawDocument,
+    Summary,
+    SummarizerError,
     SummaryConfig,
     run_pipeline,
     summarize,
 )
+from rbmsumm.assets import default_lexicons
 from rbmsumm.document import ProcessedDocument, Sentence, Token
 from rbmsumm.rbm import EnhancedMatrix, TrainConfig
 from rbmsumm.summarizer import (
@@ -265,6 +268,12 @@ class TestSummaryConfig:
         assert SummaryConfig(limit_sentences=10).effective_limit(4) == 4
 
 
+# the name lexicons' entries as they would open a sentence or a name
+CAPITALIZED_LEXICON_WORDS = tuple(
+    sorted(w.capitalize() for w in default_lexicons().not_names | default_lexicons().common_words)
+)
+
+
 class TestSummarizeEndToEnd:
     def test_deterministic(self, article_raw):
         a = summarize(article_raw, train_config=TrainConfig(seed=42))
@@ -309,6 +318,26 @@ class TestSummarizeEndToEnd:
     def test_selected_strictly_increasing(self, article_raw):
         summary = summarize(article_raw, summary_config=SummaryConfig(limit_sentences=4))
         assert list(summary.selected) == sorted(set(summary.selected))
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.text(), st.sampled_from(CAPITALIZED_LEXICON_WORDS)),
+                st.sampled_from((" ", ". ", "? ", "\n\n")),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_arbitrary_unicode_summarizes_or_raises_typed_error(self, parts):
+        text = "".join(word + sep for word, sep in parts)
+        try:
+            summary = summarize(RawDocument(text))
+        except SummarizerError:
+            return
+        assert isinstance(summary, Summary)
 
 
 class TestSelectionInvariants:
