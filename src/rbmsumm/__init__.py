@@ -33,13 +33,12 @@ from .evaluation import (
 from .features import (
     FEATURE_NAMES,
     FeatureConfig,
-    FeatureVector,
     SentenceFeatureMatrix,
     build_feature_matrix,
     normalize_columns,
 )
 from .preprocess import preprocess
-from .rbm import EnhancedMatrix, Rbm, TrainConfig, enhance, stack_enhance, train
+from .rbm import Rbm, TrainConfig, enhance, stack_enhance, train
 from .summarizer import (
     PipelineResult,
     RankedSentence,

@@ -46,23 +46,10 @@ class FeatureConfig:
 
 
 @dataclass(frozen=True)
-class FeatureVector:
-    thematic: float
-    position: float
-    length: float
-    pos_in_para: float
-    proper_nouns: float
-    numerals: float
-    named_entities: float
-    tf_isf: float
-    centroid_sim: float
-
-    def to_row(self) -> list[float]:
-        return [getattr(self, name) for name in FEATURE_NAMES]
-
-
-@dataclass(frozen=True)
 class SentenceFeatureMatrix:
+    """One row per sentence: the nine features, or a machine's
+    hidden-layer probabilities for them."""
+
     values: np.ndarray  # (N, 9) float64
     normalized: bool = False
 
@@ -78,15 +65,13 @@ def thematic_words(doc: ProcessedDocument, config: FeatureConfig) -> frozenset[s
     return frozenset(stem for stem, _ in ranked[: config.thematic_count])
 
 
-def f_thematic(sentence: Sentence, thematic: frozenset[str]) -> float:
-    """Share of tokens carrying a thematic stem.
+def f_thematic(counts: Counter, n_tokens: int, thematic: frozenset[str]) -> float:
+    """Share of tokens carrying a thematic stem; ``counts`` are the
+    sentence's content-stem counts, ``n_tokens`` its token count.
 
     Stop words count toward the denominator but never the numerator.
     """
-    hits = sum(
-        1 for t in sentence.tokens if not t.is_stopword and t.stem in thematic
-    )
-    return hits / len(sentence.tokens)
+    return sum(c for stem, c in counts.items() if stem in thematic) / n_tokens
 
 
 def f_position(doc_index: int, n_sentences: int, config: FeatureConfig) -> float:
@@ -114,7 +99,8 @@ def f_pos_in_para(sentence: Sentence) -> float:
 
 
 def f_proper_nouns(sentence: Sentence) -> int:
-    return sum(1 for t in sentence.tokens if t.tag is PosTag.PROPER_NOUN)
+    proper = PosTag.PROPER_NOUN  # an Enum member lookup costs more than a local
+    return sum(1 for t in sentence.tokens if t.tag is proper)
 
 
 def f_numerals(sentence: Sentence) -> float:
@@ -123,7 +109,7 @@ def f_numerals(sentence: Sentence) -> float:
 
 def f_named_entities(sentence: Sentence) -> int:
     """Number of maximal runs of proper-noun tokens."""
-    proper = PosTag.PROPER_NOUN  # an Enum member lookup costs more than a local
+    proper = PosTag.PROPER_NOUN
     runs, previous = 0, False
     for token in sentence.tokens:
         name = token.tag is proper
@@ -132,26 +118,16 @@ def f_named_entities(sentence: Sentence) -> int:
     return runs
 
 
-def _content_counts(sentence: Sentence) -> Counter:
-    return Counter(sentence.content_stems())
-
-
-def f_tf_isf(sentence: Sentence, doc: ProcessedDocument) -> float:
+def f_tf_isf(counts: Counter, n_tokens: int, vocabulary: dict[str, int]) -> float:
     """log(1 + sum of in-sentence frequency x count elsewhere) per token.
 
     Each content token contributes TF(stem) * OCC(stem), where TF counts
-    the stem in this sentence and OCC counts it in all other sentences;
-    the +1 keeps the log finite when nothing overlaps.
+    the stem in this sentence and OCC counts it in all other sentences,
+    so a distinct stem contributes TF * TF * OCC; the +1 keeps the log
+    finite when nothing overlaps.
     """
-    counts = _content_counts(sentence)
-    total = 0.0
-    for token in sentence.tokens:
-        if token.is_stopword:
-            continue
-        tf = counts[token.stem]
-        occ = doc.vocabulary.get(token.stem, 0) - tf
-        total += tf * occ
-    return math.log1p(total) / len(sentence.tokens)
+    total = sum(tf * tf * (vocabulary.get(stem, 0) - tf) for stem, tf in counts.items())
+    return math.log1p(total) / n_tokens
 
 
 def centroid_index(scores: list[float]) -> int:
@@ -166,51 +142,47 @@ def centroid_index(scores: list[float]) -> int:
     return best
 
 
-def f_centroid_sim(sentence: Sentence, centroid: Sentence) -> float:
-    """Cosine similarity of non-stopword stem count vectors."""
-    a = _content_counts(sentence)
-    b = _content_counts(centroid)
-    if not a or not b:
+def f_centroid_sim(counts: Counter, centroid: Counter, centroid_norm: float) -> float:
+    """Cosine similarity of non-stopword stem count vectors;
+    ``centroid_norm`` is the Euclidean norm of ``centroid``."""
+    if not counts or not centroid:
         return 0.0
-    dot = sum(count * b[stem] for stem, count in a.items())
-    norm_a = math.sqrt(sum(c * c for c in a.values()))
-    norm_b = math.sqrt(sum(c * c for c in b.values()))
+    dot = sum(c * centroid[stem] for stem, c in counts.items())
+    norm = math.sqrt(sum(c * c for c in counts.values()))
     # rounding can push a self-comparison a hair above 1
-    return min(1.0, dot / (norm_a * norm_b))
-
-
-def feature_vectors(
-    doc: ProcessedDocument, config: FeatureConfig | None = None
-) -> list[FeatureVector]:
-    """Compute all nine features for every sentence."""
-    config = config or FeatureConfig()
-    thematic = thematic_words(doc, config)
-    tf_isf = [f_tf_isf(s, doc) for s in doc.sentences]
-    centroid = doc.sentences[centroid_index(tf_isf)]
-    n = doc.n_sentences
-    return [
-        FeatureVector(
-            thematic=f_thematic(s, thematic),
-            position=f_position(s.doc_index, n, config),
-            length=f_length(s, config),
-            pos_in_para=f_pos_in_para(s),
-            proper_nouns=float(f_proper_nouns(s)),
-            numerals=f_numerals(s),
-            named_entities=float(f_named_entities(s)),
-            tf_isf=score,
-            centroid_sim=f_centroid_sim(s, centroid),
-        )
-        for s, score in zip(doc.sentences, tf_isf)
-    ]
+    return min(1.0, dot / (norm * centroid_norm))
 
 
 def build_feature_matrix(
     doc: ProcessedDocument, config: FeatureConfig | None = None
 ) -> SentenceFeatureMatrix:
-    rows = [fv.to_row() for fv in feature_vectors(doc, config)]
-    return SentenceFeatureMatrix(
-        values=np.array(rows, dtype=np.float64), normalized=False
-    )
+    """All nine features of every sentence, one row each in
+    ``FEATURE_NAMES`` order.
+
+    Each sentence's content-stem counts are built once, and the
+    centroid's counts and norm once per document.
+    """
+    config = config or FeatureConfig()
+    thematic = thematic_words(doc, config)
+    n = doc.n_sentences
+    counts = [Counter(s.content_stems()) for s in doc.sentences]
+    tf_isf = [f_tf_isf(c, len(s), doc.vocabulary) for s, c in zip(doc.sentences, counts)]
+    centroid = counts[centroid_index(tf_isf)]
+    centroid_norm = math.sqrt(sum(c * c for c in centroid.values()))
+    values = np.empty((n, N_FEATURES))
+    for i, (s, c) in enumerate(zip(doc.sentences, counts)):
+        values[i] = (
+            f_thematic(c, len(s), thematic),
+            f_position(s.doc_index, n, config),
+            f_length(s, config),
+            f_pos_in_para(s),
+            f_proper_nouns(s),
+            f_numerals(s),
+            f_named_entities(s),
+            tf_isf[i],
+            f_centroid_sim(c, centroid, centroid_norm),
+        )
+    return SentenceFeatureMatrix(values=values)
 
 
 def normalize_columns(matrix: SentenceFeatureMatrix) -> SentenceFeatureMatrix:
@@ -219,12 +191,6 @@ def normalize_columns(matrix: SentenceFeatureMatrix) -> SentenceFeatureMatrix:
         raise ValueError("matrix is already normalized")
     values = matrix.values
     lo = values.min(axis=0)
-    hi = values.max(axis=0)
-    span = hi - lo
-    out = np.empty_like(values)
-    for j in range(values.shape[1]):
-        if span[j] == 0.0:
-            out[:, j] = 0.5
-        else:
-            out[:, j] = (values[:, j] - lo[j]) / span[j]
+    span = values.max(axis=0) - lo
+    out = np.divide(values - lo, span, out=np.full_like(values, 0.5), where=span != 0)
     return SentenceFeatureMatrix(values=out, normalized=True)

@@ -162,9 +162,7 @@ def preprocess(raw: RawDocument, lexicons: Lexicons | None = None) -> ProcessedD
         raise DegenerateDocument(
             f"document {raw.source_id!r} has no sentences after preprocessing"
         )
-    vocabulary = Counter(
-        t.stem for s in sentences for t in s.tokens if not t.is_stopword
-    )
+    vocabulary = Counter(stem for s in sentences for stem in s.content_stems())
     return ProcessedDocument(
         sentences=tuple(sentences),
         paragraph_count=para_index,

@@ -21,6 +21,8 @@ from .features import SentenceFeatureMatrix
 from .rng import Xorshift64Star
 
 WEIGHT_INIT_STD = 0.01
+# a 65 536 x 9 float64 chain array is 4.7 MB
+MAX_CHAINS = 2**16
 
 
 @dataclass(frozen=True)
@@ -56,8 +58,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.n_chains < 1:
-            raise ValueError("n_chains must be >= 1")
+        if not 1 <= self.n_chains <= MAX_CHAINS:
+            raise ValueError(f"n_chains must be in [1, {MAX_CHAINS}]")
         if self.gibbs_steps_per_update < 1:
             raise ValueError("gibbs_steps_per_update must be >= 1")
 
@@ -67,18 +69,6 @@ class ChainState:
     """Visible states of the persistent Gibbs chains."""
 
     visible_states: np.ndarray  # (n_chains, n_visible)
-
-
-@dataclass(frozen=True)
-class EnhancedMatrix:
-    """Hidden-layer activation probabilities, one row per sentence."""
-
-    values: np.ndarray  # (N, n_hidden), entries strictly in (0, 1)
-    normalized: bool = True
-
-    @property
-    def n_sentences(self) -> int:
-        return self.values.shape[0]
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -231,7 +221,7 @@ def _train_rows(
     return rbm
 
 
-def _require_normalized(matrix: SentenceFeatureMatrix | EnhancedMatrix) -> np.ndarray:
+def _require_normalized(matrix: SentenceFeatureMatrix) -> np.ndarray:
     if not matrix.normalized:
         raise ValueError("train expects a normalized feature matrix")
     return np.asarray(matrix.values, dtype=np.float64)
@@ -250,7 +240,7 @@ def train_with_history(
 
 
 def train(
-    matrix: SentenceFeatureMatrix | EnhancedMatrix,
+    matrix: SentenceFeatureMatrix,
     config: TrainConfig | None = None,
     n_hidden: int = 9,
 ) -> Rbm:
@@ -259,19 +249,19 @@ def train(
     return _train_rows(_require_normalized(matrix), config or TrainConfig(), n_hidden)
 
 
-def enhance(matrix: SentenceFeatureMatrix | EnhancedMatrix, rbm: Rbm) -> EnhancedMatrix:
+def enhance(matrix: SentenceFeatureMatrix, rbm: Rbm) -> SentenceFeatureMatrix:
     """Deterministic pass through the hidden layer, row by row."""
     values = np.asarray(matrix.values, dtype=np.float64)
     with np.errstate(over="ignore"):  # saturating logits, as in _train_rows
         probabilities = hidden_probabilities(rbm, values)
-    return EnhancedMatrix(values=probabilities, normalized=matrix.normalized)
+    return SentenceFeatureMatrix(values=probabilities, normalized=matrix.normalized)
 
 
 def stack_enhance(
-    matrix: SentenceFeatureMatrix | EnhancedMatrix,
+    matrix: SentenceFeatureMatrix,
     config: TrainConfig | None = None,
     layers: int = 1,
-) -> EnhancedMatrix:
+) -> SentenceFeatureMatrix:
     """Enhance through one trained RBM, or through two stacked ones.
 
     With two layers, the first layer's output becomes both training

@@ -28,7 +28,7 @@ from .features import (
     normalize_columns,
 )
 from .preprocess import preprocess
-from .rbm import EnhancedMatrix, TrainConfig, stack_enhance
+from .rbm import TrainConfig, stack_enhance
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class Summary:
     scores: tuple[RankedSentence, ...]  # full ranking, best first
 
 
-def score_sentences(enhanced: EnhancedMatrix) -> list[RankedSentence]:
+def score_sentences(enhanced: SentenceFeatureMatrix) -> list[RankedSentence]:
     """Sum each enhanced row into a sentence score."""
     return [
         RankedSentence(doc_index=i, score=float(row.sum()))
@@ -161,7 +161,7 @@ class PipelineResult:
     doc: ProcessedDocument
     raw_matrix: SentenceFeatureMatrix
     normalized: SentenceFeatureMatrix
-    enhanced: EnhancedMatrix
+    enhanced: SentenceFeatureMatrix
     ranked: tuple[RankedSentence, ...]
     summary: Summary
 

@@ -3,12 +3,14 @@
 Nothing here reuses the production feature or RBM code paths: features
 are recomputed with plain loops and ``math`` calls from a processed
 document, and RBM expectations come from brute-force enumeration of the
-joint state space.  The scalar xorshift64* generator, the three-pass
-token builder and the four-mask sigmoid are the plain forms that the
-package's block RNG stream, one-pass token builder and one-branch
-sigmoid must match exactly; the nine-way part-of-speech chain is the
-former tagger, whose proper-noun decision the package's one-expression
-name decision must reproduce.  Tests compare the package against these.
+joint state space.  The per-record feature stage, the per-column
+min-max, the scalar xorshift64* generator, the three-pass token builder
+and the four-mask sigmoid are the plain forms that the package's
+one-pass feature matrix, one-call normalization, block RNG stream,
+one-pass token builder and one-branch sigmoid must match exactly; the
+nine-way part-of-speech chain is the former tagger, whose proper-noun
+decision the package's one-expression name decision must reproduce.
+Tests compare the package against these.
 """
 
 from __future__ import annotations
@@ -112,6 +114,93 @@ def oracle_feature_matrix(
             ]
         )
     return matrix
+
+
+# ---------------------------------------------------------------------
+# The feature stage before the one-pass matrix: one record per sentence,
+# a stem Counter built per feature call, per-token TF-ISF terms, and the
+# centroid's Counter and norm rebuilt for every sentence
+# ---------------------------------------------------------------------
+
+
+def _record_counts(sentence) -> Counter:
+    return Counter(sentence.content_stems())
+
+
+def _record_tf_isf(sentence, doc: ProcessedDocument) -> float:
+    counts = _record_counts(sentence)
+    total = 0.0
+    for token in sentence.tokens:
+        if token.is_stopword:
+            continue
+        tf = counts[token.stem]
+        occ = doc.vocabulary.get(token.stem, 0) - tf
+        total += tf * occ
+    return math.log1p(total) / len(sentence.tokens)
+
+
+def _record_centroid_sim(sentence, centroid) -> float:
+    a = _record_counts(sentence)
+    b = _record_counts(centroid)
+    if not a or not b:
+        return 0.0
+    dot = sum(count * b[stem] for stem, count in a.items())
+    norm_a = math.sqrt(sum(c * c for c in a.values()))
+    norm_b = math.sqrt(sum(c * c for c in b.values()))
+    return min(1.0, dot / (norm_a * norm_b))
+
+
+def per_record_feature_matrix(doc: ProcessedDocument, config) -> np.ndarray:
+    """The raw feature matrix, built as a list of nine-float rows."""
+    ranked = sorted(doc.vocabulary.items(), key=lambda kv: (-kv[1], kv[0]))
+    thematic = frozenset(stem for stem, _ in ranked[: config.thematic_count])
+    tf_isf = [_record_tf_isf(s, doc) for s in doc.sentences]
+    best = 0
+    for i, score in enumerate(tf_isf):
+        if score > tf_isf[best]:
+            best = i
+    centroid = doc.sentences[best]
+    n = doc.n_sentences
+    rows = []
+    for s, score in zip(doc.sentences, tf_isf):
+        tokens = s.tokens
+        if s.doc_index == 0 or s.doc_index == n - 1:
+            position = 1.0
+        else:
+            low = config.th_fraction * n
+            high = 2.0 * config.th_fraction * n
+            position = math.cos((s.doc_index + 1 - low) * ((1.0 / high) - low))
+        runs, previous = 0, False
+        for t in tokens:
+            name = t.tag is PosTag.PROPER_NOUN
+            runs += name and not previous
+            previous = name
+        rows.append([
+            sum(1 for t in tokens if not t.is_stopword and t.stem in thematic) / len(tokens),
+            position,
+            0.0 if len(tokens) < config.short_sentence_min_words else float(len(tokens)),
+            1.0 if s.is_para_first or s.is_para_last else 0.0,
+            float(sum(1 for t in tokens if t.tag is PosTag.PROPER_NOUN)),
+            sum(1 for t in tokens if t.is_numeral) / len(tokens),
+            float(runs),
+            score,
+            _record_centroid_sim(s, centroid),
+        ])
+    return np.array(rows, dtype=np.float64)
+
+
+def per_column_minmax(values: np.ndarray) -> np.ndarray:
+    """Min-max scaling, one column at a time; constant columns become 0.5."""
+    lo = values.min(axis=0)
+    hi = values.max(axis=0)
+    span = hi - lo
+    out = np.empty_like(values)
+    for j in range(values.shape[1]):
+        if span[j] == 0.0:
+            out[:, j] = 0.5
+        else:
+            out[:, j] = (values[:, j] - lo[j]) / span[j]
+    return out
 
 
 def oracle_minmax(matrix: list[list[float]]) -> list[list[float]]:

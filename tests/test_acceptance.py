@@ -30,7 +30,7 @@ from rbmsumm.porter import porter_stem
 from rbmsumm.rbm import TrainConfig, _phase_statistics, train_with_history
 from rbmsumm.rng import Xorshift64Star
 from rbmsumm.summarizer import SummaryConfig, rank, score_sentences
-from rbmsumm.rbm import EnhancedMatrix
+from rbmsumm.features import SentenceFeatureMatrix
 
 from oracles import (
     exact_log_likelihood_gradient,
@@ -292,11 +292,11 @@ def test_c10_rank_scale_invariance():
     trials = 0
     for _ in range(100):
         values = rng.random((int(rng.integers(2, 40)), 9))
-        base = [r.doc_index for r in rank(score_sentences(EnhancedMatrix(values=values)))]
+        base = [r.doc_index for r in rank(score_sentences(SentenceFeatureMatrix(values=values)))]
         constant = float(10.0 ** rng.uniform(-3, 3))
         scaled = [
             r.doc_index
-            for r in rank(score_sentences(EnhancedMatrix(values=values * constant)))
+            for r in rank(score_sentences(SentenceFeatureMatrix(values=values * constant)))
         ]
         assert scaled == base
         trials += 1

