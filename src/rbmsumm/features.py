@@ -7,7 +7,9 @@ named_entities, tf_isf, centroid_sim.
 
 from __future__ import annotations
 
+import heapq
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 
@@ -39,8 +41,10 @@ class FeatureConfig:
     def __post_init__(self):
         if self.thematic_count < 1:
             raise ValueError("thematic_count must be >= 1")
-        if not 0.0 < self.th_fraction < 0.5:
-            raise ValueError("th_fraction must be in (0, 0.5)")
+        # below the smallest normal float, 1 / (2 * th_fraction * N) can
+        # overflow and f_position would take the cosine of infinity
+        if not sys.float_info.min <= self.th_fraction < 0.5:
+            raise ValueError(f"th_fraction must be in [{sys.float_info.min}, 0.5)")
         if self.short_sentence_min_words < 1:
             raise ValueError("short_sentence_min_words must be >= 1")
 
@@ -61,8 +65,10 @@ class SentenceFeatureMatrix:
 def thematic_words(doc: ProcessedDocument, config: FeatureConfig) -> frozenset[str]:
     """The most frequent non-stopword stems; count ties favour the
     lexicographically smaller stem."""
-    ranked = sorted(doc.vocabulary.items(), key=lambda kv: (-kv[1], kv[0]))
-    return frozenset(stem for stem, _ in ranked[: config.thematic_count])
+    top = heapq.nsmallest(
+        config.thematic_count, doc.vocabulary.items(), key=lambda kv: (-kv[1], kv[0])
+    )
+    return frozenset(stem for stem, _ in top)
 
 
 def f_thematic(counts: Counter, n_tokens: int, thematic: frozenset[str]) -> float:

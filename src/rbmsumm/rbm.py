@@ -7,6 +7,14 @@ Bernoulli probabilities.  Every routine is deterministic given the
 seed; the RNG is consumed in a fixed order (weights row-major, then
 chain initialization, then per update: hidden samples before visible
 samples, row-major).
+
+Training runs one fused update per batch (``_Pcd.update``): the three
+parameters are views into one flat buffer and every intermediate lands
+in a preallocated array, so an update makes a fixed, small number of
+numpy calls.  It computes the same values in the same order as the
+reference forms ``gibbs_step`` and ``_phase_statistics``, and it draws
+the same uniforms in the same order, one ``bernoulli_array`` call per
+half-step, so weights are bit-equal to a loop of those.
 """
 
 from __future__ import annotations
@@ -72,11 +80,14 @@ class ChainState:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function; exp only ever sees a value <= 0, so it never
-    overflows."""
-    e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    """Logistic function of ``x``, in place; exp only ever sees a value
+    <= 0, so it never overflows.  Returns ``x``."""
+    nonnegative = x >= 0
+    np.exp(np.copysign(x, -1.0, out=x), out=x)  # exp(-|x|)
+    d = x + 1.0
+    np.copyto(x, 1.0, where=nonnegative)  # 1/d there, e/d elsewhere
+    x /= d
+    return x
 
 
 def _init_from_rng(n_visible: int, n_hidden: int, rng: Xorshift64Star) -> Rbm:
@@ -134,13 +145,97 @@ def _phase_statistics(rbm: Rbm, visible: np.ndarray):
     return hp.T @ visible / n, visible.sum(axis=0) / n, hp.sum(axis=0) / n
 
 
-def _check_finite(rbm: Rbm) -> None:
-    if not (
-        np.isfinite(rbm.weights).all()
-        and np.isfinite(rbm.visible_bias).all()
-        and np.isfinite(rbm.hidden_bias).all()
-    ):
-        raise NonFiniteParameter("non-finite RBM parameter after update; lower the learning_rate")
+def _split(flat: np.ndarray, n_hidden: int, n_visible: int):
+    """Weights, hidden bias and visible bias: views into ``flat``, in
+    that order."""
+    hw = n_hidden * n_visible
+    return (
+        flat[:hw].reshape(n_hidden, n_visible),
+        flat[hw : hw + n_hidden],
+        flat[hw + n_hidden :],
+    )
+
+
+class _Pcd:
+    """One machine under persistent-CD training: its parameters are
+    views into one flat buffer, and each update writes into scratch
+    arrays made once."""
+
+    def __init__(self, rbm: Rbm, n_chains: int, max_batch: int):
+        n_hidden, n_visible = rbm.weights.shape
+        self.params = np.concatenate(
+            (rbm.weights.ravel(), rbm.hidden_bias, rbm.visible_bias), dtype=np.float64
+        )
+        self.weights, self.hidden_bias, self.visible_bias = _split(
+            self.params, n_hidden, n_visible
+        )
+        self._weights_t = self.weights.T
+        # the positive and the negative phase statistics, laid out as params
+        self._positive = np.empty_like(self.params)
+        self._negative = np.empty_like(self.params)
+        self._positive_parts = _split(self._positive, n_hidden, n_visible)
+        self._negative_parts = _split(self._negative, n_hidden, n_visible)
+        # hidden pre-activations of a batch's rows, then of the chains
+        self._hidden = np.empty((max_batch + n_chains, n_hidden))
+        self._gibbs_hidden = np.empty((n_chains, n_hidden))
+        self._gibbs_visible = np.empty((n_chains, n_visible))
+
+    def rbm(self) -> Rbm:
+        return Rbm(self.weights, self.visible_bias, self.hidden_bias)
+
+    def update(
+        self,
+        batch: np.ndarray,
+        batch_mean: np.ndarray,
+        states: np.ndarray,
+        config: TrainConfig,
+        rng: Xorshift64Star,
+    ) -> np.ndarray:
+        """One persistent-CD parameter update; returns the chains' new
+        visible states.
+
+        The chains advance by ``gibbs_steps_per_update`` full Gibbs
+        steps from ``states`` (never from the data), then each
+        parameter moves by learning_rate times the difference between
+        the data statistics and the chain statistics.
+        """
+        weights, weights_t = self.weights, self._weights_t
+        hidden, visible = self._gibbs_hidden, self._gibbs_visible
+        for _ in range(config.gibbs_steps_per_update):
+            np.matmul(states, weights_t, out=hidden)
+            hidden += self.hidden_bias
+            h = rng.bernoulli_array(_sigmoid(hidden))
+            np.matmul(h, weights, out=visible)
+            visible += self.visible_bias
+            states = rng.bernoulli_array(_sigmoid(visible))
+
+        n = batch.shape[0]
+        probabilities = self._hidden[: n + states.shape[0]]
+        np.matmul(batch, weights_t, out=probabilities[:n])
+        np.matmul(states, weights_t, out=probabilities[n:])
+        probabilities += self.hidden_bias
+        _sigmoid(probabilities)
+
+        positive, negative = self._positive, self._negative
+        pos_w, pos_hb, pos_vb = self._positive_parts
+        np.matmul(probabilities[:n].T, batch, out=pos_w)
+        np.add.reduce(probabilities[:n], axis=0, out=pos_hb)
+        positive[: -len(pos_vb)] /= n  # pos_w and pos_hb
+        pos_vb[:] = batch_mean
+        neg_w, neg_hb, neg_vb = self._negative_parts
+        np.matmul(probabilities[n:].T, states, out=neg_w)
+        np.add.reduce(probabilities[n:], axis=0, out=neg_hb)
+        np.add.reduce(states, axis=0, out=neg_vb)
+        negative /= states.shape[0]
+
+        positive -= negative
+        positive *= config.learning_rate
+        self.params += positive
+        if not np.isfinite(self.params).all():
+            raise NonFiniteParameter(
+                "non-finite RBM parameter after update; lower the learning_rate"
+            )
+        return states
 
 
 def pcd_update(
@@ -150,32 +245,17 @@ def pcd_update(
     config: TrainConfig,
     rng: Xorshift64Star,
 ) -> tuple[Rbm, ChainState]:
-    """One persistent-CD parameter update.
-
-    The chains advance by ``gibbs_steps_per_update`` full Gibbs steps
-    from their previous states (never from the data), then the update
-    moves each parameter by learning_rate times the difference between
-    the data statistics and the chain statistics.
-    """
+    """One persistent-CD parameter update (see ``_Pcd.update``), on
+    fresh copies of ``rbm`` and ``chains``."""
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != rbm.n_visible:
         raise DimensionMismatch(
             f"batch width {batch.shape[-1]} != n_visible {rbm.n_visible}"
         )
-    states = chains.visible_states
-    for _ in range(config.gibbs_steps_per_update):
-        states = gibbs_step(rbm, states, rng)
-
-    pos_w, pos_vb, pos_hb = _phase_statistics(rbm, batch)
-    neg_w, neg_vb, neg_hb = _phase_statistics(rbm, states)
-    lr = config.learning_rate
-    updated = Rbm(
-        weights=rbm.weights + lr * (pos_w - neg_w),
-        visible_bias=rbm.visible_bias + lr * (pos_vb - neg_vb),
-        hidden_bias=rbm.hidden_bias + lr * (pos_hb - neg_hb),
-    )
-    _check_finite(updated)
-    return updated, ChainState(visible_states=states)
+    states = np.asarray(chains.visible_states, dtype=np.float64)
+    pcd = _Pcd(rbm, states.shape[0], batch.shape[0])
+    states = pcd.update(batch, batch.sum(axis=0) / batch.shape[0], states, config, rng)
+    return pcd.rbm(), ChainState(visible_states=states)
 
 
 def reconstruction_cross_entropy(rbm: Rbm, rows: np.ndarray) -> float:
@@ -183,11 +263,17 @@ def reconstruction_cross_entropy(rbm: Rbm, rows: np.ndarray) -> float:
 
     Computed from the visible logits z: -log sigmoid(z) = logaddexp(0, -z)
     and -log(1 - sigmoid(z)) = logaddexp(0, z), which stay finite where
-    the sigmoid saturates to exactly 0 or 1.
+    the sigmoid saturates to exactly 0 or 1.  A row value of exactly 0
+    or 1 drops the other term, which an infinite logit makes infinite.
     """
     rows = np.asarray(rows, dtype=np.float64)
     logits = hidden_probabilities(rbm, rows) @ rbm.weights + rbm.visible_bias
-    ce = rows * np.logaddexp(0.0, -logits) + (1.0 - rows) * np.logaddexp(0.0, logits)
+    ce = np.multiply(
+        rows, np.logaddexp(0.0, -logits), out=np.zeros_like(logits), where=rows != 0.0
+    )
+    ce += np.multiply(
+        1.0 - rows, np.logaddexp(0.0, logits), out=np.zeros_like(logits), where=rows != 1.0
+    )
     return float(ce.sum(axis=1).mean())
 
 
@@ -203,22 +289,26 @@ def _train_rows(
     each epoch is appended to it.
     """
     rng = Xorshift64Star(config.seed)
-    rbm = _init_from_rng(rows.shape[1], n_hidden, rng)
-    chains = ChainState(
-        visible_states=rng.bernoulli_array(
-            np.full((config.n_chains, rows.shape[1]), 0.5)
-        )
+    n_rows, n_visible = rows.shape
+    pcd = _Pcd(
+        _init_from_rng(n_visible, n_hidden, rng),
+        config.n_chains,
+        min(config.batch_size, n_rows),
     )
+    states = rng.bernoulli_array(np.full((config.n_chains, n_visible), 0.5))
+    batches = []
+    for start in range(0, n_rows, config.batch_size):
+        batch = rows[start : start + config.batch_size]
+        batches.append((batch, batch.sum(axis=0) / batch.shape[0]))
     # a logit that overflows to +-inf saturates the sigmoid as any past
-    # +-40 does; a parameter that overflows fails ``_check_finite``
+    # +-40 does; a parameter that overflows raises NonFiniteParameter
     with np.errstate(over="ignore"):
         for _ in range(config.epochs):
-            for start in range(0, rows.shape[0], config.batch_size):
-                batch = rows[start : start + config.batch_size]
-                rbm, chains = pcd_update(rbm, batch, chains, config, rng)
+            for batch, batch_mean in batches:
+                states = pcd.update(batch, batch_mean, states, config, rng)
             if history is not None:
-                history.append(reconstruction_cross_entropy(rbm, rows))
-    return rbm
+                history.append(reconstruction_cross_entropy(pcd.rbm(), rows))
+    return pcd.rbm()
 
 
 def _require_normalized(matrix: SentenceFeatureMatrix) -> np.ndarray:

@@ -22,11 +22,14 @@ for F2-Linear Random Number Generators", 2008).  A block steps
 ``_LANES`` lanes of ``_STEPS`` states side by side.  Lane ``i`` starts
 ``i * _STEPS`` steps into the block; the starts are reached by doubling,
 lanes ``[2^j, 2^(j+1))`` being ``T^(_STEPS * 2^j)`` times lanes
-``[0, 2^j)``.
+``[0, 2^j)``.  A generator takes its first block at construction from a
+small cache of read-only blocks, so generators of the same seed build
+it once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -98,6 +101,17 @@ def _block(state: int) -> tuple[np.ndarray, int]:
     return states * _STAR_U64, int(states[-1])
 
 
+# every machine of a run is seeded with the same config.seed, so each
+# would otherwise rebuild the same first block; 4 blocks are 256 KB
+@functools.lru_cache(maxsize=4)
+def _first_block(state: int) -> tuple[np.ndarray, int]:
+    """``_block(state)``, with its outputs read-only so that every
+    generator from the same seed can share them."""
+    raw, end = _block(state)
+    raw.flags.writeable = False
+    return raw, end
+
+
 class Xorshift64Star:
     """Deterministic RNG; one instance per training run, never shared."""
 
@@ -105,8 +119,7 @@ class Xorshift64Star:
         state = _splitmix64(seed & _MASK64)
         if state == 0:
             state = _STAR
-        self._state = state  # after the last buffered output
-        self._buffer = np.empty(0, dtype=np.uint64)
+        self._buffer, self._state = _first_block(state)  # state after the buffer
         self._pos = 0
         self._gauss_cache: float | None = None
 

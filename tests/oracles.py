@@ -4,10 +4,11 @@ Nothing here reuses the production feature or RBM code paths: features
 are recomputed with plain loops and ``math`` calls from a processed
 document, and RBM expectations come from brute-force enumeration of the
 joint state space.  The per-record feature stage, the per-column
-min-max, the scalar xorshift64* generator, the three-pass token builder
-and the four-mask sigmoid are the plain forms that the package's
-one-pass feature matrix, one-call normalization, block RNG stream,
-one-pass token builder and one-branch sigmoid must match exactly; the
+min-max, the scalar xorshift64* generator, the three-pass token builder,
+the four-mask sigmoid and the loop of one-update-per-call PCD training
+are the plain forms that the package's one-pass feature matrix,
+one-call normalization, block RNG stream, one-pass token builder,
+in-place sigmoid and fused training loop must match exactly; the
 nine-way part-of-speech chain is the former tagger, whose proper-noun
 decision the package's one-expression name decision must reproduce.
 Tests compare the package against these.
@@ -26,8 +27,11 @@ import numpy as np
 
 import rbmsumm
 from rbmsumm.document import PosTag, ProcessedDocument, Token
+from rbmsumm.errors import NonFiniteParameter
 from rbmsumm.porter import porter_stem
 from rbmsumm.preprocess import is_numeral
+from rbmsumm.rbm import WEIGHT_INIT_STD, ChainState, Rbm, _phase_statistics, gibbs_step
+from rbmsumm.rng import Xorshift64Star
 
 
 def oracle_feature_matrix(
@@ -426,3 +430,54 @@ def four_mask_sigmoid(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+# ---------------------------------------------------------------------
+# PCD training before the fused loop: one call per update, each making
+# fresh arrays from the reference forms gibbs_step and _phase_statistics
+# ---------------------------------------------------------------------
+
+
+def pcd_update(rbm, batch, chains, config, rng):
+    """One persistent-CD update, returning a new Rbm and ChainState."""
+    batch = np.asarray(batch, dtype=np.float64)
+    states = chains.visible_states
+    for _ in range(config.gibbs_steps_per_update):
+        states = gibbs_step(rbm, states, rng)
+    pos_w, pos_vb, pos_hb = _phase_statistics(rbm, batch)
+    neg_w, neg_vb, neg_hb = _phase_statistics(rbm, states)
+    lr = config.learning_rate
+    updated = Rbm(
+        weights=rbm.weights + lr * (pos_w - neg_w),
+        visible_bias=rbm.visible_bias + lr * (pos_vb - neg_vb),
+        hidden_bias=rbm.hidden_bias + lr * (pos_hb - neg_hb),
+    )
+    if not (
+        np.isfinite(updated.weights).all()
+        and np.isfinite(updated.visible_bias).all()
+        and np.isfinite(updated.hidden_bias).all()
+    ):
+        raise NonFiniteParameter("non-finite RBM parameter after update")
+    return updated, ChainState(visible_states=states)
+
+
+def pcd_train_rows(rows, config, n_hidden, history=None):
+    """Train a fresh RBM on ``rows`` by a loop of ``pcd_update`` calls,
+    drawing from the seed's stream in the package's order."""
+    rng = Xorshift64Star(config.seed)
+    rbm = Rbm(
+        weights=rng.normal_array((n_hidden, rows.shape[1]), std=WEIGHT_INIT_STD),
+        visible_bias=np.zeros(rows.shape[1]),
+        hidden_bias=np.zeros(n_hidden),
+    )
+    chains = ChainState(
+        visible_states=rng.bernoulli_array(np.full((config.n_chains, rows.shape[1]), 0.5))
+    )
+    with np.errstate(over="ignore"):
+        for _ in range(config.epochs):
+            for start in range(0, rows.shape[0], config.batch_size):
+                batch = rows[start : start + config.batch_size]
+                rbm, chains = pcd_update(rbm, batch, chains, config, rng)
+            if history is not None:
+                history.append(rbmsumm.rbm.reconstruction_cross_entropy(rbm, rows))
+    return rbm

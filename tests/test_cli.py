@@ -376,6 +376,8 @@ class TestConfigPrecedence:
         # rejected before any chain array is allocated
         ({"chains": 10**30}, [], "n_chains must be in [1, 65536]"),
         ({"chains": MAX_CHAINS + 1}, [], "n_chains must be in [1, 65536]"),
+        # 1 / (2 * th_fraction * N) would overflow in the position feature
+        ({"th_fraction": 1e-310}, [], "th_fraction must be in [2.2250738585072014e-308, 0.5)"),
     ],
     ids=[
         "seed-str", "epochs-float", "layers-3", "anchor-middle", "top-level-list",
@@ -383,6 +385,7 @@ class TestConfigPrecedence:
         "lexicon-dir-key-missing", "lexicon-dir-flag-missing", "learning-rate-nan",
         "learning-rate-infinity", "learning-rate-int-past-float-range",
         "learning-rate-overflows-a-parameter", "chains-1e30", "chains-past-bound",
+        "th-fraction-below-normal-floats",
     ],
 )
 def test_bad_setting_exits_2(capsys, tmp_path, config, flags, fragment):

@@ -1,7 +1,9 @@
 import json
 import math
+import sys
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -109,6 +111,21 @@ class TestThematicWords:
         assert len(result) == 10
         assert "zz" not in result
         assert "aa" in result
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        vocabulary=st.dictionaries(
+            st.text("abc", min_size=1, max_size=3), st.integers(1, 3), max_size=30
+        ),
+        count=st.integers(1, 15),
+    )
+    def test_equals_the_head_of_the_sorted_vocabulary(self, vocabulary, count):
+        # few counts over many stems: most of the ranking is decided by ties
+        ranked = sorted(vocabulary.items(), key=lambda kv: (-kv[1], kv[0]))
+        doc = SimpleNamespace(vocabulary=vocabulary)
+        assert thematic_words(doc, FeatureConfig(thematic_count=count)) == {
+            stem for stem, _ in ranked[:count]
+        }
 
 
 class TestThematicRatio:
@@ -385,7 +402,7 @@ def _documents(draw):
 _FEATURE_CONFIGS = st.builds(
     FeatureConfig,
     thematic_count=st.integers(1, 15),
-    th_fraction=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+    th_fraction=st.floats(sys.float_info.min, 0.5, exclude_max=True),
     short_sentence_min_words=st.integers(1, 8),
 )
 
@@ -394,14 +411,7 @@ class TestOnePassMatchesPerRecordStage:
     @settings(max_examples=300, deadline=None)
     @given(doc=_documents(), config=_FEATURE_CONFIGS)
     def test_matrices_are_bit_equal(self, doc, config):
-        try:
-            expected = per_record_feature_matrix(doc, config)
-        except ValueError:
-            # a th_fraction so small that 1/high overflows gives a middle
-            # sentence the cosine of an infinite angle
-            with pytest.raises(ValueError):
-                build_feature_matrix(doc, config)
-            return
+        expected = per_record_feature_matrix(doc, config)
         raw = build_feature_matrix(doc, config)
         assert raw.values.tobytes() == expected.tobytes()
         normalized = normalize_columns(raw)
@@ -414,5 +424,10 @@ class TestFeatureConfig:
             FeatureConfig(thematic_count=0)
         with pytest.raises(ValueError):
             FeatureConfig(th_fraction=0.5)
+        # 1 / (2 * th_fraction * N) overflows below the smallest normal float
+        for tiny in (0.0, 5e-324, 1e-310, sys.float_info.min / 2):
+            with pytest.raises(ValueError, match="th_fraction"):
+                FeatureConfig(th_fraction=tiny)
+        assert FeatureConfig(th_fraction=sys.float_info.min).th_fraction > 0
         with pytest.raises(ValueError):
             FeatureConfig(short_sentence_min_words=0)

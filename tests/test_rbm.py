@@ -14,6 +14,7 @@ from rbmsumm.rbm import (
     ChainState,
     _phase_statistics,
     _sigmoid,
+    _train_rows,
     Rbm,
     TrainConfig,
     enhance,
@@ -29,10 +30,12 @@ from rbmsumm.rbm import (
 )
 from rbmsumm.rng import Xorshift64Star
 
+import oracles
 from oracles import (
     exact_log_likelihood_gradient,
     exact_model_negative_statistics,
     four_mask_sigmoid,
+    pcd_train_rows,
 )
 
 
@@ -129,7 +132,10 @@ class TestActivations:
             np.random.default_rng(3).normal(scale=40.0, size=(7, 9)),
         ]
         for x in cases:
-            assert _sigmoid(x).tobytes() == four_mask_sigmoid(x).tobytes()
+            expected = four_mask_sigmoid(x)
+            squashed = _sigmoid(x)  # in place
+            assert squashed is x
+            assert squashed.tobytes() == expected.tobytes()
 
     def test_dimension_mismatch(self):
         rbm = zero_rbm(9, 9)
@@ -392,19 +398,22 @@ class TestTrain:
         assert np.isfinite(rbm.weights).all()
 
     def test_chain_states_persist_across_updates(self, article_doc, monkeypatch):
+        # the fused loop makes no per-update call to record, so this runs
+        # on the loop of reference updates that it is pinned to bit for bit
+        # (test_fused_training_is_bit_equal_to_a_loop_of_reference_updates)
         from rbmsumm import build_feature_matrix, normalize_columns
 
         norm = normalize_columns(build_feature_matrix(article_doc))
         seen = []
-        real_update = rbm_module.pcd_update
+        real_update = oracles.pcd_update
 
         def recording_update(rbm, batch, chains, config, rng):
             out_rbm, out_chains = real_update(rbm, batch, chains, config, rng)
             seen.append((chains.visible_states.copy(), out_chains.visible_states.copy()))
             return out_rbm, out_chains
 
-        monkeypatch.setattr(rbm_module, "pcd_update", recording_update)
-        train(norm, TrainConfig(seed=42))
+        monkeypatch.setattr(oracles, "pcd_update", recording_update)
+        pcd_train_rows(norm.values, TrainConfig(seed=42), 9)
         assert len(seen) == 10  # 5 epochs x 2 batches of a 6-row matrix
         for (prev_in, prev_out), (next_in, _) in zip(seen, seen[1:]):
             np.testing.assert_array_equal(prev_out, next_in)
@@ -427,7 +436,7 @@ class TestTrain:
 
 
 @st.composite
-def _training_runs(draw):
+def _training_runs(draw, max_gibbs_steps=6):
     n = draw(st.integers(1, 40))
     rows = draw(arrays(np.float64, (n, 9), elements=st.floats(0.0, 1.0)))
     config = TrainConfig(
@@ -435,10 +444,50 @@ def _training_runs(draw):
         epochs=draw(st.integers(1, 3)),
         batch_size=draw(st.integers(1, n + 2)),
         n_chains=draw(st.integers(1, 6)),
-        gibbs_steps_per_update=draw(st.integers(1, 6)),
+        gibbs_steps_per_update=draw(st.integers(1, max_gibbs_steps)),
         seed=draw(st.integers(0, 2**64 - 1)),
     )
     return normalized_matrix(rows), config
+
+
+def _trained_bytes(train_rows, rows, config, n_hidden):
+    """The trained parameters and per-epoch history as bytes, or the
+    history alone when training raised NonFiniteParameter."""
+    history = []
+    try:
+        rbm = train_rows(rows, config, n_hidden, history)
+    except NonFiniteParameter:
+        return None, np.array(history).tobytes()
+    params = (rbm.weights, rbm.visible_bias, rbm.hidden_bias)
+    return tuple(p.tobytes() for p in params), np.array(history).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_training_runs(max_gibbs_steps=3), st.integers(1, 11))
+def test_fused_training_is_bit_equal_to_a_loop_of_reference_updates(run, n_hidden):
+    matrix, config = run
+    fused = _trained_bytes(_train_rows, matrix.values, config, n_hidden)
+    assert fused == _trained_bytes(pcd_train_rows, matrix.values, config, n_hidden)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_training_runs(max_gibbs_steps=3), st.integers(1, 11))
+def test_pcd_update_is_bit_equal_to_the_reference_update(run, n_hidden):
+    matrix, config = run
+    rbm = random_rbm(9, n_hidden, seed=config.seed % 1000)
+    chains = ChainState(visible_states=matrix.values[: config.n_chains].round())
+    outcomes = []
+    for update in (pcd_update, oracles.pcd_update):
+        try:
+            out, out_chains = update(
+                rbm, matrix.values, chains, config, Xorshift64Star(config.seed)
+            )
+        except NonFiniteParameter:
+            outcomes.append(None)
+            continue
+        params = (out.weights, out.visible_bias, out.hidden_bias, out_chains.visible_states)
+        outcomes.append(tuple(p.tobytes() for p in params))
+    assert outcomes[0] == outcomes[1]
 
 
 @settings(max_examples=150, deadline=None)
@@ -559,3 +608,14 @@ class TestReconstructionCrossEntropy:
         rows = np.array([[0.0, 1.0], [0.5, 0.5]])
         value = reconstruction_cross_entropy(rbm, rows)
         assert value == pytest.approx((2000.0 + 1000.0) / 2)
+
+    def test_infinite_logits_that_reconstruct_exactly_cost_nothing(self):
+        # logits overflow to -inf and +inf exactly where the row is 0 and 1
+        rbm = Rbm(
+            weights=np.array([[-1e308, 1e308], [-1e308, 1e308]]),
+            visible_bias=np.array([-1e308, 1e308]),
+            hidden_bias=np.zeros(2),
+        )
+        with np.errstate(over="ignore"):  # as during training
+            value = reconstruction_cross_entropy(rbm, np.array([[0.0, 1.0]]))
+        assert value == 0.0

@@ -123,3 +123,26 @@ class TestBlockStream:
                 np.testing.assert_array_equal(rng.bernoulli_array(p), oracle.bernoulli_array(p))
                 drawn += p.size
         assert rng.next_uint64() == oracle.next_uint64()
+
+
+class TestFirstBlockCache:
+    def test_cached_block_rejects_writes(self):
+        raw, _ = rng_module._first_block(ScalarXorshift64Star(42).state)
+        with pytest.raises(ValueError):
+            raw[0] = 1
+        with pytest.raises(ValueError):
+            Xorshift64Star(42)._take(3)[0] = 1
+
+    def test_cache_holds_at_most_four_blocks(self):
+        assert rng_module._first_block.cache_info().maxsize == 4
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_interleaved_generators_of_one_seed_each_give_the_stream(self, seed):
+        rngs = [Xorshift64Star(seed), Xorshift64Star(seed)]
+        oracles = [ScalarXorshift64Star(seed), ScalarXorshift64Star(seed)]
+        # both generators cross the first block's end, one after the other
+        for sizes in ((CHUNK - 3, 5), (2, CHUNK - 1), (7, 7), (CHUNK, 1)):
+            for rng, oracle, n in zip(rngs, oracles, sizes):
+                assert rng._take(n).tolist() == [oracle.next_uint64() for _ in range(n)]
+        for rng, oracle in zip(rngs, oracles):
+            assert rng.next_uint64() == oracle.next_uint64()
