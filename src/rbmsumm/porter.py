@@ -6,6 +6,18 @@ its two step-2 refinements, ``bli -> ble`` and ``logi -> log``, which
 the standard reference vocabulary reflects).  Words of length <= 2 are
 returned unchanged.
 
+Steps 2, 3 and 4 look a word up by its last two letters, as the C
+reference (https://tartarus.org/martin/PorterStemmer/c.txt; Porter, *An
+algorithm for suffix stripping*, Program 14(3), 1980) ``switch``es on a
+letter near the end of the word.  Each table is grouped once by the
+last two letters of its suffixes, keeping table order within a group.
+Every suffix has at least two letters, so two suffixes in different
+groups cannot both end one word, and the first suffix that matches in
+the word's own group is the first that matches in the whole table.
+Step 4 skips ``ion`` unless an ``s`` or ``t`` precedes it; no other
+suffix of that table ends in ``on``, so the skip leaves the word as the
+full scan does.
+
 Input must be lowercase and alphabetic; callers route non-alphabetic
 tokens (numbers, hyphenated compounds) around the stemmer.
 """
@@ -39,6 +51,20 @@ _STEP4 = (
     "ement", "ment", "ent", "ion", "ou", "ism", "ate", "iti",
     "ous", "ive", "ize",
 )
+
+
+def _by_last_two(table, suffix=lambda entry: entry[0]) -> dict[str, tuple]:
+    """A table's entries grouped by their suffix's last two letters."""
+    groups: dict[str, tuple] = {}
+    for entry in table:
+        end = suffix(entry)[-2:]
+        groups[end] = groups.get(end, ()) + (entry,)
+    return groups
+
+
+_STEP2_BY_END = _by_last_two(_STEP2)
+_STEP3_BY_END = _by_last_two(_STEP3)
+_STEP4_BY_END = _by_last_two(_STEP4, suffix=lambda entry: entry)
 
 
 def _is_consonant(word: str, i: int) -> bool:
@@ -131,18 +157,18 @@ def _step1c(w: str) -> str:
     return w
 
 
-def _apply_table(w: str, table, min_measure: int = 0) -> str:
-    for suffix, replacement in table:
+def _apply_table(w: str, groups: dict[str, tuple]) -> str:
+    for suffix, replacement in groups.get(w[-2:], ()):
         if w.endswith(suffix):
             stem = w[: len(w) - len(suffix)]
-            if _measure(stem) > min_measure:
+            if _measure(stem) > 0:
                 return stem + replacement
             return w
     return w
 
 
 def _step4(w: str) -> str:
-    for suffix in _STEP4:
+    for suffix in _STEP4_BY_END.get(w[-2:], ()):
         if w.endswith(suffix):
             stem = w[: len(w) - len(suffix)]
             if suffix == "ion" and not (stem and stem[-1] in "st"):
@@ -171,8 +197,8 @@ def porter_stem(word: str) -> str:
     w = _step1a(word)
     w = _step1b(w)
     w = _step1c(w)
-    w = _apply_table(w, _STEP2)
-    w = _apply_table(w, _STEP3)
+    w = _apply_table(w, _STEP2_BY_END)
+    w = _apply_table(w, _STEP3_BY_END)
     w = _step4(w)
     w = _step5(w)
     return w

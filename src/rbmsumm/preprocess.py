@@ -65,13 +65,18 @@ def tokenize(sentence: str) -> list[str]:
     """Whitespace-split and strip surrounding punctuation.
 
     Internal hyphens, apostrophes and digit groupings survive; tokens
-    reduced to nothing are dropped.
+    reduced to nothing are dropped.  The characters that ``_EDGE_PUNCT``
+    strips are exactly those that are not ``str.isalnum()``, so a word
+    whose two ends are alphanumeric has nothing to strip and skips the
+    regex.
     """
     tokens = []
     for raw in sentence.split():
-        token = _EDGE_PUNCT.sub("", raw)
-        if token:
-            tokens.append(token)
+        if not (raw[0].isalnum() and raw[-1].isalnum()):
+            raw = _EDGE_PUNCT.sub("", raw)
+            if not raw:
+                continue
+        tokens.append(raw)
     return tokens
 
 
@@ -105,21 +110,23 @@ def make_token(surface: str, sentence_initial: bool, lex: Lexicons) -> Token:
 
 
 def build_tokens(
-    surfaces: list[str], lex: Lexicons, memo: dict[tuple[str, bool], Token] | None = None
+    surfaces: list[str], lex: Lexicons, memo: dict[str | tuple[str, bool], Token] | None = None
 ) -> list[Token]:
     """One sentence's tokens; the first surface is sentence-initial.
 
     With the lexicons fixed, a token depends only on its surface and on
     whether it starts the sentence, so one ``memo`` can serve every
     sentence of a document; ``Token`` is frozen, so sharing is safe.
+    The first word is keyed ``(surface, True)`` and every later word by
+    its surface alone: a string never equals a tuple.
     """
     memo = {} if memo is None else memo
     tokens = []
     for i, surface in enumerate(surfaces):
-        key = (surface, i == 0)
+        key = surface if i else (surface, True)
         token = memo.get(key)
         if token is None:
-            token = memo[key] = make_token(surface, i == 0, lex)
+            token = memo[key] = make_token(surface, not i, lex)
         tokens.append(token)
     return tokens
 
@@ -131,7 +138,7 @@ def preprocess(raw: RawDocument, lexicons: Lexicons | None = None) -> ProcessedD
     paragraphs losing every sentence are dropped as well.
     """
     lex = lexicons or default_lexicons()
-    memo: dict[tuple[str, bool], Token] = {}  # one document's distinct words
+    memo: dict[str | tuple[str, bool], Token] = {}  # one document's distinct words
     sentences: list[Sentence] = []
     para_index = 0
     for paragraph in segment_paragraphs(raw):

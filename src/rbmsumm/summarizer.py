@@ -20,6 +20,8 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
+import numpy as np
+
 from .document import ProcessedDocument, RawDocument, Sentence
 from .features import (
     FeatureConfig,
@@ -69,11 +71,13 @@ class Summary:
 
 
 def score_sentences(enhanced: SentenceFeatureMatrix) -> list[RankedSentence]:
-    """Sum each enhanced row into a sentence score."""
-    return [
-        RankedSentence(doc_index=i, score=float(row.sum()))
-        for i, row in enumerate(enhanced.values)
-    ]
+    """Sum each enhanced row into a sentence score.
+
+    One reduction over a C-ordered copy gives each row's sum the same
+    bits as ``row.sum()``; over Fortran order it may not.
+    """
+    sums = np.ascontiguousarray(enhanced.values).sum(axis=1).tolist()
+    return [RankedSentence(doc_index=i, score=score) for i, score in enumerate(sums)]
 
 
 def rank(scores: list[RankedSentence]) -> list[RankedSentence]:

@@ -5,10 +5,12 @@ are recomputed with plain loops and ``math`` calls from a processed
 document, and RBM expectations come from brute-force enumeration of the
 joint state space.  The per-record feature stage, the per-column
 min-max, the scalar xorshift64* generator, the three-pass token builder,
-the four-mask sigmoid and the loop of one-update-per-call PCD training
-are the plain forms that the package's one-pass feature matrix,
-one-call normalization, block RNG stream, one-pass token builder,
-in-place sigmoid and fused training loop must match exactly; the
+the four-mask sigmoid, the loop of one-update-per-call PCD training, the
+Porter stemmer that scans each suffix table in order and the tokenizer
+that runs its edge regex on every word are the plain forms that the
+package's one-pass feature matrix, one-call normalization, block RNG
+stream, one-pass token builder, in-place sigmoid, fused training loop,
+suffix-dispatched stemmer and fast-path tokenizer must match exactly; the
 nine-way part-of-speech chain is the former tagger, whose proper-noun
 decision the package's one-expression name decision must reproduce.
 Tests compare the package against these.
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from collections import Counter
 from dataclasses import replace
 from functools import cache
@@ -28,7 +31,15 @@ import numpy as np
 import rbmsumm
 from rbmsumm.document import PosTag, ProcessedDocument, Token
 from rbmsumm.errors import NonFiniteParameter
-from rbmsumm.porter import porter_stem
+from rbmsumm.porter import (
+    _STEP2,
+    _STEP3,
+    _STEP4,
+    _ends_cvc,
+    _ends_double_consonant,
+    _has_vowel,
+    _measure,
+)
 from rbmsumm.preprocess import is_numeral
 from rbmsumm.rbm import WEIGHT_INIT_STD, ChainState, Rbm, _phase_statistics, gibbs_step
 from rbmsumm.rng import Xorshift64Star
@@ -372,6 +383,108 @@ class ScalarXorshift64Star:
 
 
 # ---------------------------------------------------------------------
+# Porter stemmer, every suffix table scanned in order
+# ---------------------------------------------------------------------
+
+
+def _oracle_step1a(w: str) -> str:
+    if w.endswith("sses"):
+        return w[:-2]
+    if w.endswith("ies"):
+        return w[:-2]
+    if w.endswith("ss"):
+        return w
+    if w.endswith("s"):
+        return w[:-1]
+    return w
+
+
+def _oracle_step1b(w: str) -> str:
+    if w.endswith("eed"):
+        return w[:-1] if _measure(w[:-3]) > 0 else w
+    if w.endswith("ed") and _has_vowel(w[:-2]):
+        w = w[:-2]
+    elif w.endswith("ing") and _has_vowel(w[:-3]):
+        w = w[:-3]
+    else:
+        return w
+    if w.endswith(("at", "bl", "iz")):
+        return w + "e"
+    if _ends_double_consonant(w) and w[-1] not in "lsz":
+        return w[:-1]
+    if _measure(w) == 1 and _ends_cvc(w):
+        return w + "e"
+    return w
+
+
+def _oracle_step1c(w: str) -> str:
+    if w.endswith("y") and _has_vowel(w[:-1]):
+        return w[:-1] + "i"
+    return w
+
+
+def _oracle_scan(w: str, table) -> str:
+    for suffix, replacement in table:
+        if w.endswith(suffix):
+            stem = w[: len(w) - len(suffix)]
+            if _measure(stem) > 0:
+                return stem + replacement
+            return w
+    return w
+
+
+def _oracle_step4(w: str) -> str:
+    for suffix in _STEP4:
+        if w.endswith(suffix):
+            stem = w[: len(w) - len(suffix)]
+            if suffix == "ion" and not (stem and stem[-1] in "st"):
+                continue
+            if _measure(stem) > 1:
+                return stem
+            return w
+    return w
+
+
+def _oracle_step5(w: str) -> str:
+    if w.endswith("e"):
+        stem = w[:-1]
+        m = _measure(stem)
+        if m > 1 or (m == 1 and not _ends_cvc(stem)):
+            w = stem
+    if w.endswith("l") and _ends_double_consonant(w) and _measure(w) > 1:
+        w = w[:-1]
+    return w
+
+
+def oracle_porter_stem(word: str) -> str:
+    """The five steps, each of steps 2, 3 and 4 testing every suffix of
+    its table in table order until the first one that ends the word."""
+    if len(word) <= 2:
+        return word
+    w = _oracle_step1a(word)
+    w = _oracle_step1b(w)
+    w = _oracle_step1c(w)
+    w = _oracle_scan(w, _STEP2)
+    w = _oracle_scan(w, _STEP3)
+    w = _oracle_step4(w)
+    return _oracle_step5(w)
+
+
+# ---------------------------------------------------------------------
+# Tokenizer: the edge regex on every whitespace-separated word
+# ---------------------------------------------------------------------
+
+_ORACLE_EDGE_PUNCT = re.compile(r"^[\W_]+|[\W_]+$", re.UNICODE)
+
+
+def oracle_tokenize(sentence: str) -> list[str]:
+    """Strip leading and trailing non-word characters and underscores
+    from every word; drop the words left empty."""
+    stripped = (_ORACLE_EDGE_PUNCT.sub("", raw) for raw in sentence.split())
+    return [token for token in stripped if token]
+
+
+# ---------------------------------------------------------------------
 # Three-pass token builder: stems and numerals, stop words, tags
 # ---------------------------------------------------------------------
 
@@ -412,7 +525,7 @@ def oracle_tokens(surfaces: list[str]) -> list[Token]:
     tokens = []
     for surface in surfaces:
         lowered = surface.lower()
-        stem = porter_stem(lowered) if lowered.isalpha() else lowered
+        stem = oracle_porter_stem(lowered) if lowered.isalpha() else lowered
         tokens.append(Token(surface=surface, stem=stem, is_numeral=is_numeral(surface)))
     tokens = [replace(t, is_stopword=t.surface.lower() in _bundled("stopwords")) for t in tokens]
     tags = {"proper_noun": PosTag.PROPER_NOUN}

@@ -16,6 +16,7 @@ import pytest
 from rbmsumm import RawDocument
 from rbmsumm.assets import default_lexicons
 from rbmsumm.document import Sentence
+from rbmsumm.preprocess import tokenize
 from rbmsumm.rbm import TrainConfig
 from rbmsumm.rng import Xorshift64Star
 
@@ -106,3 +107,12 @@ def test_layer_counters_of_one_pipeline_run(bench, article_raw, layers):
         * c.n_chains * (units + units)
     )
     assert tracer.counts["rbm.draws"] == layers * per_machine
+    # one stem per distinct alphabetic word, separately at and away from
+    # the sentence start, counted here from each sentence's own text
+    pairs = {
+        (surface, i == 0)
+        for sentence in result.doc.sentences
+        for i, surface in enumerate(tokenize(sentence.original_text))
+        if surface.lower().isalpha()
+    }
+    assert tracer.counts["preprocess.porter_calls"] == len(pairs)

@@ -1,3 +1,5 @@
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,7 +25,7 @@ from rbmsumm.preprocess import (
     tokenize,
 )
 
-from oracles import oracle_tokens
+from oracles import oracle_tokenize, oracle_tokens
 
 LEX = default_lexicons()
 ASSETS = Path(rbmsumm.__file__).parent / "assets"
@@ -112,6 +114,30 @@ class TestTokenize:
 
     def test_pure_punctuation_dropped(self):
         assert tokenize("-- ... !!!") == []
+
+    def test_edge_class_is_exactly_the_non_alphanumerics(self):
+        """The fast path for words with alphanumeric ends rests on this."""
+        edge = re.compile(r"[\W_]")
+        differ = [
+            hex(code)
+            for code in range(sys.maxunicode + 1)
+            if (edge.fullmatch(chr(code)) is None) != chr(code).isalnum()
+        ]
+        assert differ == []
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.text(max_size=8),
+                st.text(alphabet="_-.,;'\"()[]!?$%", max_size=3),
+                st.sampled_from((" ", "\t", "\n", "\u00a0", "\u3000")),
+            ),
+            max_size=12,
+        ).map("".join)
+    )
+    def test_matches_the_regex_on_every_word(self, sentence):
+        assert tokenize(sentence) == oracle_tokenize(sentence)
 
 
 class TestNumeralRule:

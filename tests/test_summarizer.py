@@ -55,6 +55,25 @@ class TestScoreSentences:
                 float(sum(enhanced.values[s.doc_index])), abs=1e-12
             )
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 300),
+        st.integers(1, 12),
+        st.tuples(st.integers(-300, 300), st.integers(-300, 300)).map(sorted),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(("C", "F")),
+    )
+    def test_bit_equal_to_one_sum_per_row(self, rows, cols, exponents, seed, order):
+        """Magnitudes 10**e for e drawn between the two exponents, either sign."""
+        gen = np.random.default_rng(seed)
+        low, high = exponents
+        magnitudes = 10.0 ** gen.uniform(low, high, size=(rows, cols))
+        values = np.array(magnitudes * gen.choice((-1.0, 1.0), size=(rows, cols)), order=order)
+        per_row = np.array([float(row.sum()) for row in values])
+        scores = score_sentences(SentenceFeatureMatrix(values=values))
+        assert [s.doc_index for s in scores] == list(range(rows))
+        assert np.array([s.score for s in scores]).tobytes() == per_row.tobytes()
+
 
 class TestRank:
     def test_descending_order(self):
