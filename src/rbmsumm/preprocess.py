@@ -84,6 +84,10 @@ def is_numeral(surface: str) -> bool:
     return _NUMERAL.fullmatch(surface) is not None
 
 
+_new_object = object.__new__
+_set_attribute = object.__setattr__
+
+
 def make_token(surface: str, sentence_initial: bool, lex: Lexicons) -> Token:
     """Stem, numeral flag, stop-word flag and name decision of one word.
 
@@ -100,13 +104,17 @@ def make_token(surface: str, sentence_initial: bool, lex: Lexicons) -> Token:
         and lowered not in lex.not_names
         and not (sentence_initial and lowered in lex.common_words)
     )
-    return Token(
-        surface=surface,
-        stem=porter_stem(lowered) if lowered.isalpha() else lowered,
-        tag=PosTag.PROPER_NOUN if name else PosTag.OTHER,
-        is_stopword=stopword,
-        is_numeral=is_numeral(surface),
-    )
+    # what Token's frozen __init__ does, without the cost of a keyword
+    # call, so the token has the layout Token(...) gives it; filling
+    # __dict__ builds faster but makes later attribute reads slower, and
+    # did not win end to end (ROADMAP.md item 5)
+    token = _new_object(Token)
+    _set_attribute(token, "surface", surface)
+    _set_attribute(token, "stem", porter_stem(lowered) if lowered.isalpha() else lowered)
+    _set_attribute(token, "tag", PosTag.PROPER_NOUN if name else PosTag.OTHER)
+    _set_attribute(token, "is_stopword", stopword)
+    _set_attribute(token, "is_numeral", is_numeral(surface))
+    return token
 
 
 def build_tokens(

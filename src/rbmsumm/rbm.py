@@ -14,7 +14,10 @@ in a preallocated array, so an update makes a fixed, small number of
 numpy calls.  It computes the same values in the same order as the
 reference forms ``gibbs_step`` and ``_phase_statistics``, and it draws
 the same uniforms in the same order, one ``bernoulli_array`` call per
-half-step, so weights are bit-equal to a loop of those.
+half-step, so weights are bit-equal to a loop of those.  Finiteness is
+checked once per epoch: adding a step never makes a non-finite float
+finite, so a parameter that breaks mid-epoch still fails the check, with
+the same history as a check after every update.
 """
 
 from __future__ import annotations
@@ -197,7 +200,8 @@ class _Pcd:
         The chains advance by ``gibbs_steps_per_update`` full Gibbs
         steps from ``states`` (never from the data), then each
         parameter moves by learning_rate times the difference between
-        the data statistics and the chain statistics.
+        the data statistics and the chain statistics.  The caller checks
+        the parameters with ``check_finite``.
         """
         weights, weights_t = self.weights, self._weights_t
         hidden, visible = self._gibbs_hidden, self._gibbs_visible
@@ -231,11 +235,13 @@ class _Pcd:
         positive -= negative
         positive *= config.learning_rate
         self.params += positive
+        return states
+
+    def check_finite(self) -> None:
         if not np.isfinite(self.params).all():
             raise NonFiniteParameter(
                 "non-finite RBM parameter after update; lower the learning_rate"
             )
-        return states
 
 
 def pcd_update(
@@ -253,8 +259,16 @@ def pcd_update(
             f"batch width {batch.shape[-1]} != n_visible {rbm.n_visible}"
         )
     states = np.asarray(chains.visible_states, dtype=np.float64)
+    if states.ndim != 2 or states.shape[1] != rbm.n_visible:
+        raise DimensionMismatch(
+            f"chain width {states.shape[-1]} != n_visible {rbm.n_visible}"
+        )
+    if not (batch.shape[0] and states.shape[0]):
+        raise DimensionMismatch("pcd_update needs at least one batch row and one chain")
     pcd = _Pcd(rbm, states.shape[0], batch.shape[0])
-    states = pcd.update(batch, batch.sum(axis=0) / batch.shape[0], states, config, rng)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _train_rows
+        states = pcd.update(batch, batch.sum(axis=0) / batch.shape[0], states, config, rng)
+    pcd.check_finite()
     return pcd.rbm(), ChainState(visible_states=states)
 
 
@@ -301,11 +315,15 @@ def _train_rows(
         batch = rows[start : start + config.batch_size]
         batches.append((batch, batch.sum(axis=0) / batch.shape[0]))
     # a logit that overflows to +-inf saturates the sigmoid as any past
-    # +-40 does; a parameter that overflows raises NonFiniteParameter
+    # +-40 does; a parameter that overflows raises NonFiniteParameter at
+    # the end of its epoch, and the updates after it, which compute on
+    # infinities and NaNs, may not warn
     with np.errstate(over="ignore"):
         for _ in range(config.epochs):
-            for batch, batch_mean in batches:
-                states = pcd.update(batch, batch_mean, states, config, rng)
+            with np.errstate(invalid="ignore"):
+                for batch, batch_mean in batches:
+                    states = pcd.update(batch, batch_mean, states, config, rng)
+            pcd.check_finite()
             if history is not None:
                 history.append(reconstruction_cross_entropy(pcd.rbm(), rows))
     return pcd.rbm()

@@ -12,7 +12,8 @@ Reference stream (first three raw outputs):
     seed 0  -> 8916199331640804048, 16032783972208265725, 12954103179475586193
 
 Uniform doubles take the top 53 bits of each raw output; Gaussian
-variates use the Box-Muller transform on consecutive uniforms.
+variates use the Box-Muller transform on consecutive uniforms, and an
+array of them reads all its uniforms in one draw.
 
 Every draw reads its raw outputs, in stream order, from one buffer
 that numpy fills a block of ``_CHUNK`` outputs at a time.  The xorshift
@@ -22,9 +23,10 @@ for F2-Linear Random Number Generators", 2008).  A block steps
 ``_LANES`` lanes of ``_STEPS`` states side by side.  Lane ``i`` starts
 ``i * _STEPS`` steps into the block; the starts are reached by doubling,
 lanes ``[2^j, 2^(j+1))`` being ``T^(_STEPS * 2^j)`` times lanes
-``[0, 2^j)``.  A generator takes its first block at construction from a
-small cache of read-only blocks, so generators of the same seed build
-it once.
+``[0, 2^j)``.  Each block is made together with its uniform doubles,
+so a Bernoulli draw that fits in the current block slices them.  A
+generator takes its first block at construction from a small cache of
+read-only blocks, so generators of the same seed build it once.
 """
 
 from __future__ import annotations
@@ -87,9 +89,9 @@ def _lane_jumps() -> tuple[np.ndarray, ...]:
 _LANE_JUMPS = _lane_jumps()
 
 
-def _block(state: int) -> tuple[np.ndarray, int]:
-    """The next ``_CHUNK`` raw outputs after ``state``, and the state
-    after them."""
+def _block(state: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The next ``_CHUNK`` raw outputs after ``state``, their uniform
+    doubles in [0, 1), and the state after them."""
     x = np.empty(_LANES, dtype=np.uint64)
     x[0] = _U64(state)
     for j, jump in enumerate(_LANE_JUMPS):
@@ -98,18 +100,26 @@ def _block(state: int) -> tuple[np.ndarray, int]:
     for i in range(_STEPS):
         states[i] = _step(x)
     states = states.T.ravel()
-    return states * _STAR_U64, int(states[-1])
+    raw = states * _STAR_U64
+    return raw, _uniforms(raw), int(states[-1])
+
+
+def _uniforms(raw: np.ndarray) -> np.ndarray:
+    """Uniform doubles in [0, 1) from the top 53 bits of raw outputs."""
+    return (raw >> _U64(11)) * (2.0 ** -53)
 
 
 # every machine of a run is seeded with the same config.seed, so each
-# would otherwise rebuild the same first block; 4 blocks are 256 KB
+# would otherwise rebuild the same first block; 4 blocks and their
+# uniforms are 512 KB
 @functools.lru_cache(maxsize=4)
-def _first_block(state: int) -> tuple[np.ndarray, int]:
-    """``_block(state)``, with its outputs read-only so that every
-    generator from the same seed can share them."""
-    raw, end = _block(state)
+def _first_block(state: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """``_block(state)``, with its outputs and uniforms read-only so that
+    every generator from the same seed can share them."""
+    raw, uniforms, end = _block(state)
     raw.flags.writeable = False
-    return raw, end
+    uniforms.flags.writeable = False
+    return raw, uniforms, end
 
 
 class Xorshift64Star:
@@ -119,7 +129,8 @@ class Xorshift64Star:
         state = _splitmix64(seed & _MASK64)
         if state == 0:
             state = _STAR
-        self._buffer, self._state = _first_block(state)  # state after the buffer
+        # raw outputs, their uniforms, and the state after them
+        self._buffer, self._uniforms, self._state = _first_block(state)
         self._pos = 0
         self._gauss_cache: float | None = None
 
@@ -133,7 +144,7 @@ class Xorshift64Star:
         parts = [self._buffer[self._pos :]]
         need = n - parts[0].size
         while need > 0:
-            self._buffer, self._state = _block(self._state)
+            self._buffer, self._uniforms, self._state = _block(self._state)
             self._pos = min(need, _CHUNK)
             parts.append(self._buffer[: self._pos])
             need -= self._pos
@@ -146,29 +157,43 @@ class Xorshift64Star:
         """Uniform double in [0, 1)."""
         return (self.next_uint64() >> 11) * (2.0 ** -53)
 
+    def _gaussians(self, n: int) -> list[float]:
+        """``n`` standard Gaussians by Box-Muller, pairs cached: the
+        uniforms of every new pair come from one ``_take``."""
+        z = []
+        if n and self._gauss_cache is not None:
+            z.append(self._gauss_cache)
+            self._gauss_cache = None
+        raw = self._take(2 * ((n - len(z) + 1) // 2)).tolist()
+        for a, b in zip(raw[::2], raw[1::2]):
+            u1 = 1.0 - (a >> 11) * (2.0 ** -53)  # (0, 1], keeps log() finite
+            u2 = (b >> 11) * (2.0 ** -53)
+            r = math.sqrt(-2.0 * math.log(u1))
+            z.append(r * math.cos(2.0 * math.pi * u2))
+            z.append(r * math.sin(2.0 * math.pi * u2))
+        if len(z) > n:
+            self._gauss_cache = z.pop()
+        return z
+
     def normal(self, mean: float = 0.0, std: float = 1.0) -> float:
         """Gaussian variate via Box-Muller; pairs are cached."""
-        if self._gauss_cache is not None:
-            z = self._gauss_cache
-            self._gauss_cache = None
-        else:
-            u1 = 1.0 - self.random()  # (0, 1], keeps log() finite
-            u2 = self.random()
-            r = math.sqrt(-2.0 * math.log(u1))
-            z = r * math.cos(2.0 * math.pi * u2)
-            self._gauss_cache = r * math.sin(2.0 * math.pi * u2)
-        return mean + std * z
+        return mean + std * self._gaussians(1)[0]
 
     def normal_array(self, shape: tuple[int, ...], std: float = 1.0) -> np.ndarray:
-        """Array of Gaussians, filled in row-major draw order."""
-        out = np.empty(shape, dtype=np.float64)
-        flat = out.reshape(-1)
-        for i in range(flat.size):
-            flat[i] = self.normal(0.0, std)
-        return out
+        """Array of Gaussians, filled in row-major draw order: the values
+        of one ``normal(0.0, std)`` call per entry."""
+        z = np.array(self._gaussians(math.prod(shape)), dtype=np.float64)
+        # the 0.0 is normal()'s mean, which turns a -0.0 into 0.0
+        return 0.0 + std * z.reshape(shape)
 
     def bernoulli_array(self, probs: np.ndarray) -> np.ndarray:
         """0/1 samples, one uniform per entry in row-major order."""
         p = np.asarray(probs, dtype=np.float64)
-        u = (self._take(p.size) >> _U64(11)) * (2.0 ** -53)
-        return (u.reshape(p.shape) < p).astype(np.float64)
+        end = self._pos + p.size
+        if end <= _CHUNK:
+            u = self._uniforms[self._pos : end]
+            self._pos = end
+        else:
+            u = _uniforms(self._take(p.size))
+        # a bool written into float64 is exactly 0.0 or 1.0
+        return np.less(u.reshape(p.shape), p, out=np.empty(p.shape))

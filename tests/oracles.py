@@ -586,7 +586,9 @@ def pcd_train_rows(rows, config, n_hidden, history=None):
     chains = ChainState(
         visible_states=rng.bernoulli_array(np.full((config.n_chains, rows.shape[1]), 0.5))
     )
-    with np.errstate(over="ignore"):
+    # as in the package: an update that overflows, or computes inf - inf
+    # inside a product, does not warn; pcd_update raises NonFiniteParameter
+    with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(config.epochs):
             for start in range(0, rows.shape[0], config.batch_size):
                 batch = rows[start : start + config.batch_size]

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from rbmsumm import (
     RawDocument,
     preprocess,
 )
+from rbmsumm.document import Token
 from rbmsumm.assets import _LEXICON_FILES, default_lexicons, load_lexicons, load_wordlist
 from rbmsumm.features import f_named_entities
 from rbmsumm.preprocess import (
@@ -342,6 +344,29 @@ class TestOneTokenPerWord:
         # the same surface away from the sentence start is its own token
         assert second.tokens[3] is not second.tokens[0]
         assert second.tokens[3] == oracle_tokens(["fell", "Markets"])[1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            st.sampled_from(WORDS + BUNDLED_ENTRIES),
+            st.text(min_size=1, max_size=8),
+        ),
+        st.booleans(),
+    )
+    def test_make_token_equals_the_constructed_token(
+        self, surface, sentence_initial
+    ):
+        token = make_token(surface, sentence_initial, LEX)
+        constructed = Token(**{f.name: getattr(token, f.name) for f in dataclasses.fields(Token)})
+        expected = oracle_tokens(["Start", surface] if not sentence_initial else [surface])[-1]
+        for other in (constructed, expected):
+            assert token == other and other == token
+            assert hash(token) == hash(other)
+            assert repr(token) == repr(other)
+            assert list(vars(token).items()) == list(vars(other).items())
+        assert type(token) is Token
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            token.stem = "x"
 
 
 def is_name(word, lex, sentence_initial=False):

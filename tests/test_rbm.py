@@ -1,8 +1,9 @@
 import sys
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -207,6 +208,22 @@ class TestPcdUpdate:
         chains = ChainState(visible_states=np.zeros((4, 9)))
         with pytest.raises(DimensionMismatch):
             pcd_update(rbm, np.zeros((2, 5)), chains, TrainConfig(), Xorshift64Star(1))
+
+    def test_chain_width_mismatch(self):
+        chains = ChainState(visible_states=np.zeros((4, 5)))
+        with pytest.raises(DimensionMismatch, match="chain width"):
+            pcd_update(zero_rbm(9, 9), np.zeros((2, 9)), chains, TrainConfig(), Xorshift64Star(1))
+
+    def test_batch_without_rows(self):
+        # 0 rows would average to NaN and blame the learning rate
+        chains = ChainState(visible_states=np.zeros((4, 9)))
+        with pytest.raises(DimensionMismatch, match="one batch row"):
+            pcd_update(zero_rbm(9, 9), np.zeros((0, 9)), chains, TrainConfig(), Xorshift64Star(1))
+
+    def test_no_chains(self):
+        chains = ChainState(visible_states=np.zeros((0, 9)))
+        with pytest.raises(DimensionMismatch, match="one chain"):
+            pcd_update(zero_rbm(9, 9), np.zeros((2, 9)), chains, TrainConfig(), Xorshift64Star(1))
 
     def test_zero_batch_pushes_visible_bias_down(self):
         # saturated positive visible bias keeps the advanced chains at
@@ -435,6 +452,51 @@ class TestTrain:
         assert TrainConfig(n_chains=MAX_CHAINS).n_chains == MAX_CHAINS
 
 
+class TestFiniteCheckOncePerEpoch:
+    """Training checks its parameters at the end of each epoch, the loop
+    of reference updates after every update: both must raise, with the
+    same history, and the updates after an overflow must not warn."""
+
+    ROWS = np.linspace(0.0, 1.0, 6 * 9).reshape(6, 9)
+
+    def _reference(self, config, monkeypatch):
+        """The history of the reference loop, and its update count, when
+        it raises NonFiniteParameter."""
+        updates = []
+        real_update = oracles.pcd_update
+
+        def counting_update(*args):
+            updates.append(1)
+            return real_update(*args)
+
+        monkeypatch.setattr(oracles, "pcd_update", counting_update)
+        history = []
+        with pytest.raises(NonFiniteParameter):
+            pcd_train_rows(self.ROWS, config, 9, history)
+        return history, len(updates)
+
+    def _fused(self, config):
+        history = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteParameter):
+                _train_rows(self.ROWS, config, 9, history)
+        return history
+
+    def test_overflow_inside_the_first_epoch(self, monkeypatch):
+        config = TrainConfig(learning_rate=1.79e308, epochs=3, batch_size=2, n_chains=2, seed=7)
+        history, updates = self._reference(config, monkeypatch)
+        assert updates == 2  # the second of the epoch's three batches
+        assert self._fused(config) == history == []
+
+    def test_overflow_first_reached_in_the_second_epoch(self, monkeypatch):
+        config = TrainConfig(learning_rate=1.79e308, epochs=3, batch_size=3, n_chains=1, seed=24)
+        history, updates = self._reference(config, monkeypatch)
+        assert updates == 3  # the first of the second epoch's two batches
+        assert len(history) == 1
+        assert np.array(self._fused(config)).tobytes() == np.array(history).tobytes()
+
+
 @st.composite
 def _training_runs(draw, max_gibbs_steps=6):
     n = draw(st.integers(1, 40))
@@ -464,6 +526,13 @@ def _trained_bytes(train_rows, rows, config, n_hidden):
 
 @settings(max_examples=200, deadline=None)
 @given(_training_runs(max_gibbs_steps=3), st.integers(1, 11))
+@example(  # an update that makes NaN inside a matmul: neither side may warn
+    run=(
+        normalized_matrix((np.random.default_rng(0).random((6, 9)) > 0.5).astype(float)),
+        TrainConfig(learning_rate=1.79e308, epochs=3, batch_size=2, n_chains=1, seed=129),
+    ),
+    n_hidden=9,
+)
 def test_fused_training_is_bit_equal_to_a_loop_of_reference_updates(run, n_hidden):
     matrix, config = run
     fused = _trained_bytes(_train_rows, matrix.values, config, n_hidden)

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rbmsumm import rng as rng_module
 from rbmsumm.rng import Xorshift64Star
@@ -59,6 +61,32 @@ class TestDistributions:
         flat = [b.normal(0.0, 0.25) for _ in range(12)]
         np.testing.assert_array_equal(arr.reshape(-1), np.array(flat))
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 2**64 - 1),
+        st.lists(
+            st.tuples(
+                st.sampled_from([(9, 9), (3, 4), (7,), (1,), (0, 9), (5, 1), ()]),
+                st.sampled_from([1.0, 0.01, 0.25, 3.0]),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_normal_array_is_bit_equal_to_scalar_draws(self, seed, calls):
+        """Back-to-back arrays, with and without a cached pair value."""
+        rng, oracle = Xorshift64Star(seed), ScalarXorshift64Star(seed)
+        for shape, std, scalar_first in calls:
+            if scalar_first:
+                assert rng.normal(0.5, 2.0) == oracle.normal(0.5, 2.0)
+            arr = rng.normal_array(shape, std=std)
+            flat = [oracle.normal(0.0, std) for _ in range(arr.size)]
+            assert arr.shape == shape
+            assert arr.tobytes() == np.array(flat, dtype=np.float64).tobytes()
+            assert rng._gauss_cache == oracle._gauss_cache
+        assert rng.next_uint64() == oracle.next_uint64()
+
     def test_bernoulli_extremes_and_mean(self):
         rng = Xorshift64Star(3)
         zeros = rng.bernoulli_array(np.zeros(100))
@@ -86,7 +114,7 @@ class TestBlockStream:
         oracle = ScalarXorshift64Star(seed)
         state = oracle.state
         for _ in range(2):
-            raw, state = rng_module._block(state)
+            raw, _, state = rng_module._block(state)
             assert raw.dtype == np.uint64
             assert raw.tolist() == [oracle.next_uint64() for _ in range(CHUNK)]
             assert state == oracle.state
@@ -127,11 +155,21 @@ class TestBlockStream:
 
 class TestFirstBlockCache:
     def test_cached_block_rejects_writes(self):
-        raw, _ = rng_module._first_block(ScalarXorshift64Star(42).state)
+        raw, _, _ = rng_module._first_block(ScalarXorshift64Star(42).state)
         with pytest.raises(ValueError):
             raw[0] = 1
         with pytest.raises(ValueError):
             Xorshift64Star(42)._take(3)[0] = 1
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_cached_uniforms_are_read_only_top_53_bits(self, seed):
+        oracle = ScalarXorshift64Star(seed)
+        raw, uniforms, _ = rng_module._first_block(oracle.state)
+        assert uniforms.dtype == np.float64
+        assert uniforms.tobytes() == ((raw >> np.uint64(11)) * 2.0**-53).tobytes()
+        assert uniforms.tolist() == [oracle.random() for _ in range(CHUNK)]
+        with pytest.raises(ValueError):
+            uniforms[0] = 0.5
 
     def test_cache_holds_at_most_four_blocks(self):
         assert rng_module._first_block.cache_info().maxsize == 4

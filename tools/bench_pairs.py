@@ -1,0 +1,158 @@
+"""Benchmark a change against its parent commit in alternating pairs.
+
+    python3 tools/bench_pairs.py --pr N --what "what the change does"
+
+Run from the repository root.  The parent side is the committed tree of
+``HEAD``, exported with ``git archive`` into a temporary directory; the
+change side is the working tree.  Both run ``perfbench/run.py`` with
+seed 1 and the run length ``BENCHMARK.json`` fixes, one run at a time.
+Each workload of ``BENCHMARK.json`` gets 10 untraced pairs and 3 traced
+ones, and the side that runs first alternates from pair to pair.
+
+The result goes to ``BENCH_<pr>.json``, rewritten after every run, so a
+stopped benchmark keeps the runs it finished.  It holds ``what``,
+``parent_commit``, ``command``, ``host``, ``summary`` (per workload and
+metric: each side's q1, median, q3 and run count, and the pairs in
+which the change read better, by the direction ``BENCHMARK.json``
+gives) and ``runs`` (each run's final JSON line).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEED = 1
+PAIRS = 10  # untraced, per workload
+TRACED_PAIRS = 3  # per workload; a traced figure needs several runs per side
+COMMAND = f"python3 perfbench/run.py --workload <workload> --seed {SEED} --seconds {{seconds}} --trace <trace>"
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=ROOT, check=True, stdout=subprocess.PIPE, text=True
+    ).stdout.strip()
+
+
+def export_commit(commit: str, dest: Path) -> None:
+    """The committed files of ``commit``, as the benchmark would check
+    them out, under ``dest``."""
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", commit], cwd=ROOT, check=True, stdout=subprocess.PIPE
+    ).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def run_once(checkout: Path, workload: str, seconds: float, trace: int) -> dict:
+    """The final JSON line of one ``perfbench/run.py`` run in ``checkout``."""
+    command = [
+        sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+        "--seconds", str(seconds), "--trace", str(trace),
+    ]
+    proc = subprocess.run(command, cwd=checkout, stdout=subprocess.PIPE, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if not lines or not lines[-1].startswith("{"):
+        raise SystemExit(f"{' '.join(command)} in {checkout} exited {proc.returncode} without a result")
+    return json.loads(lines[-1])
+
+
+def quartiles(values: list[float]) -> dict:
+    if len(values) == 1:
+        q1 = median = q3 = values[0]
+    else:
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": round(q1, 4), "median": round(median, 4), "q3": round(q3, 4), "n": len(values)}
+
+
+def summarize(runs: list[dict], directions: dict[str, str]) -> dict:
+    """Per workload and metric, each side's quartiles and the pairs won
+    by the change; traced metrics are named ``<metric> (traced)``."""
+    summary = {}
+    for key in dict.fromkeys((r["workload"], r["seed"]) for r in runs):
+        mine = [r for r in runs if (r["workload"], r["seed"]) == key]
+        table = {}
+        for trace in (0, 1):
+            pairs: dict[int, dict[str, dict]] = {}
+            for r in mine:
+                if r["trace"] == trace:
+                    pairs.setdefault(r["pair"], {})[r["side"]] = r["result"]["metrics"]
+            complete = [p for p in pairs.values() if len(p) == 2]
+            if not complete:
+                continue
+            for metric in complete[0]["parent"]:
+                parent = [p["parent"][metric]["value"] for p in complete]
+                change = [p["change"][metric]["value"] for p in complete]
+                sign = -1 if directions.get(metric) == "lower" else 1
+                better = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+                table[metric + (" (traced)" if trace else "")] = {
+                    "parent": quartiles(parent),
+                    "change": quartiles(change),
+                    "change_better_pairs": better,
+                    "pairs": len(complete),
+                }
+        table["all_correct"] = all(r["result"]["correct"] for r in mine)
+        table["failed_operations"] = sum(r["result"]["failed"] for r in mine)
+        summary[f"{key[0]} seed={key[1]}"] = table
+    return summary
+
+
+def host() -> str:
+    import numpy
+
+    return (
+        f"{os.cpu_count()}-vCPU {platform.machine()} host, Python {platform.python_version()}, "
+        f"numpy {numpy.__version__}; one run at a time, parent and change alternating which runs first"
+    )
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--pr", required=True, help="the number in BENCH_<pr>.json")
+    parser.add_argument("--what", required=True, help="one line on what the change does")
+    args = parser.parse_args()
+
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    seconds = benchmark["run_seconds"]
+    directions = {
+        m["name"]: m["better"] for m in benchmark["end_to_end"] + benchmark["per_layer"]
+    }
+    parent_commit = _git("rev-parse", "HEAD")
+    out = ROOT / f"BENCH_{args.pr}.json"
+    record = {
+        "what": args.what,
+        "parent_commit": parent_commit,
+        "command": COMMAND.format(seconds=f"{seconds:g}"),
+        "host": host(),
+        "summary": {},
+        "runs": [],
+    }
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        export_commit(parent_commit, Path(tmp))
+        checkouts = {"parent": Path(tmp), "change": ROOT}
+        for workload in workloads:
+            for trace, count in ((0, PAIRS), (1, TRACED_PAIRS)):
+                for pair in range(1, count + 1):
+                    order = ("parent", "change") if pair % 2 else ("change", "parent")
+                    for side in order:
+                        result = run_once(checkouts[side], workload, seconds, trace)
+                        record["runs"].append({
+                            "workload": workload, "seed": SEED, "trace": trace,
+                            "side": side, "pair": pair, "result": result,
+                        })
+                        record["summary"] = summarize(record["runs"], directions)
+                        out.write_text(json.dumps(record, indent=1) + "\n")
+                        print(f"{workload} trace={trace} pair={pair} {side} done", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
