@@ -6,11 +6,13 @@ document, and RBM expectations come from brute-force enumeration of the
 joint state space.  The per-record feature stage, the per-column
 min-max, the scalar xorshift64* generator, the three-pass token builder,
 the four-mask sigmoid, the loop of one-update-per-call PCD training, the
-Porter stemmer that scans each suffix table in order and the tokenizer
-that runs its edge regex on every word are the plain forms that the
-package's one-pass feature matrix, one-call normalization, block RNG
-stream, one-pass token builder, in-place sigmoid, fused training loop,
-suffix-dispatched stemmer and fast-path tokenizer must match exactly; the
+Porter stemmer that classes each letter on its own and scans each
+suffix table in order, the numeral regex run on every surface and the
+tokenizer that runs its edge regex on every word are the plain forms
+that the package's one-pass feature matrix, one-call normalization,
+block RNG stream, one-pass token builder, in-place sigmoid, fused
+training loop, suffix-dispatched stemmer, numeral test and fast-path
+tokenizer must match exactly; the
 nine-way part-of-speech chain is the former tagger, whose proper-noun
 decision the package's one-expression name decision must reproduce.
 Tests compare the package against these.
@@ -31,16 +33,7 @@ import numpy as np
 import rbmsumm
 from rbmsumm.document import PosTag, ProcessedDocument, Token
 from rbmsumm.errors import NonFiniteParameter
-from rbmsumm.porter import (
-    _STEP2,
-    _STEP3,
-    _STEP4,
-    _ends_cvc,
-    _ends_double_consonant,
-    _has_vowel,
-    _measure,
-)
-from rbmsumm.preprocess import is_numeral
+from rbmsumm.porter import _STEP2, _STEP3, _STEP4
 from rbmsumm.rbm import WEIGHT_INIT_STD, ChainState, Rbm, _phase_statistics, gibbs_step
 from rbmsumm.rng import Xorshift64Star
 
@@ -383,8 +376,62 @@ class ScalarXorshift64Star:
 
 
 # ---------------------------------------------------------------------
-# Porter stemmer, every suffix table scanned in order
+# Porter stemmer, every suffix table scanned in order, every letter
+# classed on its own
 # ---------------------------------------------------------------------
+
+
+def _oracle_is_consonant(word: str, i: int) -> bool:
+    ch = word[i]
+    if ch in "aeiou":
+        return False
+    if ch == "y":
+        # y is a consonant word-initially or after a vowel
+        return i == 0 or not _oracle_is_consonant(word, i - 1)
+    return True
+
+
+def oracle_measure(stem: str) -> int:
+    """Count VC sequences: [C](VC)^m[V] has measure m."""
+    n = 0
+    i = 0
+    length = len(stem)
+    while i < length and _oracle_is_consonant(stem, i):
+        i += 1
+    while i < length:
+        while i < length and not _oracle_is_consonant(stem, i):
+            i += 1
+        if i >= length:
+            break
+        n += 1
+        while i < length and _oracle_is_consonant(stem, i):
+            i += 1
+    return n
+
+
+def oracle_has_vowel(stem: str) -> bool:
+    return any(not _oracle_is_consonant(stem, i) for i in range(len(stem)))
+
+
+def oracle_ends_double_consonant(word: str) -> bool:
+    return (
+        len(word) >= 2
+        and word[-1] == word[-2]
+        and _oracle_is_consonant(word, len(word) - 1)
+    )
+
+
+def oracle_ends_cvc(word: str) -> bool:
+    """consonant-vowel-consonant ending, final consonant not w, x or y."""
+    i = len(word) - 1
+    if i < 2:
+        return False
+    return (
+        _oracle_is_consonant(word, i)
+        and not _oracle_is_consonant(word, i - 1)
+        and _oracle_is_consonant(word, i - 2)
+        and word[i] not in "wxy"
+    )
 
 
 def _oracle_step1a(w: str) -> str:
@@ -401,24 +448,24 @@ def _oracle_step1a(w: str) -> str:
 
 def _oracle_step1b(w: str) -> str:
     if w.endswith("eed"):
-        return w[:-1] if _measure(w[:-3]) > 0 else w
-    if w.endswith("ed") and _has_vowel(w[:-2]):
+        return w[:-1] if oracle_measure(w[:-3]) > 0 else w
+    if w.endswith("ed") and oracle_has_vowel(w[:-2]):
         w = w[:-2]
-    elif w.endswith("ing") and _has_vowel(w[:-3]):
+    elif w.endswith("ing") and oracle_has_vowel(w[:-3]):
         w = w[:-3]
     else:
         return w
     if w.endswith(("at", "bl", "iz")):
         return w + "e"
-    if _ends_double_consonant(w) and w[-1] not in "lsz":
+    if oracle_ends_double_consonant(w) and w[-1] not in "lsz":
         return w[:-1]
-    if _measure(w) == 1 and _ends_cvc(w):
+    if oracle_measure(w) == 1 and oracle_ends_cvc(w):
         return w + "e"
     return w
 
 
 def _oracle_step1c(w: str) -> str:
-    if w.endswith("y") and _has_vowel(w[:-1]):
+    if w.endswith("y") and oracle_has_vowel(w[:-1]):
         return w[:-1] + "i"
     return w
 
@@ -427,7 +474,7 @@ def _oracle_scan(w: str, table) -> str:
     for suffix, replacement in table:
         if w.endswith(suffix):
             stem = w[: len(w) - len(suffix)]
-            if _measure(stem) > 0:
+            if oracle_measure(stem) > 0:
                 return stem + replacement
             return w
     return w
@@ -439,7 +486,7 @@ def _oracle_step4(w: str) -> str:
             stem = w[: len(w) - len(suffix)]
             if suffix == "ion" and not (stem and stem[-1] in "st"):
                 continue
-            if _measure(stem) > 1:
+            if oracle_measure(stem) > 1:
                 return stem
             return w
     return w
@@ -448,10 +495,10 @@ def _oracle_step4(w: str) -> str:
 def _oracle_step5(w: str) -> str:
     if w.endswith("e"):
         stem = w[:-1]
-        m = _measure(stem)
-        if m > 1 or (m == 1 and not _ends_cvc(stem)):
+        m = oracle_measure(stem)
+        if m > 1 or (m == 1 and not oracle_ends_cvc(stem)):
             w = stem
-    if w.endswith("l") and _ends_double_consonant(w) and _measure(w) > 1:
+    if w.endswith("l") and oracle_ends_double_consonant(w) and oracle_measure(w) > 1:
         w = w[:-1]
     return w
 
@@ -468,6 +515,18 @@ def oracle_porter_stem(word: str) -> str:
     w = _oracle_scan(w, _STEP3)
     w = _oracle_step4(w)
     return _oracle_step5(w)
+
+
+# ---------------------------------------------------------------------
+# Numerals: the regex on every surface
+# ---------------------------------------------------------------------
+
+_ORACLE_NUMERAL = re.compile(r"\d+(?:,\d+)*(?:\.\d+)?|\d+(?:st|nd|rd|th)", re.IGNORECASE)
+
+
+def oracle_is_numeral(surface: str) -> bool:
+    """Digits with optional comma groups and one decimal point, or an ordinal."""
+    return _ORACLE_NUMERAL.fullmatch(surface) is not None
 
 
 # ---------------------------------------------------------------------
@@ -526,7 +585,7 @@ def oracle_tokens(surfaces: list[str]) -> list[Token]:
     for surface in surfaces:
         lowered = surface.lower()
         stem = oracle_porter_stem(lowered) if lowered.isalpha() else lowered
-        tokens.append(Token(surface=surface, stem=stem, is_numeral=is_numeral(surface)))
+        tokens.append(Token(surface=surface, stem=stem, is_numeral=oracle_is_numeral(surface)))
     tokens = [replace(t, is_stopword=t.surface.lower() in _bundled("stopwords")) for t in tokens]
     tags = {"proper_noun": PosTag.PROPER_NOUN}
     return [
