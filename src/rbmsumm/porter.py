@@ -18,11 +18,23 @@ Step 4 skips ``ion`` unless an ``s`` or ``t`` precedes it; no other
 suffix of that table ends in ``on``, so the skip leaves the word as the
 full scan does.
 
+``porter_stem`` calls each step only on a word whose ending the step can
+change: step 1a on a final ``s``, step 1b on ``d`` or ``g`` (``eed``,
+``ed`` and ``ing``), step 1c on ``y``, steps 2, 3 and 4 when the last
+two letters are a key of one of their groups, and step 5 on ``e`` or
+``l``.  The measure and the other vowel/consonant tests read a pattern
+of one ``v`` or ``c`` per letter, made with one ``str.translate`` and
+the y-rule, and only when one of them is asked; most words never need
+it.  Every letter other than a, e, i, o, u and y is a consonant,
+accented ones included.
+
 Input must be lowercase and alphabetic; callers route non-alphabetic
 tokens (numbers, hyphenated compounds) around the stemmer.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
 
 _VOWELS = "aeiou"
 
@@ -65,59 +77,42 @@ def _by_last_two(table, suffix=lambda entry: entry[0]) -> dict[str, tuple]:
 _STEP2_BY_END = _by_last_two(_STEP2)
 _STEP3_BY_END = _by_last_two(_STEP3)
 _STEP4_BY_END = _by_last_two(_STEP4, suffix=lambda entry: entry)
+# a word whose last two letters are no key here passes steps 2, 3 and 4 as it is
+_TABLE_ENDS = frozenset(_STEP2_BY_END).union(_STEP3_BY_END, _STEP4_BY_END)
 
 
-def _is_consonant(word: str, i: int) -> bool:
-    ch = word[i]
-    if ch in _VOWELS:
-        return False
-    if ch == "y":
-        # y is a consonant word-initially or after a vowel
-        return i == 0 or not _is_consonant(word, i - 1)
-    return True
+# str.translate table: a, e, i, o and u are vowels, y waits for the
+# y-rule, and every other letter, ASCII or not, is a consonant
+_CLASSES = defaultdict(lambda: "c", {ord("y"): "y"} | dict.fromkeys(map(ord, _VOWELS), "v"))
+
+
+def _pattern(word: str) -> str:
+    """One ``v`` or ``c`` per letter; y is a consonant word-initially or
+    after a vowel, so each y takes its class from the letter before it."""
+    pattern = word.translate(_CLASSES)
+    while "y" in pattern:
+        if pattern[0] == "y":
+            pattern = "c" + pattern[1:]
+        pattern = pattern.replace("vy", "vc").replace("cy", "cv")
+    return pattern
 
 
 def _measure(stem: str) -> int:
     """Count VC sequences: [C](VC)^m[V] has measure m."""
-    n = 0
-    i = 0
-    length = len(stem)
-    while i < length and _is_consonant(stem, i):
-        i += 1
-    while i < length:
-        while i < length and not _is_consonant(stem, i):
-            i += 1
-        if i >= length:
-            break
-        n += 1
-        while i < length and _is_consonant(stem, i):
-            i += 1
-    return n
+    return _pattern(stem).count("vc")
 
 
 def _has_vowel(stem: str) -> bool:
-    return any(not _is_consonant(stem, i) for i in range(len(stem)))
+    return "v" in _pattern(stem)
 
 
 def _ends_double_consonant(word: str) -> bool:
-    return (
-        len(word) >= 2
-        and word[-1] == word[-2]
-        and _is_consonant(word, len(word) - 1)
-    )
+    return len(word) >= 2 and word[-1] == word[-2] and _pattern(word)[-1] == "c"
 
 
 def _ends_cvc(word: str) -> bool:
     """consonant-vowel-consonant ending, final consonant not w, x or y."""
-    i = len(word) - 1
-    if i < 2:
-        return False
-    return (
-        _is_consonant(word, i)
-        and not _is_consonant(word, i - 1)
-        and _is_consonant(word, i - 2)
-        and word[i] not in "wxy"
-    )
+    return word[-1:] not in "wxy" and _pattern(word).endswith("cvc")
 
 
 def _step1a(w: str) -> str:
@@ -194,11 +189,13 @@ def porter_stem(word: str) -> str:
     """Stem a lowercase alphabetic word; length <= 2 passes through."""
     if len(word) <= 2:
         return word
-    w = _step1a(word)
-    w = _step1b(w)
-    w = _step1c(w)
-    w = _apply_table(w, _STEP2_BY_END)
-    w = _apply_table(w, _STEP3_BY_END)
-    w = _step4(w)
-    w = _step5(w)
-    return w
+    w = _step1a(word) if word[-1] == "s" else word
+    if w[-1] in "dg":
+        w = _step1b(w)
+    if w[-1] == "y":
+        w = _step1c(w)
+    if w[-2:] in _TABLE_ENDS:
+        w = _apply_table(w, _STEP2_BY_END)
+        w = _apply_table(w, _STEP3_BY_END)
+        w = _step4(w)
+    return _step5(w) if w[-1] in "el" else w

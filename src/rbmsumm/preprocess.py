@@ -81,7 +81,9 @@ def tokenize(sentence: str) -> list[str]:
 
 
 def is_numeral(surface: str) -> bool:
-    return _NUMERAL.fullmatch(surface) is not None
+    # both alternatives start with \d, which matches exactly the
+    # characters that str.isdecimal() accepts
+    return surface[:1].isdecimal() and _NUMERAL.fullmatch(surface) is not None
 
 
 _new_object = object.__new__

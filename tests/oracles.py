@@ -11,10 +11,10 @@ suffix table in order, the numeral regex run on every surface and the
 tokenizer that runs its edge regex on every word are the plain forms
 that the package's one-pass feature matrix, one-call normalization,
 block RNG stream, one-pass token builder, in-place sigmoid, fused
-training loop, suffix-dispatched stemmer, numeral test and fast-path
-tokenizer must match exactly; the
-nine-way part-of-speech chain is the former tagger, whose proper-noun
-decision the package's one-expression name decision must reproduce.
+training loop, gated pattern-reading stemmer, digit-gated numeral test
+and fast-path tokenizer must match exactly; the nine-way part-of-speech
+chain is the former tagger, whose proper-noun decision the package's
+one-expression name decision must reproduce.
 Tests compare the package against these.
 """
 
@@ -381,13 +381,13 @@ class ScalarXorshift64Star:
 # ---------------------------------------------------------------------
 
 
-def _oracle_is_consonant(word: str, i: int) -> bool:
+def oracle_is_consonant(word: str, i: int) -> bool:
     ch = word[i]
     if ch in "aeiou":
         return False
     if ch == "y":
         # y is a consonant word-initially or after a vowel
-        return i == 0 or not _oracle_is_consonant(word, i - 1)
+        return i == 0 or not oracle_is_consonant(word, i - 1)
     return True
 
 
@@ -396,28 +396,28 @@ def oracle_measure(stem: str) -> int:
     n = 0
     i = 0
     length = len(stem)
-    while i < length and _oracle_is_consonant(stem, i):
+    while i < length and oracle_is_consonant(stem, i):
         i += 1
     while i < length:
-        while i < length and not _oracle_is_consonant(stem, i):
+        while i < length and not oracle_is_consonant(stem, i):
             i += 1
         if i >= length:
             break
         n += 1
-        while i < length and _oracle_is_consonant(stem, i):
+        while i < length and oracle_is_consonant(stem, i):
             i += 1
     return n
 
 
 def oracle_has_vowel(stem: str) -> bool:
-    return any(not _oracle_is_consonant(stem, i) for i in range(len(stem)))
+    return any(not oracle_is_consonant(stem, i) for i in range(len(stem)))
 
 
 def oracle_ends_double_consonant(word: str) -> bool:
     return (
         len(word) >= 2
         and word[-1] == word[-2]
-        and _oracle_is_consonant(word, len(word) - 1)
+        and oracle_is_consonant(word, len(word) - 1)
     )
 
 
@@ -427,9 +427,9 @@ def oracle_ends_cvc(word: str) -> bool:
     if i < 2:
         return False
     return (
-        _oracle_is_consonant(word, i)
-        and not _oracle_is_consonant(word, i - 1)
-        and _oracle_is_consonant(word, i - 2)
+        oracle_is_consonant(word, i)
+        and not oracle_is_consonant(word, i - 1)
+        and oracle_is_consonant(word, i - 2)
         and word[i] not in "wxy"
     )
 

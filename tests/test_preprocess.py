@@ -19,6 +19,7 @@ from rbmsumm.document import Token
 from rbmsumm.assets import _LEXICON_FILES, default_lexicons, load_lexicons, load_wordlist
 from rbmsumm.features import f_named_entities
 from rbmsumm.preprocess import (
+    _NUMERAL,
     build_tokens,
     is_numeral,
     make_token,
@@ -27,7 +28,7 @@ from rbmsumm.preprocess import (
     tokenize,
 )
 
-from oracles import oracle_tokenize, oracle_tokens
+from oracles import oracle_is_numeral, oracle_tokenize, oracle_tokens
 
 LEX = default_lexicons()
 ASSETS = Path(rbmsumm.__file__).parent / "assets"
@@ -152,6 +153,33 @@ class TestNumeralRule:
     @pytest.mark.parametrize("surface", ["a12", "12a", "3.2.1", "one", "1-2", ""])
     def test_non_numerals(self, surface):
         assert not is_numeral(surface)
+
+    def test_decimal_gate_is_exactly_the_digit_class(self):
+        """Both alternatives of the numeral regex start with ``\\d``, so
+        the ``str.isdecimal()`` gate on the first character rests on this."""
+        digit = re.compile(r"\d", _NUMERAL.flags)
+        differ = [
+            hex(code)
+            for code in range(sys.maxunicode + 1)
+            if (digit.fullmatch(chr(code)) is not None) != chr(code).isdecimal()
+        ]
+        assert differ == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.from_regex(_NUMERAL, fullmatch=True))
+    def test_every_numeral_starts_with_a_decimal(self, surface):
+        assert surface[:1].isdecimal()
+        assert is_numeral(surface)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.one_of(
+            st.text(alphabet="0123456789,.stndrhTS٣١１੭ a-", max_size=10),
+            st.text(max_size=6),
+        )
+    )
+    def test_matches_the_regex_on_every_surface(self, surface):
+        assert is_numeral(surface) == oracle_is_numeral(surface)
 
 
 class TestStopwordsAndStems:
