@@ -12,12 +12,12 @@ Training runs one fused update per batch (``_Pcd.update``): the three
 parameters are views into one flat buffer and every intermediate lands
 in a preallocated array, so an update makes a fixed, small number of
 numpy calls.  It computes the same values in the same order as the
-reference forms ``gibbs_step`` and ``_phase_statistics``, and it draws
-the same uniforms in the same order, one ``bernoulli_array`` call per
-half-step, so weights are bit-equal to a loop of those.  Finiteness is
-checked once per epoch: adding a step never makes a non-finite float
-finite, so a parameter that breaks mid-epoch still fails the check, with
-the same history as a check after every update.
+reference Gibbs step and phase statistics in ``tests/oracles.py``, and
+it draws the same uniforms in the same order, one ``bernoulli_array``
+call per half-step, so weights are bit-equal to a loop of those.
+Finiteness is checked once per epoch: adding a step never makes a
+non-finite float finite, so a parameter that breaks mid-epoch still
+fails the check, with the same history as a check after every update.
 """
 
 from __future__ import annotations
@@ -46,10 +46,6 @@ class Rbm:
     def n_visible(self) -> int:
         return self.weights.shape[1]
 
-    @property
-    def n_hidden(self) -> int:
-        return self.weights.shape[0]
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -75,13 +71,6 @@ class TrainConfig:
             raise ValueError("gibbs_steps_per_update must be >= 1")
 
 
-@dataclass
-class ChainState:
-    """Visible states of the persistent Gibbs chains."""
-
-    visible_states: np.ndarray  # (n_chains, n_visible)
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function of ``x``, in place; exp only ever sees a value
     <= 0, so it never overflows.  Returns ``x``."""
@@ -93,22 +82,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _init_from_rng(n_visible: int, n_hidden: int, rng: Xorshift64Star) -> Rbm:
-    weights = rng.normal_array((n_hidden, n_visible), std=WEIGHT_INIT_STD)
-    return Rbm(
-        weights=weights,
-        visible_bias=np.zeros(n_visible),
-        hidden_bias=np.zeros(n_hidden),
-    )
-
-
-def init_rbm(n_visible: int = 9, n_hidden: int = 9, seed: int = 42) -> Rbm:
-    """Small zero-mean Gaussian weights, zero biases, seeded."""
-    if n_visible < 1 or n_hidden < 1:
-        raise ValueError("unit counts must be >= 1")
-    return _init_from_rng(n_visible, n_hidden, Xorshift64Star(seed))
-
-
 def hidden_probabilities(rbm: Rbm, v: np.ndarray) -> np.ndarray:
     """sigmoid(hidden_bias + W v); accepts a vector or a row matrix."""
     v = np.asarray(v, dtype=np.float64)
@@ -117,35 +90,6 @@ def hidden_probabilities(rbm: Rbm, v: np.ndarray) -> np.ndarray:
             f"expected {rbm.n_visible} visible values, got {v.shape[-1]}"
         )
     return _sigmoid(v @ rbm.weights.T + rbm.hidden_bias)
-
-
-def visible_probabilities(rbm: Rbm, h: np.ndarray) -> np.ndarray:
-    """sigmoid(visible_bias + W^T h); accepts a vector or a row matrix."""
-    h = np.asarray(h, dtype=np.float64)
-    if h.shape[-1] != rbm.n_hidden:
-        raise DimensionMismatch(
-            f"expected {rbm.n_hidden} hidden values, got {h.shape[-1]}"
-        )
-    return _sigmoid(h @ rbm.weights + rbm.visible_bias)
-
-
-def gibbs_step(rbm: Rbm, v: np.ndarray, rng: Xorshift64Star) -> np.ndarray:
-    """One alternating Bernoulli sample: v -> h -> v'."""
-    h = rng.bernoulli_array(hidden_probabilities(rbm, v))
-    return rng.bernoulli_array(visible_probabilities(rbm, h))
-
-
-def _phase_statistics(rbm: Rbm, visible: np.ndarray):
-    """Sufficient statistics of one phase, using hidden probabilities.
-
-    The positive phase passes the data batch; the negative phase passes
-    the chains' visible states.
-    """
-    hp = hidden_probabilities(rbm, visible)
-    n = visible.shape[0]
-    # x.sum(axis=0) / n is what x.mean(axis=0) computes, without its
-    # fixed cost per call
-    return hp.T @ visible / n, visible.sum(axis=0) / n, hp.sum(axis=0) / n
 
 
 def _split(flat: np.ndarray, n_hidden: int, n_visible: int):
@@ -244,34 +188,6 @@ class _Pcd:
             )
 
 
-def pcd_update(
-    rbm: Rbm,
-    batch: np.ndarray,
-    chains: ChainState,
-    config: TrainConfig,
-    rng: Xorshift64Star,
-) -> tuple[Rbm, ChainState]:
-    """One persistent-CD parameter update (see ``_Pcd.update``), on
-    fresh copies of ``rbm`` and ``chains``."""
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[1] != rbm.n_visible:
-        raise DimensionMismatch(
-            f"batch width {batch.shape[-1]} != n_visible {rbm.n_visible}"
-        )
-    states = np.asarray(chains.visible_states, dtype=np.float64)
-    if states.ndim != 2 or states.shape[1] != rbm.n_visible:
-        raise DimensionMismatch(
-            f"chain width {states.shape[-1]} != n_visible {rbm.n_visible}"
-        )
-    if not (batch.shape[0] and states.shape[0]):
-        raise DimensionMismatch("pcd_update needs at least one batch row and one chain")
-    pcd = _Pcd(rbm, states.shape[0], batch.shape[0])
-    with np.errstate(over="ignore", invalid="ignore"):  # as in _train_rows
-        states = pcd.update(batch, batch.sum(axis=0) / batch.shape[0], states, config, rng)
-    pcd.check_finite()
-    return pcd.rbm(), ChainState(visible_states=states)
-
-
 def reconstruction_cross_entropy(rbm: Rbm, rows: np.ndarray) -> float:
     """Mean-field reconstruction cross-entropy, averaged over rows.
 
@@ -297,18 +213,21 @@ def _train_rows(
     n_hidden: int,
     history: list[float] | None = None,
 ) -> Rbm:
-    """Train a fresh RBM on ``rows``.
+    """Train a fresh RBM on ``rows``, from small zero-mean Gaussian
+    weights and zero biases.
 
     When ``history`` is given, the reconstruction cross-entropy after
     each epoch is appended to it.
     """
-    rng = Xorshift64Star(config.seed)
     n_rows, n_visible = rows.shape
-    pcd = _Pcd(
-        _init_from_rng(n_visible, n_hidden, rng),
-        config.n_chains,
-        min(config.batch_size, n_rows),
-    )
+    if n_hidden < 1:
+        raise ValueError("n_hidden must be >= 1")
+    if not (n_rows and n_visible):
+        raise ValueError(f"cannot train on a {n_rows} x {n_visible} matrix")
+    rng = Xorshift64Star(config.seed)
+    weights = rng.normal_array((n_hidden, n_visible), std=WEIGHT_INIT_STD)
+    rbm = Rbm(weights, np.zeros(n_visible), np.zeros(n_hidden))
+    pcd = _Pcd(rbm, config.n_chains, min(config.batch_size, n_rows))
     states = rng.bernoulli_array(np.full((config.n_chains, n_visible), 0.5))
     batches = []
     for start in range(0, n_rows, config.batch_size):

@@ -12,8 +12,10 @@ Reference stream (first three raw outputs):
     seed 0  -> 8916199331640804048, 16032783972208265725, 12954103179475586193
 
 Uniform doubles take the top 53 bits of each raw output; Gaussian
-variates use the Box-Muller transform on consecutive uniforms, and an
-array of them reads all its uniforms in one draw.
+variates use the Box-Muller transform on consecutive pairs of uniforms,
+and an array of them reads all its uniforms in one draw.  An array of
+odd size drops the second value of its last pair, so the next draw
+starts after that pair.
 
 Every draw reads its raw outputs, in stream order, from one buffer
 that numpy fills a block of ``_CHUNK`` outputs at a time.  The xorshift
@@ -132,7 +134,6 @@ class Xorshift64Star:
         # raw outputs, their uniforms, and the state after them
         self._buffer, self._uniforms, self._state = _first_block(state)
         self._pos = 0
-        self._gauss_cache: float | None = None
 
     def _take(self, n: int) -> np.ndarray:
         """The next ``n`` raw outputs, in stream order (read-only)."""
@@ -150,41 +151,21 @@ class Xorshift64Star:
             need -= self._pos
         return np.concatenate(parts)
 
-    def next_uint64(self) -> int:
-        return int(self._take(1)[0])
-
-    def random(self) -> float:
-        """Uniform double in [0, 1)."""
-        return (self.next_uint64() >> 11) * (2.0 ** -53)
-
-    def _gaussians(self, n: int) -> list[float]:
-        """``n`` standard Gaussians by Box-Muller, pairs cached: the
-        uniforms of every new pair come from one ``_take``."""
+    def normal_array(self, shape: tuple[int, ...], std: float = 1.0) -> np.ndarray:
+        """Array of Gaussians by Box-Muller, filled in row-major draw
+        order, two per pair of uniforms; an odd count drops the last
+        pair's second value."""
+        n = math.prod(shape)
+        raw = self._take(n + n % 2).tolist()
         z = []
-        if n and self._gauss_cache is not None:
-            z.append(self._gauss_cache)
-            self._gauss_cache = None
-        raw = self._take(2 * ((n - len(z) + 1) // 2)).tolist()
         for a, b in zip(raw[::2], raw[1::2]):
             u1 = 1.0 - (a >> 11) * (2.0 ** -53)  # (0, 1], keeps log() finite
             u2 = (b >> 11) * (2.0 ** -53)
             r = math.sqrt(-2.0 * math.log(u1))
             z.append(r * math.cos(2.0 * math.pi * u2))
             z.append(r * math.sin(2.0 * math.pi * u2))
-        if len(z) > n:
-            self._gauss_cache = z.pop()
-        return z
-
-    def normal(self, mean: float = 0.0, std: float = 1.0) -> float:
-        """Gaussian variate via Box-Muller; pairs are cached."""
-        return mean + std * self._gaussians(1)[0]
-
-    def normal_array(self, shape: tuple[int, ...], std: float = 1.0) -> np.ndarray:
-        """Array of Gaussians, filled in row-major draw order: the values
-        of one ``normal(0.0, std)`` call per entry."""
-        z = np.array(self._gaussians(math.prod(shape)), dtype=np.float64)
-        # the 0.0 is normal()'s mean, which turns a -0.0 into 0.0
-        return 0.0 + std * z.reshape(shape)
+        # adding 0.0 turns a -0.0 into 0.0
+        return 0.0 + std * np.array(z[:n], dtype=np.float64).reshape(shape)
 
     def bernoulli_array(self, probs: np.ndarray) -> np.ndarray:
         """0/1 samples, one uniform per entry in row-major order."""

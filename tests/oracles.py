@@ -5,17 +5,23 @@ are recomputed with plain loops and ``math`` calls from a processed
 document, and RBM expectations come from brute-force enumeration of the
 joint state space.  The per-record feature stage, the per-column
 min-max, the scalar xorshift64* generator, the three-pass token builder,
-the four-mask sigmoid, the loop of one-update-per-call PCD training, the
-Porter stemmer that classes each letter on its own and scans each
-suffix table in order, the numeral regex run on every surface and the
-tokenizer that runs its edge regex on every word are the plain forms
-that the package's one-pass feature matrix, one-call normalization,
-block RNG stream, one-pass token builder, in-place sigmoid, fused
-training loop, gated pattern-reading stemmer, digit-gated numeral test
-and fast-path tokenizer must match exactly; the nine-way part-of-speech
-chain is the former tagger, whose proper-noun decision the package's
-one-expression name decision must reproduce.
-Tests compare the package against these.
+the four-mask sigmoid, the loop of one-update-per-call PCD training on a
+Gibbs step and phase statistics written with that sigmoid and plain
+``@`` products, the Porter stemmer that classes each letter on its own
+and scans each suffix table in order, the numeral regex run on every
+surface and the tokenizer that runs its edge regex on every word are
+the plain forms that the package's one-pass feature matrix, one-call
+normalization, block RNG stream, one-pass token builder, in-place
+sigmoid, fused training loop, gated pattern-reading stemmer,
+digit-gated numeral test and fast-path tokenizer must match exactly;
+the nine-way part-of-speech chain is the former tagger, whose
+proper-noun decision the package's one-expression name decision must
+reproduce.  Tests compare the package against these.
+
+Of the package, this module imports only data types, error types,
+constants, tables and the block generator, which is itself pinned to
+the scalar one; ``test_oracle_independence.py`` checks that list, so
+that no oracle runs the code that it checks.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import rbmsumm
 from rbmsumm.document import PosTag, ProcessedDocument, Token
 from rbmsumm.errors import NonFiniteParameter
 from rbmsumm.porter import _STEP2, _STEP3, _STEP4
-from rbmsumm.rbm import WEIGHT_INIT_STD, ChainState, Rbm, _phase_statistics, gibbs_step
+from rbmsumm.rbm import WEIGHT_INIT_STD, Rbm
 from rbmsumm.rng import Xorshift64Star
 
 
@@ -365,6 +371,13 @@ class ScalarXorshift64Star:
             self._gauss_cache = r * math.sin(2.0 * math.pi * u2)
         return mean + std * z
 
+    def normal_array(self, shape, std: float = 1.0) -> np.ndarray:
+        """One ``normal(0.0, std)`` per entry, in row-major order; after
+        an odd count, the cached value of the last pair is dropped."""
+        z = [self.normal(0.0, std) for _ in range(math.prod(shape))]
+        self._gauss_cache = None
+        return np.array(z, dtype=np.float64).reshape(shape)
+
     def bernoulli_array(self, probs) -> np.ndarray:
         p = np.asarray(probs, dtype=np.float64)
         out = np.empty(p.shape, dtype=np.float64)
@@ -606,18 +619,43 @@ def four_mask_sigmoid(x: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------
 # PCD training before the fused loop: one call per update, each making
-# fresh arrays from the reference forms gibbs_step and _phase_statistics
+# fresh arrays from a plain Gibbs step and phase statistics
 # ---------------------------------------------------------------------
 
 
-def pcd_update(rbm, batch, chains, config, rng):
-    """One persistent-CD update, returning a new Rbm and ChainState."""
+def hidden_probabilities(rbm, v) -> np.ndarray:
+    """sigmoid(hidden_bias + W v) of a vector or of each row."""
+    return four_mask_sigmoid(np.asarray(v, dtype=np.float64) @ rbm.weights.T + rbm.hidden_bias)
+
+
+def visible_probabilities(rbm, h) -> np.ndarray:
+    """sigmoid(visible_bias + W^T h) of a vector or of each row."""
+    return four_mask_sigmoid(np.asarray(h, dtype=np.float64) @ rbm.weights + rbm.visible_bias)
+
+
+def gibbs_step(rbm, v, rng) -> np.ndarray:
+    """One alternating Bernoulli sample: v -> h -> v'."""
+    h = rng.bernoulli_array(hidden_probabilities(rbm, v))
+    return rng.bernoulli_array(visible_probabilities(rbm, h))
+
+
+def phase_statistics(rbm, visible):
+    """Sufficient statistics of one phase, from hidden probabilities:
+    the data batch in the positive phase, the chains in the negative."""
+    hp = hidden_probabilities(rbm, visible)
+    n = visible.shape[0]
+    # x.sum(axis=0) / n is what x.mean(axis=0) computes
+    return hp.T @ visible / n, visible.sum(axis=0) / n, hp.sum(axis=0) / n
+
+
+def pcd_update(rbm, batch, states, config, rng):
+    """One persistent-CD update, returning a new Rbm and the chains'
+    new visible states."""
     batch = np.asarray(batch, dtype=np.float64)
-    states = chains.visible_states
     for _ in range(config.gibbs_steps_per_update):
         states = gibbs_step(rbm, states, rng)
-    pos_w, pos_vb, pos_hb = _phase_statistics(rbm, batch)
-    neg_w, neg_vb, neg_hb = _phase_statistics(rbm, states)
+    pos_w, pos_vb, pos_hb = phase_statistics(rbm, batch)
+    neg_w, neg_vb, neg_hb = phase_statistics(rbm, states)
     lr = config.learning_rate
     updated = Rbm(
         weights=rbm.weights + lr * (pos_w - neg_w),
@@ -630,7 +668,7 @@ def pcd_update(rbm, batch, chains, config, rng):
         and np.isfinite(updated.hidden_bias).all()
     ):
         raise NonFiniteParameter("non-finite RBM parameter after update")
-    return updated, ChainState(visible_states=states)
+    return updated, states
 
 
 def pcd_train_rows(rows, config, n_hidden, history=None):
@@ -642,16 +680,14 @@ def pcd_train_rows(rows, config, n_hidden, history=None):
         visible_bias=np.zeros(rows.shape[1]),
         hidden_bias=np.zeros(n_hidden),
     )
-    chains = ChainState(
-        visible_states=rng.bernoulli_array(np.full((config.n_chains, rows.shape[1]), 0.5))
-    )
+    states = rng.bernoulli_array(np.full((config.n_chains, rows.shape[1]), 0.5))
     # as in the package: an update that overflows, or computes inf - inf
     # inside a product, does not warn; pcd_update raises NonFiniteParameter
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(config.epochs):
             for start in range(0, rows.shape[0], config.batch_size):
                 batch = rows[start : start + config.batch_size]
-                rbm, chains = pcd_update(rbm, batch, chains, config, rng)
+                rbm, states = pcd_update(rbm, batch, states, config, rng)
             if history is not None:
                 history.append(rbmsumm.rbm.reconstruction_cross_entropy(rbm, rows))
     return rbm

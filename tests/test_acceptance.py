@@ -27,7 +27,7 @@ from rbmsumm import (
 from rbmsumm.cli import main
 from rbmsumm.evaluation import resolve_reference, score_sets
 from rbmsumm.porter import porter_stem
-from rbmsumm.rbm import TrainConfig, _phase_statistics, train_with_history
+from rbmsumm.rbm import TrainConfig, train_with_history
 from rbmsumm.rng import Xorshift64Star
 from rbmsumm.summarizer import SummaryConfig, rank, score_sentences
 from rbmsumm.features import SentenceFeatureMatrix
@@ -36,6 +36,7 @@ from oracles import (
     exact_log_likelihood_gradient,
     exact_model_negative_statistics,
     oracle_feature_matrix,
+    phase_statistics,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -87,7 +88,7 @@ def test_c03_rbm_gradient_oracle():
     from rbmsumm.rbm import Rbm
 
     rbm = Rbm(weights=rbm_weights, visible_bias=visible_bias, hidden_bias=hidden_bias)
-    pos = _phase_statistics(rbm, data)
+    pos = phase_statistics(rbm, data)
     neg = exact_model_negative_statistics(rbm_weights, visible_bias, hidden_bias)
     grad = exact_log_likelihood_gradient(rbm_weights, visible_bias, hidden_bias, data)
     worst = max(

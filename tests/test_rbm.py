@@ -12,22 +12,18 @@ from rbmsumm import DimensionMismatch, NonFiniteParameter
 from rbmsumm.features import SentenceFeatureMatrix
 from rbmsumm.rbm import (
     MAX_CHAINS,
-    ChainState,
-    _phase_statistics,
+    WEIGHT_INIT_STD,
+    _Pcd,
     _sigmoid,
     _train_rows,
     Rbm,
     TrainConfig,
     enhance,
-    gibbs_step,
     hidden_probabilities,
-    init_rbm,
-    pcd_update,
     reconstruction_cross_entropy,
     stack_enhance,
     train,
     train_with_history,
-    visible_probabilities,
 )
 from rbmsumm.rng import Xorshift64Star
 
@@ -36,7 +32,10 @@ from oracles import (
     exact_log_likelihood_gradient,
     exact_model_negative_statistics,
     four_mask_sigmoid,
+    gibbs_step,
     pcd_train_rows,
+    phase_statistics,
+    visible_probabilities,
 )
 
 
@@ -61,26 +60,63 @@ def normalized_matrix(values):
     return SentenceFeatureMatrix(values=np.asarray(values, dtype=float), normalized=True)
 
 
+def initial_rbm(n_visible, n_hidden, seed):
+    """The machine that training starts from: no epochs of training."""
+    matrix = normalized_matrix(np.zeros((1, n_visible)))
+    return train(matrix, TrainConfig(epochs=0, seed=seed), n_hidden)
+
+
+def fused_update(rbm, batch, states, config, rng):
+    """One ``_Pcd.update`` on a copy of ``rbm``, checked as training
+    checks it; returns the updated machine and chain states."""
+    pcd = _Pcd(rbm, states.shape[0], batch.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _train_rows
+        states = pcd.update(batch, batch.sum(axis=0) / batch.shape[0], states, config, rng)
+    pcd.check_finite()
+    return pcd.rbm(), states
+
+
 class TestInit:
     def test_same_seed_identical(self):
-        a, b = init_rbm(9, 9, seed=5), init_rbm(9, 9, seed=5)
+        a, b = initial_rbm(9, 9, seed=5), initial_rbm(9, 9, seed=5)
         np.testing.assert_array_equal(a.weights, b.weights)
 
     def test_different_seeds_differ(self):
-        assert not np.array_equal(init_rbm(9, 9, 1).weights, init_rbm(9, 9, 2).weights)
+        assert not np.array_equal(initial_rbm(9, 9, 1).weights, initial_rbm(9, 9, 2).weights)
 
     def test_biases_exactly_zero(self):
-        rbm = init_rbm(9, 9, seed=3)
+        rbm = initial_rbm(9, 9, seed=3)
         assert not rbm.visible_bias.any()
         assert not rbm.hidden_bias.any()
 
     def test_weight_scale(self):
-        rbm = init_rbm(50, 50, seed=4)
+        rbm = initial_rbm(50, 50, seed=4)
         assert abs(rbm.weights.std() - 0.01) < 0.002
 
     def test_invalid_sizes(self):
-        with pytest.raises(ValueError):
-            init_rbm(0, 9, 1)
+        # no visible units: a matrix without columns
+        with pytest.raises(ValueError, match="1 x 0"):
+            initial_rbm(0, 9, 1)
+
+
+class TestInputCheck:
+    """Training rejects a machine without hidden units and a matrix
+    without rows (or columns: TestInit) before it draws anything."""
+
+    def test_no_hidden_units(self):
+        with pytest.raises(ValueError, match="n_hidden"):
+            train(normalized_matrix(np.full((6, 9), 0.5)), n_hidden=0)
+
+    def test_negative_hidden_units(self):
+        with pytest.raises(ValueError, match="n_hidden"):
+            train(normalized_matrix(np.full((6, 9), 0.5)), n_hidden=-1)
+
+    def test_matrix_without_rows(self):
+        # the per-epoch history would otherwise average an empty slice
+        with pytest.raises(ValueError, match="0 x 9"):
+            train_with_history(normalized_matrix(np.zeros((0, 9))))
+        with pytest.raises(ValueError, match="0 x 9"):
+            train(normalized_matrix(np.zeros((0, 9))))
 
 
 class TestActivations:
@@ -142,8 +178,6 @@ class TestActivations:
         rbm = zero_rbm(9, 9)
         with pytest.raises(DimensionMismatch):
             hidden_probabilities(rbm, np.zeros(5))
-        with pytest.raises(DimensionMismatch):
-            visible_probabilities(rbm, np.zeros(4))
 
     def test_batch_rows_match_vector_calls(self):
         rbm = random_rbm(5, 3, seed=11)
@@ -194,36 +228,14 @@ class TestGibbsStep:
 class TestPcdUpdate:
     def test_zero_learning_rate_advances_chains_only(self):
         rbm = random_rbm(4, 4, seed=31, scale=0.2)
-        chains = ChainState(visible_states=np.zeros((3, 4)))
+        chains = np.zeros((3, 4))
         config = TrainConfig(learning_rate=0.0, seed=1)
         batch = np.full((2, 4), 0.7)
-        updated, new_chains = pcd_update(rbm, batch, chains, config, Xorshift64Star(8))
+        updated, new_chains = fused_update(rbm, batch, chains, config, Xorshift64Star(8))
         np.testing.assert_array_equal(updated.weights, rbm.weights)
         np.testing.assert_array_equal(updated.visible_bias, rbm.visible_bias)
         np.testing.assert_array_equal(updated.hidden_bias, rbm.hidden_bias)
-        assert not np.array_equal(new_chains.visible_states, chains.visible_states)
-
-    def test_dimension_mismatch(self):
-        rbm = zero_rbm(9, 9)
-        chains = ChainState(visible_states=np.zeros((4, 9)))
-        with pytest.raises(DimensionMismatch):
-            pcd_update(rbm, np.zeros((2, 5)), chains, TrainConfig(), Xorshift64Star(1))
-
-    def test_chain_width_mismatch(self):
-        chains = ChainState(visible_states=np.zeros((4, 5)))
-        with pytest.raises(DimensionMismatch, match="chain width"):
-            pcd_update(zero_rbm(9, 9), np.zeros((2, 9)), chains, TrainConfig(), Xorshift64Star(1))
-
-    def test_batch_without_rows(self):
-        # 0 rows would average to NaN and blame the learning rate
-        chains = ChainState(visible_states=np.zeros((4, 9)))
-        with pytest.raises(DimensionMismatch, match="one batch row"):
-            pcd_update(zero_rbm(9, 9), np.zeros((0, 9)), chains, TrainConfig(), Xorshift64Star(1))
-
-    def test_no_chains(self):
-        chains = ChainState(visible_states=np.zeros((0, 9)))
-        with pytest.raises(DimensionMismatch, match="one chain"):
-            pcd_update(zero_rbm(9, 9), np.zeros((2, 9)), chains, TrainConfig(), Xorshift64Star(1))
+        assert not np.array_equal(new_chains, chains)
 
     def test_zero_batch_pushes_visible_bias_down(self):
         # saturated positive visible bias keeps the advanced chains at
@@ -234,8 +246,8 @@ class TestPcdUpdate:
             visible_bias=np.full(3, 10.0),
             hidden_bias=np.zeros(3),
         )
-        chains = ChainState(visible_states=np.ones((4, 3)))
-        updated, _ = pcd_update(
+        chains = np.ones((4, 3))
+        updated, _ = fused_update(
             rbm, np.zeros((2, 3)), chains, TrainConfig(seed=2), Xorshift64Star(3)
         )
         assert (updated.visible_bias < rbm.visible_bias).all()
@@ -246,12 +258,12 @@ class TestPcdUpdate:
             visible_bias=np.full(3, 50.0),  # chains saturate at ones
             hidden_bias=np.zeros(3),
         )
-        chains = ChainState(visible_states=np.ones((2, 3)))
+        chains = np.ones((2, 3))
         batch = np.zeros((2, 3))
-        _, new_chains = pcd_update(
+        _, new_chains = fused_update(
             rbm, batch, chains, TrainConfig(seed=4), Xorshift64Star(6)
         )
-        assert (new_chains.visible_states == 1.0).all()
+        assert (new_chains == 1.0).all()
 
 
 @st.composite
@@ -269,10 +281,10 @@ def _phase_inputs(draw):
 @given(_phase_inputs(), st.integers(0, 2**64 - 1))
 def test_phase_statistics_means_are_bit_equal_to_ndarray_mean(inputs, seed):
     visible, n_hidden = inputs
-    rbm = init_rbm(visible.shape[1], n_hidden, seed)
-    _, vb, hb = _phase_statistics(rbm, visible)
+    rbm = initial_rbm(visible.shape[1], n_hidden, seed)
+    _, vb, hb = phase_statistics(rbm, visible)
     assert vb.tobytes() == visible.mean(axis=0).tobytes()
-    assert hb.tobytes() == hidden_probabilities(rbm, visible).mean(axis=0).tobytes()
+    assert hb.tobytes() == oracles.hidden_probabilities(rbm, visible).mean(axis=0).tobytes()
 
 
 class TestGradientOracle:
@@ -285,7 +297,7 @@ class TestGradientOracle:
         rng = Xorshift64Star(seed + 1)
         data = (rng.normal_array((5, n_visible)) > 0).astype(float)
 
-        pos_w, pos_vb, pos_hb = _phase_statistics(rbm, data)
+        pos_w, pos_vb, pos_hb = phase_statistics(rbm, data)
         neg_w, neg_vb, neg_hb = exact_model_negative_statistics(
             rbm.weights, rbm.visible_bias, rbm.hidden_bias
         )
@@ -310,7 +322,7 @@ class TestGradientOracle:
         draws = 4000
         for _ in range(draws):
             states = gibbs_step(rbm, states, rng)
-            w, vb, _ = _phase_statistics(rbm, states)
+            w, vb, _ = phase_statistics(rbm, states)
             acc_w += w
             acc_vb += vb
         np.testing.assert_allclose(acc_w / draws, neg_w_exact, atol=0.02)
@@ -322,9 +334,9 @@ class TestTrain:
         matrix = normalized_matrix(np.full((6, 9), 0.5))
         config = TrainConfig(epochs=0, seed=8)
         trained = train(matrix, config)
-        reference = init_rbm(9, 9, seed=8)
-        np.testing.assert_array_equal(trained.weights, reference.weights)
-        np.testing.assert_array_equal(trained.visible_bias, reference.visible_bias)
+        weights = Xorshift64Star(8).normal_array((9, 9), std=WEIGHT_INIT_STD)
+        np.testing.assert_array_equal(trained.weights, weights)
+        np.testing.assert_array_equal(trained.visible_bias, np.zeros(9))
 
     def test_deterministic_given_seed(self, article_doc):
         from rbmsumm import build_feature_matrix, normalize_columns
@@ -426,7 +438,7 @@ class TestTrain:
 
         def recording_update(rbm, batch, chains, config, rng):
             out_rbm, out_chains = real_update(rbm, batch, chains, config, rng)
-            seen.append((chains.visible_states.copy(), out_chains.visible_states.copy()))
+            seen.append((chains.copy(), out_chains.copy()))
             return out_rbm, out_chains
 
         monkeypatch.setattr(oracles, "pcd_update", recording_update)
@@ -544,9 +556,9 @@ def test_fused_training_is_bit_equal_to_a_loop_of_reference_updates(run, n_hidde
 def test_pcd_update_is_bit_equal_to_the_reference_update(run, n_hidden):
     matrix, config = run
     rbm = random_rbm(9, n_hidden, seed=config.seed % 1000)
-    chains = ChainState(visible_states=matrix.values[: config.n_chains].round())
+    chains = matrix.values[: config.n_chains].round()
     outcomes = []
-    for update in (pcd_update, oracles.pcd_update):
+    for update in (fused_update, oracles.pcd_update):
         try:
             out, out_chains = update(
                 rbm, matrix.values, chains, config, Xorshift64Star(config.seed)
@@ -554,7 +566,7 @@ def test_pcd_update_is_bit_equal_to_the_reference_update(run, n_hidden):
         except NonFiniteParameter:
             outcomes.append(None)
             continue
-        params = (out.weights, out.visible_bias, out.hidden_bias, out_chains.visible_states)
+        params = (out.weights, out.visible_bias, out.hidden_bias, out_chains)
         outcomes.append(tuple(p.tobytes() for p in params))
     assert outcomes[0] == outcomes[1]
 
