@@ -7,6 +7,7 @@ per call with user-supplied paths.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -90,12 +91,7 @@ def load_lexicons(
     return Lexicons(stopwords=stopwords, abbreviations=abbreviations, **lexica)
 
 
-_default: Lexicons | None = None
-
-
+@functools.cache
 def default_lexicons() -> Lexicons:
     """The bundled lexicons, loaded once per process."""
-    global _default
-    if _default is None:
-        _default = load_lexicons()
-    return _default
+    return load_lexicons()

@@ -4,8 +4,8 @@ Settings are merged from the defaults, then an optional JSON config
 file whose keys mirror the flag names, then explicit flags.  Each key
 sets one parameter of a config class or library call, whose default is
 the key's default and whose annotation is the type a config value must
-have.  Every run resolves to a concrete seed (default 42) which is
-echoed on standard error so results can be reproduced.  Each subcommand
+have.  Every run resolves to a concrete seed, which is echoed on
+standard error so results can be reproduced.  Each subcommand
 makes one pass through the library; ``evaluate --compare`` runs both
 layer counts and prints the metrics of the one ``--layers`` names.
 """
@@ -32,7 +32,7 @@ from .evaluation import (
 )
 from .features import FEATURE_NAMES, FeatureConfig
 from .rbm import TrainConfig, stack_enhance
-from .summarizer import SummaryConfig, featurize, run_pipeline
+from .summarizer import DEFAULT_LIMIT_RATIO, SummaryConfig, featurize, run_pipeline
 
 EXIT_OK = 0
 EXIT_UNREADABLE = 2
@@ -92,13 +92,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def default(key: str) -> str:
+        return f"(default {_parameter(key).default})"
+
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, help="RNG seed (default 42)")
+        p.add_argument("--seed", type=int, help=f"RNG seed {default('seed')}")
         p.add_argument("--layers", type=int, choices=_CHOICES["layers"],
-                       help="RBM layers: 1 (default) or 2 (stacked)")
+                       help=f"RBM layers, 2 being stacked {default('layers')}")
         p.add_argument("--similarity-anchor", dest="similarity_anchor",
                        choices=_CHOICES["similarity_anchor"],
-                       help="sentence the Jaccard pick compares against")
+                       help=f"sentence the Jaccard pick compares against "
+                       f"{default('similarity_anchor')}")
         p.add_argument("--config", help="JSON config file mirroring flag names")
         p.add_argument("--stopwords", help="override stop-word list file")
         p.add_argument("--abbreviations", help="override abbreviation list file")
@@ -107,13 +111,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="write output to this path instead of stdout")
         limits = p.add_mutually_exclusive_group()
         limits.add_argument("--limit", type=int, help="summary length in sentences")
-        limits.add_argument("--ratio", type=float,
-                            help="summary length as a fraction of N (default 0.33)")
+        limits.add_argument("--ratio", type=float, help="summary length as a fraction of "
+                            f"N (default {DEFAULT_LIMIT_RATIO})")
 
     p_sum = sub.add_parser("summarize", help="summarize one document")
     p_sum.add_argument("input", help="input text file, or - for stdin")
     p_sum.add_argument("--format", choices=_CHOICES["format"],
-                       help="output format (default text)")
+                       help=f"output format {default('format')}")
     add_common(p_sum)
 
     p_feat = sub.add_parser("features", help="dump per-sentence feature records")
@@ -221,12 +225,13 @@ def _read_input(path: str) -> RawDocument:
 
 
 def _write_output(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-        return
     try:
-        Path(output).write_text(text, encoding="utf-8", newline="\n")
-    except OSError as exc:
+        if output is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+        else:
+            Path(output).write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:  # includes BrokenPipeError
         raise _CliError(EXIT_UNREADABLE, f"cannot write output: {exc}")
 
 

@@ -10,7 +10,6 @@ both corpus evaluations.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -72,12 +71,6 @@ def score_sets(system: frozenset[int], reference: frozenset[int]) -> EvalScores:
     return EvalScores(precision=p, recall=r, f_measure=f_measure(p, r))
 
 
-def _stem_multiset(text: str, lexicons: Lexicons) -> tuple[tuple[str, int], ...]:
-    tokens = build_tokens(tokenize(text), lexicons)
-    counts = Counter(t.stem for t in tokens if not t.is_stopword)
-    return tuple(sorted(counts.items()))
-
-
 def resolve_reference(
     reference: ReferenceSummary,
     doc: ProcessedDocument,
@@ -92,14 +85,16 @@ def resolve_reference(
                 f"reference {reference.source_id!r} has out-of-range indices {sorted(bad)}"
             )
         return reference.selected
-    lex = lexicons or default_lexicons()
-    by_stems: dict[tuple, int] = {}
+    # a stem multiset is keyed by its stems in sorted order
+    by_stems: dict[tuple[str, ...], int] = {}
     for sentence in doc.sentences:
-        key = tuple(sorted(Counter(sentence.content_stems()).items()))
-        by_stems.setdefault(key, sentence.doc_index)
+        by_stems.setdefault(tuple(sorted(sentence.content_stems())), sentence.doc_index)
+    lex = lexicons or default_lexicons()
+    memo: dict = {}  # one token memo serves every line
     indices = set()
     for text in reference.sentences:
-        key = _stem_multiset(text, lex)
+        tokens = build_tokens(tokenize(text), lex, memo)
+        key = tuple(sorted(t.stem for t in tokens if not t.is_stopword))
         if key not in by_stems:
             raise ValueError(
                 f"reference sentence not found in {reference.source_id!r}: {text!r}"

@@ -28,9 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteParameter
-from .features import SentenceFeatureMatrix
+from .features import N_FEATURES, SentenceFeatureMatrix
 from .rng import Xorshift64Star
 
+# one hidden unit per feature, so an enhanced matrix keeps its input's shape
+N_HIDDEN = N_FEATURES
 WEIGHT_INIT_STD = 0.01
 # a 65 536 x 9 float64 chain array is 4.7 MB
 MAX_CHAINS = 2**16
@@ -210,7 +212,6 @@ def reconstruction_cross_entropy(rbm: Rbm, rows: np.ndarray) -> float:
 def _train_rows(
     rows: np.ndarray,
     config: TrainConfig,
-    n_hidden: int,
     history: list[float] | None = None,
 ) -> Rbm:
     """Train a fresh RBM on ``rows``, from small zero-mean Gaussian
@@ -220,13 +221,11 @@ def _train_rows(
     each epoch is appended to it.
     """
     n_rows, n_visible = rows.shape
-    if n_hidden < 1:
-        raise ValueError("n_hidden must be >= 1")
     if not (n_rows and n_visible):
         raise ValueError(f"cannot train on a {n_rows} x {n_visible} matrix")
     rng = Xorshift64Star(config.seed)
-    weights = rng.normal_array((n_hidden, n_visible), std=WEIGHT_INIT_STD)
-    rbm = Rbm(weights, np.zeros(n_visible), np.zeros(n_hidden))
+    weights = rng.normal_array((N_HIDDEN, n_visible), std=WEIGHT_INIT_STD)
+    rbm = Rbm(weights, np.zeros(n_visible), np.zeros(N_HIDDEN))
     pcd = _Pcd(rbm, config.n_chains, min(config.batch_size, n_rows))
     states = rng.bernoulli_array(np.full((config.n_chains, n_visible), 0.5))
     batches = []
@@ -248,32 +247,19 @@ def _train_rows(
     return pcd.rbm()
 
 
-def _require_normalized(matrix: SentenceFeatureMatrix) -> np.ndarray:
-    if not matrix.normalized:
-        raise ValueError("train expects a normalized feature matrix")
-    return np.asarray(matrix.values, dtype=np.float64)
-
-
-def train_with_history(
-    matrix: SentenceFeatureMatrix,
-    config: TrainConfig | None = None,
-    n_hidden: int = 9,
-) -> tuple[Rbm, list[float]]:
-    """Train and report per-epoch mean reconstruction cross-entropy."""
-    history: list[float] = []
-    rows = _require_normalized(matrix)
-    rbm = _train_rows(rows, config or TrainConfig(), n_hidden, history)
-    return rbm, history
-
-
 def train(
     matrix: SentenceFeatureMatrix,
     config: TrainConfig | None = None,
-    n_hidden: int = 9,
+    *,
+    history: list[float] | None = None,
 ) -> Rbm:
     """Train a fresh RBM on one document's normalized feature matrix, or
-    on a machine's output for it."""
-    return _train_rows(_require_normalized(matrix), config or TrainConfig(), n_hidden)
+    on a machine's output for it.  When ``history`` is given, the mean
+    reconstruction cross-entropy after each epoch is appended to it."""
+    if not matrix.normalized:
+        raise ValueError("train expects a normalized feature matrix")
+    rows = np.asarray(matrix.values, dtype=np.float64)
+    return _train_rows(rows, config or TrainConfig(), history)
 
 
 def enhance(matrix: SentenceFeatureMatrix, rbm: Rbm) -> SentenceFeatureMatrix:

@@ -17,18 +17,19 @@ and an array of them reads all its uniforms in one draw.  An array of
 odd size drops the second value of its last pair, so the next draw
 starts after that pair.
 
-Every draw reads its raw outputs, in stream order, from one buffer
-that numpy fills a block of ``_CHUNK`` outputs at a time.  The xorshift
+Every draw reads its uniforms, in stream order, from one buffer that
+numpy fills a block of ``_CHUNK`` outputs at a time.  The xorshift
 step is linear over GF(2), so ``k`` steps are one 64x64 bit matrix
 ``T^k``, kept as its 64 columns (Haramoto et al., "Efficient Jump Ahead
 for F2-Linear Random Number Generators", 2008).  A block steps
 ``_LANES`` lanes of ``_STEPS`` states side by side.  Lane ``i`` starts
 ``i * _STEPS`` steps into the block; the starts are reached by doubling,
 lanes ``[2^j, 2^(j+1))`` being ``T^(_STEPS * 2^j)`` times lanes
-``[0, 2^j)``.  Each block is made together with its uniform doubles,
-so a Bernoulli draw that fits in the current block slices them.  A
-generator takes its first block at construction from a small cache of
-read-only blocks, so generators of the same seed build it once.
+``[0, 2^j)``.  The buffer keeps only a block's uniforms, since no
+draw reads a raw output; ``_block`` still returns the raw outputs,
+which the tests pin.  A generator takes its first block at
+construction from a small cache of read-only blocks, so generators of
+the same seed build it once.
 """
 
 from __future__ import annotations
@@ -91,9 +92,9 @@ def _lane_jumps() -> tuple[np.ndarray, ...]:
 _LANE_JUMPS = _lane_jumps()
 
 
-def _block(state: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """The next ``_CHUNK`` raw outputs after ``state``, their uniform
-    doubles in [0, 1), and the state after them."""
+def _block(state: int) -> tuple[np.ndarray, int]:
+    """The next ``_CHUNK`` raw outputs after ``state``, and the state
+    after them."""
     x = np.empty(_LANES, dtype=np.uint64)
     x[0] = _U64(state)
     for j, jump in enumerate(_LANE_JUMPS):
@@ -102,26 +103,21 @@ def _block(state: int) -> tuple[np.ndarray, np.ndarray, int]:
     for i in range(_STEPS):
         states[i] = _step(x)
     states = states.T.ravel()
-    raw = states * _STAR_U64
-    return raw, _uniforms(raw), int(states[-1])
+    return states * _STAR_U64, int(states[-1])
 
 
-def _uniforms(raw: np.ndarray) -> np.ndarray:
-    """Uniform doubles in [0, 1) from the top 53 bits of raw outputs."""
-    return (raw >> _U64(11)) * (2.0 ** -53)
+def _uniform_block(state: int) -> tuple[np.ndarray, int]:
+    """The uniform doubles in [0, 1) of ``_block(state)``, from the top
+    53 bits of each raw output, read-only, and the state after them."""
+    raw, end = _block(state)
+    uniforms = (raw >> _U64(11)) * (2.0 ** -53)
+    uniforms.flags.writeable = False
+    return uniforms, end
 
 
 # every machine of a run is seeded with the same config.seed, so each
-# would otherwise rebuild the same first block; 4 blocks and their
-# uniforms are 512 KB
-@functools.lru_cache(maxsize=4)
-def _first_block(state: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """``_block(state)``, with its outputs and uniforms read-only so that
-    every generator from the same seed can share them."""
-    raw, uniforms, end = _block(state)
-    raw.flags.writeable = False
-    uniforms.flags.writeable = False
-    return raw, uniforms, end
+# would otherwise rebuild the same first block; 4 blocks are 256 KB
+_first_block = functools.lru_cache(maxsize=4)(_uniform_block)
 
 
 class Xorshift64Star:
@@ -131,23 +127,23 @@ class Xorshift64Star:
         state = _splitmix64(seed & _MASK64)
         if state == 0:
             state = _STAR
-        # raw outputs, their uniforms, and the state after them
-        self._buffer, self._uniforms, self._state = _first_block(state)
+        # the current block's uniforms and the state after them
+        self._uniforms, self._state = _first_block(state)
         self._pos = 0
 
     def _take(self, n: int) -> np.ndarray:
-        """The next ``n`` raw outputs, in stream order (read-only)."""
+        """The next ``n`` uniforms, in stream order, not to be written."""
         end = self._pos + n
-        if end <= self._buffer.size:
-            out = self._buffer[self._pos : end]
+        if end <= _CHUNK:
+            out = self._uniforms[self._pos : end]
             self._pos = end
             return out
-        parts = [self._buffer[self._pos :]]
+        parts = [self._uniforms[self._pos :]]
         need = n - parts[0].size
         while need > 0:
-            self._buffer, self._uniforms, self._state = _block(self._state)
+            self._uniforms, self._state = _uniform_block(self._state)
             self._pos = min(need, _CHUNK)
-            parts.append(self._buffer[: self._pos])
+            parts.append(self._uniforms[: self._pos])
             need -= self._pos
         return np.concatenate(parts)
 
@@ -156,12 +152,10 @@ class Xorshift64Star:
         order, two per pair of uniforms; an odd count drops the last
         pair's second value."""
         n = math.prod(shape)
-        raw = self._take(n + n % 2).tolist()
+        u = self._take(n + n % 2).tolist()
         z = []
-        for a, b in zip(raw[::2], raw[1::2]):
-            u1 = 1.0 - (a >> 11) * (2.0 ** -53)  # (0, 1], keeps log() finite
-            u2 = (b >> 11) * (2.0 ** -53)
-            r = math.sqrt(-2.0 * math.log(u1))
+        for u1, u2 in zip(u[::2], u[1::2]):
+            r = math.sqrt(-2.0 * math.log(1.0 - u1))  # 1 - u1 in (0, 1]
             z.append(r * math.cos(2.0 * math.pi * u2))
             z.append(r * math.sin(2.0 * math.pi * u2))
         # adding 0.0 turns a -0.0 into 0.0
@@ -170,11 +164,5 @@ class Xorshift64Star:
     def bernoulli_array(self, probs: np.ndarray) -> np.ndarray:
         """0/1 samples, one uniform per entry in row-major order."""
         p = np.asarray(probs, dtype=np.float64)
-        end = self._pos + p.size
-        if end <= _CHUNK:
-            u = self._uniforms[self._pos : end]
-            self._pos = end
-        else:
-            u = _uniforms(self._take(p.size))
         # a bool written into float64 is exactly 0.0 or 1.0
-        return np.less(u.reshape(p.shape), p, out=np.empty(p.shape))
+        return np.less(self._take(p.size).reshape(p.shape), p, out=np.empty(p.shape))

@@ -39,6 +39,10 @@ class RankedSentence:
     score: float
 
 
+# the fraction of N that a summary keeps when no limit is set
+DEFAULT_LIMIT_RATIO = 0.33
+
+
 @dataclass(frozen=True)
 class SummaryConfig:
     """Summary length: an absolute sentence count or a fraction of N."""
@@ -58,7 +62,7 @@ class SummaryConfig:
         if self.limit_sentences is not None:
             limit = self.limit_sentences
         else:
-            ratio = self.limit_ratio if self.limit_ratio is not None else 0.33
+            ratio = self.limit_ratio if self.limit_ratio is not None else DEFAULT_LIMIT_RATIO
             limit = math.ceil(ratio * n_sentences)
         return max(1, min(limit, n_sentences))
 

@@ -607,6 +607,25 @@ def oracle_tokens(surfaces: list[str]) -> list[Token]:
     ]
 
 
+def oracle_resolve_reference(lines, doc: ProcessedDocument) -> frozenset[int] | None:
+    """Literal reference lines resolved by the former key: the sorted
+    ``(stem, count)`` pairs of each side's non-stop-word stems, each line
+    tokenized on its own.  A duplicate sentence gives its first index;
+    None when a line matches no sentence."""
+    by_stems = {}
+    for sentence in doc.sentences:
+        key = tuple(sorted(Counter(sentence.content_stems()).items()))
+        by_stems.setdefault(key, sentence.doc_index)
+    indices = set()
+    for text in lines:
+        tokens = oracle_tokens(oracle_tokenize(text))
+        key = tuple(sorted(Counter(t.stem for t in tokens if not t.is_stopword).items()))
+        if key not in by_stems:
+            return None
+        indices.add(by_stems[key])
+    return frozenset(indices)
+
+
 def four_mask_sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function, each sign through its own masked branch."""
     out = np.empty_like(x)

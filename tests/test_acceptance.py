@@ -27,7 +27,7 @@ from rbmsumm import (
 from rbmsumm.cli import main
 from rbmsumm.evaluation import resolve_reference, score_sets
 from rbmsumm.porter import porter_stem
-from rbmsumm.rbm import TrainConfig, train_with_history
+from rbmsumm.rbm import TrainConfig, train
 from rbmsumm.rng import Xorshift64Star
 from rbmsumm.summarizer import SummaryConfig, rank, score_sentences
 from rbmsumm.features import SentenceFeatureMatrix
@@ -106,9 +106,11 @@ def test_c04_training_sanity():
         raw = RawDocument(path.read_text("utf-8"), path.stem)
         norm = normalize_columns(build_feature_matrix(preprocess(raw)))
         started = time.perf_counter()
-        rbm, history = train_with_history(
+        history = []
+        rbm = train(
             norm,
             TrainConfig(learning_rate=0.1, epochs=5, batch_size=4, n_chains=4, seed=42),
+            history=history,
         )
         elapsed = time.perf_counter() - started
         slowest = max(slowest, elapsed)

@@ -1,7 +1,11 @@
+import inspect
 import io
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 import typing
 from pathlib import Path
 
@@ -9,10 +13,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import rbmsumm
 import rbmsumm.summarizer
 from rbmsumm import RawDocument, run_pipeline
-from rbmsumm.cli import _KEYS, _parameter, main
-from rbmsumm.rbm import MAX_CHAINS
+from rbmsumm.cli import _KEYS, _CliSettings, _parameter, main
+from rbmsumm.rbm import MAX_CHAINS, TrainConfig
+from rbmsumm.summarizer import DEFAULT_LIMIT_RATIO
 
 DATA = Path(__file__).parent / "data"
 ARTICLE = str(DATA / "article_market.txt")
@@ -469,6 +475,53 @@ def test_unwritable_output_exits_2(capsys, tmp_path, argv):
     error = err.splitlines(keepends=True)[-1]  # after the seed= line
     assert_one_error_line(error, "cannot write output")
     assert str(target) in error
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["summarize", ARTICLE],
+        ["features", ARTICLE],
+        ["evaluate", CORPUS],
+        ["evaluate", CORPUS, "--compare"],
+    ],
+    ids=["summarize", "features", "evaluate", "evaluate-compare"],
+)
+def test_closed_stdout_exits_2(argv):
+    """Standard output is a pipe whose reader is gone before the run
+    starts: one error line, no traceback, nothing more at exit."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    package_root = str(Path(rbmsumm.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rbmsumm", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2, proc.stderr
+    seed_line, error = proc.stderr.splitlines(keepends=True)
+    assert seed_line.startswith("seed=")
+    assert_one_error_line(error, "cannot write output")
+    assert "Broken pipe" in error
+
+
+@pytest.mark.parametrize("command", ["summarize", "features", "evaluate"])
+def test_help_shows_the_library_defaults(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())  # undo argparse's wrapping
+    anchor = inspect.signature(run_pipeline).parameters["anchor"].default
+    layers = inspect.signature(run_pipeline).parameters["layers"].default
+    assert f"RNG seed (default {TrainConfig().seed})" in text
+    assert f"stacked (default {layers})" in text
+    assert f"compares against (default {anchor})" in text
+    assert f"fraction of N (default {DEFAULT_LIMIT_RATIO})" in text
+    if command == "summarize":
+        assert f"output format (default {_CliSettings().format})" in text
 
 
 class TestLayersFlag:

@@ -1,5 +1,8 @@
+import functools
 import inspect
 import math
+import random
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -30,6 +33,18 @@ from rbmsumm.evaluation import (
 )
 from rbmsumm.rbm import TrainConfig
 from rbmsumm.summarizer import SummaryConfig
+
+from oracles import oracle_resolve_reference
+
+# a corpus document, then repeats: a verbatim duplicate, one with its
+# words reordered, and one of stop words only
+DUPLICATES_TEXT = (Path(__file__).parent / "data" / "corpus" / "reefs.txt").read_text(
+    "utf-8"
+) + (
+    "\n\nThe reef supports 1500 fish species and a 6 billion dollar tourism industry. "
+    "Species of fish, 1500, the reef supports and a 6 billion dollar tourism industry. "
+    "It was all of them."
+)
 
 
 class TestPrecisionRecall:
@@ -121,6 +136,41 @@ class TestReferenceResolution:
         with pytest.raises(ValueError):
             resolve_reference(ref, article_doc)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+    def test_literal_lines_resolve_as_by_counted_stems(self, seed, n_lines):
+        """Sorted stems key a multiset as the former sorted (stem, count)
+        pairs did, and one token memo for all lines changes no stem."""
+        doc = _duplicates_doc()
+        picker = random.Random(seed)
+        lines = []
+        for _ in range(n_lines):
+            words = picker.choice(doc.sentences).original_text.split()
+            form = picker.choice(("verbatim", "lower", "shuffled", "unrelated"))
+            if form == "lower":
+                words = [w.lower() for w in words]
+            elif form == "shuffled":
+                picker.shuffle(words)
+            elif form == "unrelated":
+                words = ["entirely", "unrelated", picker.choice(words)]
+            lines.append(" ".join(words))
+        expected = oracle_resolve_reference(lines, doc)
+        ref = ReferenceSummary(source_id="dup", sentences=tuple(lines))
+        if expected is None:
+            with pytest.raises(ValueError, match="not found"):
+                resolve_reference(ref, doc)
+        else:
+            assert resolve_reference(ref, doc) == expected
+
+    def test_duplicate_sentences_resolve_to_the_first(self):
+        doc = _duplicates_doc()
+        assert doc.sentences[12].original_text == doc.sentences[4].original_text
+        # the duplicate, the reordered repeat and the stop-word sentence
+        lines = [doc.sentences[i].original_text for i in (12, 13, 14)]
+        assert oracle_resolve_reference(lines, doc) == frozenset({4, 14})
+        ref = ReferenceSummary(source_id="dup", sentences=tuple(lines))
+        assert resolve_reference(ref, doc) == frozenset({4, 14})
+
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
             ReferenceSummary(source_id="x")
@@ -130,6 +180,11 @@ class TestReferenceResolution:
             ReferenceSummary(
                 source_id="x", selected=frozenset({1}), sentences=("a",)
             )
+
+
+@functools.cache
+def _duplicates_doc():
+    return run_pipeline(RawDocument(DUPLICATES_TEXT, "dup")).doc
 
 
 class TestEvaluateCorpus:

@@ -12,6 +12,7 @@ from rbmsumm import DimensionMismatch, NonFiniteParameter
 from rbmsumm.features import SentenceFeatureMatrix
 from rbmsumm.rbm import (
     MAX_CHAINS,
+    N_HIDDEN,
     WEIGHT_INIT_STD,
     _Pcd,
     _sigmoid,
@@ -23,7 +24,6 @@ from rbmsumm.rbm import (
     reconstruction_cross_entropy,
     stack_enhance,
     train,
-    train_with_history,
 )
 from rbmsumm.rng import Xorshift64Star
 
@@ -61,9 +61,16 @@ def normalized_matrix(values):
 
 
 def initial_rbm(n_visible, n_hidden, seed):
-    """The machine that training starts from: no epochs of training."""
+    """The machine that training starts from: Gaussian weights, the
+    first draw from the seed's stream, and zero biases."""
+    weights = Xorshift64Star(seed).normal_array((n_hidden, n_visible), std=WEIGHT_INIT_STD)
+    return Rbm(weights, np.zeros(n_visible), np.zeros(n_hidden))
+
+
+def untrained(n_visible, seed):
+    """What training returns after no epochs."""
     matrix = normalized_matrix(np.zeros((1, n_visible)))
-    return train(matrix, TrainConfig(epochs=0, seed=seed), n_hidden)
+    return train(matrix, TrainConfig(epochs=0, seed=seed))
 
 
 def fused_update(rbm, batch, states, config, rng):
@@ -78,16 +85,26 @@ def fused_update(rbm, batch, states, config, rng):
 
 class TestInit:
     def test_same_seed_identical(self):
-        a, b = initial_rbm(9, 9, seed=5), initial_rbm(9, 9, seed=5)
+        a, b = untrained(9, seed=5), untrained(9, seed=5)
         np.testing.assert_array_equal(a.weights, b.weights)
+        assert a.weights.shape == (N_HIDDEN, 9) == (9, 9)
 
     def test_different_seeds_differ(self):
-        assert not np.array_equal(initial_rbm(9, 9, 1).weights, initial_rbm(9, 9, 2).weights)
+        assert not np.array_equal(untrained(9, 1).weights, untrained(9, 2).weights)
 
     def test_biases_exactly_zero(self):
-        rbm = initial_rbm(9, 9, seed=3)
+        rbm = untrained(9, seed=3)
         assert not rbm.visible_bias.any()
         assert not rbm.hidden_bias.any()
+
+    @pytest.mark.parametrize("n_visible,seed", [(9, 3), (4, 0), (13, 2**64 - 1)])
+    def test_training_starts_from_the_initial_machine(self, n_visible, seed):
+        rbm, start = untrained(n_visible, seed), initial_rbm(n_visible, N_HIDDEN, seed)
+        for got, want in zip(
+            (rbm.weights, rbm.visible_bias, rbm.hidden_bias),
+            (start.weights, start.visible_bias, start.hidden_bias),
+        ):
+            assert got.tobytes() == want.tobytes()
 
     def test_weight_scale(self):
         rbm = initial_rbm(50, 50, seed=4)
@@ -96,25 +113,17 @@ class TestInit:
     def test_invalid_sizes(self):
         # no visible units: a matrix without columns
         with pytest.raises(ValueError, match="1 x 0"):
-            initial_rbm(0, 9, 1)
+            untrained(0, 1)
 
 
 class TestInputCheck:
-    """Training rejects a machine without hidden units and a matrix
-    without rows (or columns: TestInit) before it draws anything."""
-
-    def test_no_hidden_units(self):
-        with pytest.raises(ValueError, match="n_hidden"):
-            train(normalized_matrix(np.full((6, 9), 0.5)), n_hidden=0)
-
-    def test_negative_hidden_units(self):
-        with pytest.raises(ValueError, match="n_hidden"):
-            train(normalized_matrix(np.full((6, 9), 0.5)), n_hidden=-1)
+    """Training rejects a matrix without rows (or columns: TestInit)
+    before it draws anything."""
 
     def test_matrix_without_rows(self):
         # the per-epoch history would otherwise average an empty slice
         with pytest.raises(ValueError, match="0 x 9"):
-            train_with_history(normalized_matrix(np.zeros((0, 9))))
+            train(normalized_matrix(np.zeros((0, 9))), history=[])
         with pytest.raises(ValueError, match="0 x 9"):
             train(normalized_matrix(np.zeros((0, 9))))
 
@@ -366,7 +375,8 @@ class TestTrain:
         from rbmsumm import build_feature_matrix, normalize_columns
 
         norm = normalize_columns(build_feature_matrix(article_doc))
-        _, history = train_with_history(norm, TrainConfig(seed=42))
+        history = []
+        train(norm, TrainConfig(seed=42), history=history)
         assert len(history) == 5
         assert history[-1] <= history[0]
 
@@ -385,7 +395,8 @@ class TestTrain:
         plain = train(norm, TrainConfig(seed=42))
         stack_enhance(norm, TrainConfig(seed=42), layers=2)
         assert calls == []
-        traced, history = train_with_history(norm, TrainConfig(seed=42))
+        history = []
+        traced = train(norm, TrainConfig(seed=42), history=history)
         assert len(calls) == len(history) == 5
         np.testing.assert_array_equal(plain.weights, traced.weights)
 
@@ -393,7 +404,8 @@ class TestTrain:
         from rbmsumm import build_feature_matrix, normalize_columns
 
         norm = normalize_columns(build_feature_matrix(article_doc))
-        _, history = train_with_history(norm, TrainConfig(learning_rate=1000, seed=42))
+        history = []
+        train(norm, TrainConfig(learning_rate=1000, seed=42), history=history)
         assert all(np.isfinite(history))
 
     def test_overflowing_parameter_raises_typed_error(self, article_doc):
@@ -484,7 +496,7 @@ class TestFiniteCheckOncePerEpoch:
         monkeypatch.setattr(oracles, "pcd_update", counting_update)
         history = []
         with pytest.raises(NonFiniteParameter):
-            pcd_train_rows(self.ROWS, config, 9, history)
+            pcd_train_rows(self.ROWS, config, N_HIDDEN, history)
         return history, len(updates)
 
     def _fused(self, config):
@@ -492,7 +504,7 @@ class TestFiniteCheckOncePerEpoch:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteParameter):
-                _train_rows(self.ROWS, config, 9, history)
+                _train_rows(self.ROWS, config, history)
         return history
 
     def test_overflow_inside_the_first_epoch(self, monkeypatch):
@@ -524,31 +536,34 @@ def _training_runs(draw, max_gibbs_steps=6):
     return normalized_matrix(rows), config
 
 
-def _trained_bytes(train_rows, rows, config, n_hidden):
+def _trained_bytes(train_rows, rows, config):
     """The trained parameters and per-epoch history as bytes, or the
     history alone when training raised NonFiniteParameter."""
     history = []
     try:
-        rbm = train_rows(rows, config, n_hidden, history)
+        rbm = train_rows(rows, config, history)
     except NonFiniteParameter:
         return None, np.array(history).tobytes()
     params = (rbm.weights, rbm.visible_bias, rbm.hidden_bias)
     return tuple(p.tobytes() for p in params), np.array(history).tobytes()
 
 
+def _reference_train_rows(rows, config, history):
+    return pcd_train_rows(rows, config, N_HIDDEN, history)
+
+
 @settings(max_examples=200, deadline=None)
-@given(_training_runs(max_gibbs_steps=3), st.integers(1, 11))
+@given(_training_runs(max_gibbs_steps=3))
 @example(  # an update that makes NaN inside a matmul: neither side may warn
     run=(
         normalized_matrix((np.random.default_rng(0).random((6, 9)) > 0.5).astype(float)),
         TrainConfig(learning_rate=1.79e308, epochs=3, batch_size=2, n_chains=1, seed=129),
     ),
-    n_hidden=9,
 )
-def test_fused_training_is_bit_equal_to_a_loop_of_reference_updates(run, n_hidden):
+def test_fused_training_is_bit_equal_to_a_loop_of_reference_updates(run):
     matrix, config = run
-    fused = _trained_bytes(_train_rows, matrix.values, config, n_hidden)
-    assert fused == _trained_bytes(pcd_train_rows, matrix.values, config, n_hidden)
+    fused = _trained_bytes(_train_rows, matrix.values, config)
+    assert fused == _trained_bytes(_reference_train_rows, matrix.values, config)
 
 
 @settings(max_examples=100, deadline=None)

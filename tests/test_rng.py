@@ -12,8 +12,8 @@ from rbmsumm.rng import Xorshift64Star
 from oracles import ScalarXorshift64Star
 
 
-def next_uint64(rng: Xorshift64Star) -> int:
-    return int(rng._take(1)[0])
+def next_uniform(rng: Xorshift64Star) -> float:
+    return float(rng._take(1)[0])
 
 
 def documented_stream(seed: int) -> list[int]:
@@ -23,18 +23,25 @@ def documented_stream(seed: int) -> list[int]:
     return [int(x) for x in dict(lines)[str(seed)].split(", ")]
 
 
+def check_documented_stream(seed: int) -> None:
+    """The block's raw outputs, the oracle's and the generator's
+    uniforms all follow the docstring's stream."""
+    expected = documented_stream(seed)
+    state = rng_module._splitmix64(seed)
+    assert rng_module._block(state)[0][:3].tolist() == expected
+    oracle = ScalarXorshift64Star(seed)
+    assert oracle.state == state
+    assert [oracle.next_uint64() for _ in range(3)] == expected
+    uniforms = [(x >> 11) * 2.0**-53 for x in expected]
+    assert Xorshift64Star(seed)._take(3).tolist() == uniforms
+
+
 class TestReferenceStream:
     def test_seed_42_raw_outputs(self):
-        expected = documented_stream(42)
-        assert Xorshift64Star(42)._take(3).tolist() == expected
-        oracle = ScalarXorshift64Star(42)
-        assert [oracle.next_uint64() for _ in range(3)] == expected
+        check_documented_stream(42)
 
     def test_seed_0_raw_outputs(self):
-        expected = documented_stream(0)
-        assert Xorshift64Star(0)._take(3).tolist() == expected
-        oracle = ScalarXorshift64Star(0)
-        assert [oracle.next_uint64() for _ in range(3)] == expected
+        check_documented_stream(0)
 
     def test_same_seed_same_stream(self):
         a = Xorshift64Star(123)
@@ -50,7 +57,7 @@ class TestReferenceStream:
 class TestDistributions:
     def test_uniform_range_and_mean(self):
         rng = Xorshift64Star(7)
-        xs = rng_module._uniforms(rng._take(20000))
+        xs = rng._take(20000)
         assert ((0.0 <= xs) & (xs < 1.0)).all()
         assert abs(xs.mean() - 0.5) < 0.01
 
@@ -80,15 +87,15 @@ class TestDistributions:
     )
     def test_normal_array_is_bit_equal_to_scalar_draws(self, seed, calls):
         """Back-to-back arrays, odd-sized ones included, with and without
-        a raw output drawn before them."""
+        a uniform drawn before them."""
         rng, oracle = Xorshift64Star(seed), ScalarXorshift64Star(seed)
-        for shape, std, raw_first in calls:
-            if raw_first:
-                assert next_uint64(rng) == oracle.next_uint64()
+        for shape, std, uniform_first in calls:
+            if uniform_first:
+                assert next_uniform(rng) == oracle.random()
             arr = rng.normal_array(shape, std=std)
             assert arr.shape == shape
             assert arr.tobytes() == oracle.normal_array(shape, std=std).tobytes()
-        assert next_uint64(rng) == oracle.next_uint64()
+        assert next_uniform(rng) == oracle.random()
 
     def test_bernoulli_extremes_and_mean(self):
         rng = Xorshift64Star(3)
@@ -117,7 +124,7 @@ class TestBlockStream:
         oracle = ScalarXorshift64Star(seed)
         state = oracle.state
         for _ in range(2):
-            raw, _, state = rng_module._block(state)
+            raw, state = rng_module._block(state)
             assert raw.dtype == np.uint64
             assert raw.tolist() == [oracle.next_uint64() for _ in range(CHUNK)]
             assert state == oracle.state
@@ -127,8 +134,8 @@ class TestBlockStream:
         for n in SIZES:
             oracle = ScalarXorshift64Star(seed)
             rng = Xorshift64Star(seed)
-            assert rng._take(n).tolist() == [oracle.next_uint64() for _ in range(n)], n
-            assert next_uint64(rng) == oracle.next_uint64(), n
+            assert rng._take(n).tolist() == [oracle.random() for _ in range(n)], n
+            assert next_uniform(rng) == oracle.random(), n
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_interleaved_draws_match(self, seed):
@@ -137,13 +144,14 @@ class TestBlockStream:
         rng = Xorshift64Star(seed)
         drawn = 0
         while drawn < 3 * CHUNK:
-            kind = picker.choice(("uint64", "random", "normal", "bernoulli", "big"))
-            if kind == "uint64":
-                assert next_uint64(rng) == oracle.next_uint64()
+            kind = picker.choice(("uniform", "uniforms", "normal", "bernoulli", "big"))
+            if kind == "uniform":
+                assert next_uniform(rng) == oracle.random()
                 drawn += 1
-            elif kind == "random":
-                assert rng_module._uniforms(rng._take(1)).tolist() == [oracle.random()]
-                drawn += 1
+            elif kind == "uniforms":  # up to a little over a block
+                n = picker.randrange(0, CHUNK + 40)
+                assert rng._take(n).tolist() == [oracle.random() for _ in range(n)]
+                drawn += n
             elif kind == "normal":  # one value of a pair, the other dropped
                 arr = rng.normal_array((1,), std=2.0)
                 assert arr.tobytes() == oracle.normal_array((1,), std=2.0).tobytes()
@@ -154,24 +162,27 @@ class TestBlockStream:
                 p = np.array([[picker.random() for _ in range(cols)] for _ in range(rows)])
                 np.testing.assert_array_equal(rng.bernoulli_array(p), oracle.bernoulli_array(p))
                 drawn += p.size
-        assert next_uint64(rng) == oracle.next_uint64()
+        assert next_uniform(rng) == oracle.random()
 
 
 class TestFirstBlockCache:
     def test_cached_block_rejects_writes(self):
-        raw, _, _ = rng_module._first_block(ScalarXorshift64Star(42).state)
+        rng = Xorshift64Star(42)
         with pytest.raises(ValueError):
-            raw[0] = 1
+            rng._take(3)[0] = 0.5
+        rng._take(CHUNK)  # into the second block, which no cache holds
         with pytest.raises(ValueError):
-            Xorshift64Star(42)._take(3)[0] = 1
+            rng._take(3)[0] = 0.5
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_cached_uniforms_are_read_only_top_53_bits(self, seed):
         oracle = ScalarXorshift64Star(seed)
-        raw, uniforms, _ = rng_module._first_block(oracle.state)
+        uniforms, end = rng_module._first_block(oracle.state)
+        raw, raw_end = rng_module._block(oracle.state)
         assert uniforms.dtype == np.float64
         assert uniforms.tobytes() == ((raw >> np.uint64(11)) * 2.0**-53).tobytes()
         assert uniforms.tolist() == [oracle.random() for _ in range(CHUNK)]
+        assert end == raw_end == oracle.state
         with pytest.raises(ValueError):
             uniforms[0] = 0.5
 
@@ -185,6 +196,6 @@ class TestFirstBlockCache:
         # both generators cross the first block's end, one after the other
         for sizes in ((CHUNK - 3, 5), (2, CHUNK - 1), (7, 7), (CHUNK, 1)):
             for rng, oracle, n in zip(rngs, oracles, sizes):
-                assert rng._take(n).tolist() == [oracle.next_uint64() for _ in range(n)]
+                assert rng._take(n).tolist() == [oracle.random() for _ in range(n)]
         for rng, oracle in zip(rngs, oracles):
-            assert next_uint64(rng) == oracle.next_uint64()
+            assert next_uniform(rng) == oracle.random()
