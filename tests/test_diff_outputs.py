@@ -22,13 +22,16 @@ def _copy_package(dest: Path) -> Path:
 def test_matrix_covers_every_subcommand_layer_anchor_and_sink(tmp_path):
     documents, corpora = diff_outputs.build_inputs(tmp_path, generated=False)
     matrix = diff_outputs.command_matrix(documents, corpora)
-    # 4 document variants and 2 corpus variants, each 2 layers x 2 anchors x 2 sinks
-    assert len(matrix) == (4 + 2) * 8
+    # each variant 2 layers x 2 sinks; summarize's 2 and evaluate's 2 with
+    # 2 anchors, features' 2 with none, since it does not read the anchor
+    assert len(matrix) == (2 * 2 + 2 + 2 * 2) * 4
     assert len({tuple(argv) for argv in matrix}) == len(matrix)
     assert {argv[0] for argv in matrix} == {"summarize", "features", "evaluate"}
     assert sum("--output" in argv for argv in matrix) == len(matrix) // 2
-    for flag, values in (("--layers", {"1", "2"}), ("--similarity-anchor", {"first", "latest"})):
-        assert {argv[argv.index(flag) + 1] for argv in matrix} == values
+    assert {argv[argv.index("--layers") + 1] for argv in matrix} == {"1", "2"}
+    anchored = [argv for argv in matrix if "--similarity-anchor" in argv]
+    assert {argv[argv.index("--similarity-anchor") + 1] for argv in anchored} == {"first", "latest"}
+    assert [argv for argv in matrix if argv not in anchored and argv[0] != "features"] == []
 
 
 def test_identical_copies_match_and_a_stop_word_edit_is_reported(tmp_path):
@@ -43,14 +46,14 @@ def test_identical_copies_match_and_a_stop_word_edit_is_reported(tmp_path):
         ["features", article],
         ["evaluate", corpus, "--compare", "--output", diff_outputs.OUTPUT],
     ]
-    assert diff_outputs.differences(parent, change, matrix, jobs=2) == []
+    assert diff_outputs.differences(parent, change, matrix) == []
 
     stopwords = change / "rbmsumm" / "assets" / "stopwords.txt"
     lines = stopwords.read_text("utf-8").splitlines(keepends=True)
     stopwords.write_text("".join(line for line in lines if line != "the\n"), "utf-8")
     assert len(stopwords.read_text("utf-8").splitlines()) == len(lines) - 1
     summarize, features, evaluate = (" ".join(argv) for argv in matrix)
-    assert diff_outputs.differences(parent, change, matrix, jobs=2) == [
+    assert diff_outputs.differences(parent, change, matrix) == [
         f"{summarize}: file out/result differ",
         f"{features}: stdout differ",
         f"{evaluate}: file out/result, file out/result.compare.csv differ",

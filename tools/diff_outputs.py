@@ -1,18 +1,20 @@
-"""Check that every CLI output of the working tree matches a commit's.
+"""Check that every CLI output of the working tree matches ``HEAD``'s.
 
-    python3 tools/diff_outputs.py [--commit HEAD] [--jobs 2]
+    python3 tools/diff_outputs.py
 
-Run from the repository root.  The committed files of ``--commit`` are
+Run from the repository root.  The committed files of ``HEAD`` are
 exported with ``bench_pairs.export_commit`` into a temporary directory;
 the other side is the working tree.  Both sides run the same matrix of
 ``python -m rbmsumm`` commands, each with its own ``src`` first on
-``PYTHONPATH`` and in a fresh working directory:
+``PYTHONPATH`` and in a fresh working directory, as many at once as
+there are CPUs:
 
 * ``summarize`` as text and as JSON, and ``features`` with and without
   ``--no-enhance``, on every single document;
 * ``evaluate`` with and without ``--compare`` on every corpus;
-* each with ``--layers 1`` and ``2``, both similarity anchors, and the
-  result on stdout or in an ``--output`` file.
+* each with ``--layers 1`` and ``2`` and the result on stdout or in an
+  ``--output`` file; ``summarize`` and ``evaluate`` with both similarity
+  anchors, ``features`` (which does not read the anchor) with one.
 
 The documents are ``tests/data/article_market.txt`` and, from
 ``perfbench/gen.py`` with seed 1, the 2000-sentence report and the
@@ -24,7 +26,6 @@ difference is printed, and the exit code is 1 if there is any.
 
 from __future__ import annotations
 
-import argparse
 import importlib.util
 import itertools
 import os
@@ -79,22 +80,24 @@ def build_inputs(dest: Path, generated: bool = True) -> tuple[list[Path], list[P
 
 def command_matrix(documents: list[Path], corpora: list[Path]) -> list[list[str]]:
     """Every command line to compare, ``--output`` ones included."""
+    anchors = [["--similarity-anchor", "first"], ["--similarity-anchor", "latest"]]
     variants = []
     for document in map(str, documents):
         variants += [
-            ["summarize", document, "--format", "text"],
-            ["summarize", document, "--format", "json"],
-            ["features", document],
-            ["features", document, "--no-enhance"],
+            (["summarize", document, "--format", "text"], anchors),
+            (["summarize", document, "--format", "json"], anchors),
+            (["features", document], [[]]),
+            (["features", document, "--no-enhance"], [[]]),
         ]
     for corpus in map(str, corpora):
-        variants += [["evaluate", corpus], ["evaluate", corpus, "--compare"]]
-    matrix = []
-    for argv, layers, anchor, sink in itertools.product(
-        variants, ("1", "2"), ("first", "latest"), ([], ["--output", OUTPUT])
-    ):
-        matrix.append(argv + ["--layers", layers, "--similarity-anchor", anchor] + sink)
-    return matrix
+        variants += [(["evaluate", corpus], anchors), (["evaluate", corpus, "--compare"], anchors)]
+    return [
+        argv + ["--layers", layers] + anchor + sink
+        for argv, argv_anchors in variants
+        for layers, anchor, sink in itertools.product(
+            ("1", "2"), argv_anchors, ([], ["--output", OUTPUT])
+        )
+    ]
 
 
 def run(src: Path, argv: list[str]) -> tuple:
@@ -114,9 +117,7 @@ def run(src: Path, argv: list[str]) -> tuple:
     return proc.returncode, proc.stdout, proc.stderr, files
 
 
-def differences(
-    parent_src: Path, change_src: Path, matrix: list[list[str]], jobs: int = 1
-) -> list[str]:
+def differences(parent_src: Path, change_src: Path, matrix: list[list[str]]) -> list[str]:
     """One line for each command whose outputs differ between the two
     package trees, naming the parts that differ."""
     def compare(argv: list[str]) -> str | None:
@@ -129,23 +130,17 @@ def differences(
                 parts.append(f"file {name}")
         return f"{' '.join(argv)}: {', '.join(parts)} differ" if parts else None
 
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
         return [line for line in pool.map(compare, matrix) if line]
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--commit", default="HEAD", help="the commit to compare against")
-    parser.add_argument("--jobs", type=int, default=2, help="commands run at once")
-    args = parser.parse_args()
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
     bench_pairs = _load(ROOT / "tools" / "bench_pairs.py")
     with tempfile.TemporaryDirectory(prefix="diff-outputs-parent-") as parent, \
             tempfile.TemporaryDirectory(prefix="diff-outputs-inputs-") as inputs:
-        bench_pairs.export_commit(args.commit, Path(parent))
+        bench_pairs.export_commit("HEAD", Path(parent))
         matrix = command_matrix(*build_inputs(Path(inputs)))
-        found = differences(Path(parent) / "src", ROOT / "src", matrix, args.jobs)
+        found = differences(Path(parent) / "src", ROOT / "src", matrix)
     for line in found:
         print(line)
     print(f"{len(matrix)} commands, {len(found)} with different outputs", file=sys.stderr)
