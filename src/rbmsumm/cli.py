@@ -99,16 +99,19 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help=f"RNG seed {default('seed')}")
         p.add_argument("--layers", type=int, choices=_CHOICES["layers"],
                        help=f"RBM layers, 2 being stacked {default('layers')}")
-        p.add_argument("--similarity-anchor", dest="similarity_anchor",
-                       choices=_CHOICES["similarity_anchor"],
-                       help=f"sentence the Jaccard pick compares against "
-                       f"{default('similarity_anchor')}")
         p.add_argument("--config", help="JSON config file mirroring flag names")
         p.add_argument("--stopwords", help="override stop-word list file")
         p.add_argument("--abbreviations", help="override abbreviation list file")
         p.add_argument("--lexicon-dir", dest="lexicon_dir",
                        help="directory overriding the name lexicons")
         p.add_argument("--output", help="write output to this path instead of stdout")
+
+    def add_selection(p: argparse.ArgumentParser) -> None:
+        """The flags that only a summary reads; ``features`` has none."""
+        p.add_argument("--similarity-anchor", dest="similarity_anchor",
+                       choices=_CHOICES["similarity_anchor"],
+                       help=f"sentence the Jaccard pick compares against "
+                       f"{default('similarity_anchor')}")
         limits = p.add_mutually_exclusive_group()
         limits.add_argument("--limit", type=int, help="summary length in sentences")
         limits.add_argument("--ratio", type=float, help="summary length as a fraction of "
@@ -119,6 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sum.add_argument("--format", choices=_CHOICES["format"],
                        help=f"output format {default('format')}")
     add_common(p_sum)
+    add_selection(p_sum)
 
     p_feat = sub.add_parser("features", help="dump per-sentence feature records")
     p_feat.add_argument("input", help="input text file, or - for stdin")
@@ -131,6 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--compare", action="store_true", default=None,
                         help="also run the stacked two-layer mode")
     add_common(p_eval)
+    add_selection(p_eval)
     return parser
 
 

@@ -153,7 +153,8 @@ def f_centroid_sim(counts: Counter, centroid: Counter, centroid_norm: float) -> 
     ``centroid_norm`` is the Euclidean norm of ``centroid``."""
     if not counts or not centroid:
         return 0.0
-    dot = sum(c * centroid[stem] for stem, c in counts.items())
+    # .get skips the Python-level Counter.__missing__ of an absent stem
+    dot = sum(c * centroid.get(stem, 0) for stem, c in counts.items())
     norm = math.sqrt(sum(c * c for c in counts.values()))
     # rounding can push a self-comparison a hair above 1
     return min(1.0, dot / (norm * centroid_norm))

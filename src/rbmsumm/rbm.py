@@ -9,12 +9,16 @@ chain initialization, then per update: hidden samples before visible
 samples, row-major).
 
 Training runs one fused update per batch (``_Pcd.update``): the three
-parameters are views into one flat buffer and every intermediate lands
-in a preallocated array, so an update makes a fixed, small number of
-numpy calls.  It computes the same values in the same order as the
-reference Gibbs step and phase statistics in ``tests/oracles.py``, and
-it draws the same uniforms in the same order, one ``bernoulli_array``
-call per half-step, so weights are bit-equal to a loop of those.
+parameters are views into one flat buffer, and every intermediate,
+the sigmoid's scratch included, lands in an array made once per
+machine, so an update allocates no array but the samples that each
+draw returns, and it makes a fixed, small number of numpy calls.  Its
+products go through ``np.dot(..., out=)``, which makes the same BLAS
+call as ``@`` on these shapes with less overhead per call.  It computes
+the same values in the same order as the reference Gibbs step and
+phase statistics in ``tests/oracles.py``, and it draws the same
+uniforms in the same order, one ``bernoulli_array`` call per
+half-step, so weights are bit-equal to a loop of those.
 Finiteness is checked once per epoch: adding a step never makes a
 non-finite float finite, so a parameter that breaks mid-epoch still
 fails the check, with the same history as a check after every update.
@@ -73,15 +77,22 @@ class TrainConfig:
             raise ValueError("gibbs_steps_per_update must be >= 1")
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function of ``x``, in place; exp only ever sees a value
-    <= 0, so it never overflows.  Returns ``x``."""
-    nonnegative = x >= 0
+def _sigmoid(x: np.ndarray, nonnegative: np.ndarray, denominator: np.ndarray) -> np.ndarray:
+    """Logistic function of ``x``, in place, with ``nonnegative`` (bool)
+    and ``denominator`` as scratch arrays of its shape; exp only ever
+    sees a value <= 0, so it never overflows.  Returns ``x``."""
+    np.greater_equal(x, 0.0, out=nonnegative)
     np.exp(np.copysign(x, -1.0, out=x), out=x)  # exp(-|x|)
-    d = x + 1.0
+    np.add(x, 1.0, out=denominator)
     np.copyto(x, 1.0, where=nonnegative)  # 1/d there, e/d elsewhere
-    x /= d
+    np.divide(x, denominator, out=x)
     return x
+
+
+def _sigmoid_scratch(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """An array of ``shape`` and the scratch arrays ``_sigmoid`` takes
+    with it."""
+    return np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape)
 
 
 def hidden_probabilities(rbm: Rbm, v: np.ndarray) -> np.ndarray:
@@ -91,7 +102,8 @@ def hidden_probabilities(rbm: Rbm, v: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"expected {rbm.n_visible} visible values, got {v.shape[-1]}"
         )
-    return _sigmoid(v @ rbm.weights.T + rbm.hidden_bias)
+    x = v @ rbm.weights.T + rbm.hidden_bias
+    return _sigmoid(x, np.empty(x.shape, dtype=bool), np.empty_like(x))
 
 
 def _split(flat: np.ndarray, n_hidden: int, n_visible: int):
@@ -124,10 +136,12 @@ class _Pcd:
         self._negative = np.empty_like(self.params)
         self._positive_parts = _split(self._positive, n_hidden, n_visible)
         self._negative_parts = _split(self._negative, n_hidden, n_visible)
-        # hidden pre-activations of a batch's rows, then of the chains
-        self._hidden = np.empty((max_batch + n_chains, n_hidden))
-        self._gibbs_hidden = np.empty((n_chains, n_hidden))
-        self._gibbs_visible = np.empty((n_chains, n_visible))
+        # each a (values, nonnegative, denominator) triple for _sigmoid; the
+        # first holds the hidden pre-activations of a batch's rows, then of
+        # the chains
+        self._hidden = _sigmoid_scratch((max_batch + n_chains, n_hidden))
+        self._gibbs_hidden = _sigmoid_scratch((n_chains, n_hidden))
+        self._gibbs_visible = _sigmoid_scratch((n_chains, n_visible))
 
     def rbm(self) -> Rbm:
         return Rbm(self.weights, self.visible_bias, self.hidden_bias)
@@ -135,13 +149,13 @@ class _Pcd:
     def update(
         self,
         batch: np.ndarray,
-        batch_mean: np.ndarray,
+        batch_sum: np.ndarray,
         states: np.ndarray,
         config: TrainConfig,
         rng: Xorshift64Star,
     ) -> np.ndarray:
         """One persistent-CD parameter update; returns the chains' new
-        visible states.
+        visible states.  ``batch_sum`` is ``batch.sum(axis=0)``.
 
         The chains advance by ``gibbs_steps_per_update`` full Gibbs
         steps from ``states`` (never from the data), then each
@@ -150,37 +164,40 @@ class _Pcd:
         the parameters with ``check_finite``.
         """
         weights, weights_t = self.weights, self._weights_t
+        hidden_bias, visible_bias = self.hidden_bias, self.visible_bias
         hidden, visible = self._gibbs_hidden, self._gibbs_visible
         for _ in range(config.gibbs_steps_per_update):
-            np.matmul(states, weights_t, out=hidden)
-            hidden += self.hidden_bias
-            h = rng.bernoulli_array(_sigmoid(hidden))
-            np.matmul(h, weights, out=visible)
-            visible += self.visible_bias
-            states = rng.bernoulli_array(_sigmoid(visible))
+            np.dot(states, weights_t, out=hidden[0])
+            np.add(hidden[0], hidden_bias, out=hidden[0])
+            h = rng.bernoulli_array(_sigmoid(*hidden))
+            np.dot(h, weights, out=visible[0])
+            np.add(visible[0], visible_bias, out=visible[0])
+            states = rng.bernoulli_array(_sigmoid(*visible))
 
-        n = batch.shape[0]
-        probabilities = self._hidden[: n + states.shape[0]]
-        np.matmul(batch, weights_t, out=probabilities[:n])
-        np.matmul(states, weights_t, out=probabilities[n:])
-        probabilities += self.hidden_bias
-        _sigmoid(probabilities)
+        n, n_chains = batch.shape[0], states.shape[0]
+        values, nonnegative, denominator = self._hidden
+        probabilities = values[: n + n_chains]
+        data, chains = probabilities[:n], probabilities[n:]
+        np.dot(batch, weights_t, out=data)
+        np.dot(states, weights_t, out=chains)
+        np.add(probabilities, hidden_bias, out=probabilities)
+        _sigmoid(probabilities, nonnegative[: n + n_chains], denominator[: n + n_chains])
 
         positive, negative = self._positive, self._negative
         pos_w, pos_hb, pos_vb = self._positive_parts
-        np.matmul(probabilities[:n].T, batch, out=pos_w)
-        np.add.reduce(probabilities[:n], axis=0, out=pos_hb)
-        positive[: -len(pos_vb)] /= n  # pos_w and pos_hb
-        pos_vb[:] = batch_mean
+        np.dot(data.T, batch, out=pos_w)
+        np.add.reduce(data, axis=0, out=pos_hb)
+        pos_vb[...] = batch_sum
+        np.divide(positive, n, out=positive)
         neg_w, neg_hb, neg_vb = self._negative_parts
-        np.matmul(probabilities[n:].T, states, out=neg_w)
-        np.add.reduce(probabilities[n:], axis=0, out=neg_hb)
+        np.dot(chains.T, states, out=neg_w)
+        np.add.reduce(chains, axis=0, out=neg_hb)
         np.add.reduce(states, axis=0, out=neg_vb)
-        negative /= states.shape[0]
+        np.divide(negative, n_chains, out=negative)
 
-        positive -= negative
-        positive *= config.learning_rate
-        self.params += positive
+        np.subtract(positive, negative, out=positive)
+        np.multiply(positive, config.learning_rate, out=positive)
+        np.add(self.params, positive, out=self.params)
         return states
 
     def check_finite(self) -> None:
@@ -231,7 +248,7 @@ def _train_rows(
     batches = []
     for start in range(0, n_rows, config.batch_size):
         batch = rows[start : start + config.batch_size]
-        batches.append((batch, batch.sum(axis=0) / batch.shape[0]))
+        batches.append((batch, batch.sum(axis=0)))
     # a logit that overflows to +-inf saturates the sigmoid as any past
     # +-40 does; a parameter that overflows raises NonFiniteParameter at
     # the end of its epoch, and the updates after it, which compute on
@@ -239,8 +256,8 @@ def _train_rows(
     with np.errstate(over="ignore"):
         for _ in range(config.epochs):
             with np.errstate(invalid="ignore"):
-                for batch, batch_mean in batches:
-                    states = pcd.update(batch, batch_mean, states, config, rng)
+                for batch, batch_sum in batches:
+                    states = pcd.update(batch, batch_sum, states, config, rng)
             pcd.check_finite()
             if history is not None:
                 history.append(reconstruction_cross_entropy(pcd.rbm(), rows))

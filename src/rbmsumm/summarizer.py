@@ -8,9 +8,11 @@ recently selected sentence by default ("latest") or always the seed
 rank order.  All ties break toward the better-ranked candidate.
 
 Each top-half sentence's content stems are turned into a set once per
-``select`` call, and an inverted index maps every stem to the candidates
-that contain it.  A pick counts overlaps only for the candidates that
-share a stem with the anchor; every other candidate scores 0.
+``select`` call.  With the "latest" anchor, an inverted index maps every
+stem to the candidates that contain it, and a pick counts overlaps only
+for the candidates that share a stem with the anchor; every other
+candidate scores 0.  With the "first" anchor every score is fixed, so
+each is counted once and one sort gives the order of the picks.
 """
 
 from __future__ import annotations
@@ -107,13 +109,12 @@ def select(
 ) -> list[int]:
     """Pick sentence indices, in selection order.
 
-    Candidates are the top half of ``ranked`` after the seed.  For each
-    pick, the inverted index yields ``k``, the number of stems a live
-    candidate shares with the anchor, and its Jaccard score is
-    ``k / (len(a) + len(b) - k)``: the same ``int / int`` division as
-    ``jaccard``, so scores are bit-equal to it.  The best score wins and
-    ties go to the better rank.  When no live candidate shares a stem
-    with the anchor, all score 0 and the best-ranked live one wins.
+    Candidates are the top half of ``ranked`` after the seed.  A live
+    candidate that shares ``k`` stems with the anchor has the Jaccard
+    score ``k / (len(a) + len(b) - k)``: the same ``int / int`` division
+    as ``jaccard``, so scores are bit-equal to it.  The best score wins
+    and ties go to the better rank.  When no live candidate shares a
+    stem with the anchor, all score 0 and the best-ranked live one wins.
     """
     if anchor not in ("latest", "first"):
         raise ValueError("anchor must be 'latest' or 'first'")
@@ -123,28 +124,39 @@ def select(
     half = math.ceil(n / 2)
     top = [r.doc_index for r in ranked[:half]]  # rank position -> doc index
     stems = [frozenset(doc.sentences[i].content_stems()) for i in top]
-    postings: dict[str, set[int]] = {}  # stem -> live rank positions
-    for pos in range(1, half):
-        for stem in stems[pos]:
-            postings.setdefault(stem, set()).add(pos)
-    live = [True] * half
-    first_live = 1
+    if anchor == "first":
+        # the anchor never changes, so neither does any score: a stable
+        # sort by descending score keeps ties, and the candidates without
+        # overlap after them, in rank order
+        a = stems[0]
 
-    selected = [0]  # rank positions
-    while len(selected) < limit and first_live < half:
-        a = stems[selected[-1] if anchor == "latest" else 0]
-        overlaps = Counter(chain.from_iterable(postings.get(s, ()) for s in a))
-        best, best_sim = first_live, 0.0
-        for pos, k in overlaps.items():
-            sim = k / (len(a) + len(stems[pos]) - k)
-            if sim > best_sim or (sim == best_sim and pos < best):
-                best, best_sim = pos, sim
-        selected.append(best)
-        live[best] = False
-        for stem in stems[best]:
-            postings[stem].discard(best)
-        while first_live < half and not live[first_live]:
-            first_live += 1
+        def key(pos: int) -> float:
+            k = len(a & stems[pos])
+            return -(k / (len(a) + len(stems[pos]) - k)) if k else 0.0
+
+        selected = [0] + sorted(range(1, half), key=key)[: limit - 1]
+    else:
+        postings: dict[str, set[int]] = {}  # stem -> live rank positions
+        for pos in range(1, half):
+            for stem in stems[pos]:
+                postings.setdefault(stem, set()).add(pos)
+        live = [True] * half
+        first_live = 1
+        selected = [0]  # rank positions
+        while len(selected) < limit and first_live < half:
+            a = stems[selected[-1]]
+            overlaps = Counter(chain.from_iterable(postings.get(s, ()) for s in a))
+            best, best_sim = first_live, 0.0
+            for pos, k in overlaps.items():
+                sim = k / (len(a) + len(stems[pos]) - k)
+                if sim > best_sim or (sim == best_sim and pos < best):
+                    best, best_sim = pos, sim
+            selected.append(best)
+            live[best] = False
+            for stem in stems[best]:
+                postings[stem].discard(best)
+            while first_live < half and not live[first_live]:
+                first_live += 1
     picks = [top[pos] for pos in selected]
     for r in ranked[half:]:
         if len(picks) >= limit:

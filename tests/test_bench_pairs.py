@@ -1,6 +1,8 @@
-"""The summary that ``tools/bench_pairs.py`` writes from alternating runs."""
+"""``tools/bench_pairs.py``: the summary it writes from alternating runs, and the seed it runs."""
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
@@ -40,3 +42,29 @@ def test_quartiles_pairs_won_and_directions():
     assert traced["change_better_pairs"] == 1
     assert summary["all_correct"] is False
     assert summary["failed_operations"] == 2
+
+
+def test_seed_reaches_every_run_and_the_recorded_command(tmp_path, monkeypatch):
+    benchmark = {
+        "run_seconds": 1, "workloads": [{"name": "w"}],
+        "end_to_end": [{"name": "latency_p50_ms", "better": "lower"}], "per_layer": [],
+    }
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(benchmark))
+    seeds = []
+
+    def run_once(checkout, workload, seed, seconds, trace):
+        seeds.append(seed)
+        metrics = {"latency_p50_ms": {"value": 1.0, "unit": "ms"}}
+        return {"correct": True, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "_git", lambda *args: "parent")
+    monkeypatch.setattr(bench_pairs, "export_commit", lambda commit, dest: None)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--pr", "0", "--what", "x", "--seed", "7"])
+    assert bench_pairs.main() == 0
+    record = json.loads((tmp_path / "BENCH_0.json").read_text())
+    assert seeds == [7] * 2 * (bench_pairs.PAIRS + bench_pairs.TRACED_PAIRS)
+    assert "--seed 7 " in record["command"]
+    assert {r["seed"] for r in record["runs"]} == {7}
+    assert list(record["summary"]) == ["w seed=7"]

@@ -186,6 +186,26 @@ class TestFeaturesCommand:
         code, _, _ = run_cli(capsys, "features", ARTICLE, *flags)
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "flag", [["--similarity-anchor", "first"], ["--limit", "2"], ["--ratio", "0.9"]]
+    )
+    def test_rejects_the_summary_flags(self, capsys, flag):
+        # features never reads them, so argparse rejects them as unknown
+        with pytest.raises(SystemExit) as exc:
+            main(["features", ARTICLE, *flag])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+
+    def test_config_file_may_hold_the_summary_keys(self, capsys, tmp_path):
+        # one config file may serve every subcommand
+        config = tmp_path / "c.json"
+        config.write_text('{"similarity_anchor": "first", "limit": 2}')
+        code, out, _ = run_cli(capsys, "features", ARTICLE, "--config", str(config))
+        assert code == 0
+        assert out == run_cli(capsys, "features", ARTICLE)[1]
+
     def test_sums_match_pipeline(self, capsys, article_raw):
         _, out, _ = run_cli(capsys, "features", ARTICLE, "--seed", "42")
         records = json.loads(out)
@@ -518,8 +538,11 @@ def test_help_shows_the_library_defaults(capsys, command):
     layers = inspect.signature(run_pipeline).parameters["layers"].default
     assert f"RNG seed (default {TrainConfig().seed})" in text
     assert f"stacked (default {layers})" in text
-    assert f"compares against (default {anchor})" in text
-    assert f"fraction of N (default {DEFAULT_LIMIT_RATIO})" in text
+    if command == "features":  # it selects no summary, so it takes neither flag
+        assert "compares against" not in text and "fraction of N" not in text
+    else:
+        assert f"compares against (default {anchor})" in text
+        assert f"fraction of N (default {DEFAULT_LIMIT_RATIO})" in text
     if command == "summarize":
         assert f"output format (default {_CliSettings().format})" in text
 

@@ -78,7 +78,7 @@ def fused_update(rbm, batch, states, config, rng):
     checks it; returns the updated machine and chain states."""
     pcd = _Pcd(rbm, states.shape[0], batch.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):  # as in _train_rows
-        states = pcd.update(batch, batch.sum(axis=0) / batch.shape[0], states, config, rng)
+        states = pcd.update(batch, batch.sum(axis=0), states, config, rng)
     pcd.check_finite()
     return pcd.rbm(), states
 
@@ -179,7 +179,11 @@ class TestActivations:
         ]
         for x in cases:
             expected = four_mask_sigmoid(x)
-            squashed = _sigmoid(x)  # in place
+            # scratch arrays that hold stale values, as they do between
+            # two updates, must not reach the result
+            nonnegative = ~(x >= 0)
+            denominator = np.full(x.shape, np.nan)
+            squashed = _sigmoid(x, nonnegative, denominator)  # in place
             assert squashed is x
             assert squashed.tobytes() == expected.tobytes()
 
@@ -560,6 +564,18 @@ def _reference_train_rows(rows, config, history):
         TrainConfig(learning_rate=1.79e308, epochs=3, batch_size=2, n_chains=1, seed=129),
     ),
 )
+@example(  # 1-row batches and one chain: np.dot's vector-matrix shapes
+    run=(
+        normalized_matrix(np.linspace(0.0, 1.0, 3 * 9).reshape(3, 9)),
+        TrainConfig(epochs=2, batch_size=1, n_chains=1, gibbs_steps_per_update=2, seed=5),
+    ),
+)
+@example(  # batches of 3 rows and a last one of 2: two divisors, shorter views
+    run=(
+        normalized_matrix(np.linspace(1.0, 0.0, 5 * 9).reshape(5, 9)),
+        TrainConfig(learning_rate=0.5, epochs=2, batch_size=3, n_chains=2, seed=6),
+    ),
+)
 def test_fused_training_is_bit_equal_to_a_loop_of_reference_updates(run):
     matrix, config = run
     fused = _trained_bytes(_train_rows, matrix.values, config)
@@ -568,6 +584,28 @@ def test_fused_training_is_bit_equal_to_a_loop_of_reference_updates(run):
 
 @settings(max_examples=100, deadline=None)
 @given(_training_runs(max_gibbs_steps=3), st.integers(1, 11))
+@example(  # a 1-row batch and one chain: np.dot's vector-matrix shapes; the
+    # hidden and the visible scratch arrays differ in width
+    run=(
+        normalized_matrix(np.linspace(0.0, 1.0, 9).reshape(1, 9)),
+        TrainConfig(batch_size=1, n_chains=1, gibbs_steps_per_update=2, seed=3),
+    ),
+    n_hidden=5,
+)
+@example(  # one hidden unit and one row: 1 x 1 operands
+    run=(
+        normalized_matrix(np.linspace(1.0, 0.0, 9).reshape(1, 9)),
+        TrainConfig(batch_size=1, n_chains=1, seed=4),
+    ),
+    n_hidden=1,
+)
+@example(  # a wider hidden layer than the visible one, over several rows
+    run=(
+        normalized_matrix(np.linspace(0.0, 1.0, 4 * 9).reshape(4, 9)),
+        TrainConfig(learning_rate=0.5, batch_size=4, n_chains=3, seed=8),
+    ),
+    n_hidden=11,
+)
 def test_pcd_update_is_bit_equal_to_the_reference_update(run, n_hidden):
     matrix, config = run
     rbm = random_rbm(9, n_hidden, seed=config.seed % 1000)

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 
@@ -162,6 +163,22 @@ class TestBlockStream:
                 p = np.array([[picker.random() for _ in range(cols)] for _ in range(rows)])
                 np.testing.assert_array_equal(rng.bernoulli_array(p), oracle.bernoulli_array(p))
                 drawn += p.size
+        assert next_uniform(rng) == oracle.random()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("before", (0, 1, CHUNK - 36))
+    def test_bernoulli_draw_that_ends_at_the_block_end(self, seed, before):
+        # the last draw that slices the current block, whose end is
+        # exactly _CHUNK, then draws that start in the next block
+        oracle = ScalarXorshift64Star(seed)
+        rng = Xorshift64Star(seed)
+        assert rng._take(before).tolist() == [oracle.random() for _ in range(before)]
+        picker = random.Random(seed)
+        for shape in ((CHUNK - before,), (4, 9), (1, 1)):
+            p = np.array([picker.random() for _ in range(math.prod(shape))]).reshape(shape)
+            drawn = rng.bernoulli_array(p)
+            assert drawn.shape == shape
+            np.testing.assert_array_equal(drawn, oracle.bernoulli_array(p))
         assert next_uniform(rng) == oracle.random()
 
 

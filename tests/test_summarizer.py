@@ -207,6 +207,29 @@ class TestSelect:
         got = select(ranked, doc, SummaryConfig(limit_sentences=limit), anchor)
         assert got == trace_selection(ranked, stems, limit, anchor)
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_first_anchor_matches_trace_with_ties_and_a_tail_without_overlap(self, data):
+        # the seed's stems come from a tiny alphabet, so scores tie often;
+        # the tail shares no stem with the seed, and the two are ranked
+        # in any order behind it
+        seed = data.draw(st.lists(st.sampled_from(["a", "b", "c"]), max_size=3))
+        shared = data.draw(
+            st.lists(st.lists(st.sampled_from(["a", "b", "c", "x", "the"]), max_size=4), max_size=10)
+        )
+        tail = data.draw(
+            st.lists(st.lists(st.sampled_from(["x", "y", "the"]), max_size=3), min_size=1, max_size=8)
+        )
+        stem_lists = [seed, *shared, *tail]
+        n = len(stem_lists)
+        order = [0, *data.draw(st.permutations(range(1, n)))]
+        limit = data.draw(st.integers(1, n + 2))
+        doc = make_doc(stem_lists, stopwords={"the"})
+        ranked = [RankedSentence(i, float(n - pos)) for pos, i in enumerate(order)]
+        stems = [set(s.content_stems()) for s in doc.sentences]
+        got = select(ranked, doc, SummaryConfig(limit_sentences=limit), "first")
+        assert got == trace_selection(ranked, stems, limit, "first")
+
 
 def trace_selection(ranked, stems, limit, anchor="latest"):
     """Step-by-step re-derivation of the selection loop.

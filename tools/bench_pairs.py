@@ -1,11 +1,13 @@
 """Benchmark a change against its parent commit in alternating pairs.
 
-    python3 tools/bench_pairs.py --pr N --what "what the change does"
+    python3 tools/bench_pairs.py --pr N --what "what the change does" [--seed N]
 
 Run from the repository root.  The parent side is the committed tree of
 ``HEAD``, exported with ``git archive`` into a temporary directory; the
 change side is the working tree.  Both run ``perfbench/run.py`` with
-seed 1 and the run length ``BENCHMARK.json`` fixes, one run at a time.
+the workload seed ``--seed`` (default 1) and the run length
+``BENCHMARK.json`` fixes, one run at a time.  A gain claimed on seed 1
+should also hold on a seed not used while the change was written.
 Each workload of ``BENCHMARK.json`` gets 10 untraced pairs and 3 traced
 ones, and the side that runs first alternates from pair to pair.
 
@@ -30,10 +32,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SEED = 1
 PAIRS = 10  # untraced, per workload
 TRACED_PAIRS = 3  # per workload; a traced figure needs several runs per side
-COMMAND = f"python3 perfbench/run.py --workload <workload> --seed {SEED} --seconds {{seconds}} --trace <trace>"
+COMMAND = "python3 perfbench/run.py --workload <workload> --seed {seed} --seconds {seconds} --trace <trace>"
 
 
 def _git(*args: str) -> str:
@@ -51,10 +52,10 @@ def export_commit(commit: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def run_once(checkout: Path, workload: str, seconds: float, trace: int) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """The final JSON line of one ``perfbench/run.py`` run in ``checkout``."""
     command = [
-        sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+        sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
         "--seconds", str(seconds), "--trace", str(trace),
     ]
     proc = subprocess.run(command, cwd=checkout, stdout=subprocess.PIPE, text=True)
@@ -117,6 +118,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", required=True, help="the number in BENCH_<pr>.json")
     parser.add_argument("--what", required=True, help="one line on what the change does")
+    parser.add_argument("--seed", type=int, default=1, help="the workload seed (default 1)")
     args = parser.parse_args()
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -130,7 +132,7 @@ def main() -> int:
     record = {
         "what": args.what,
         "parent_commit": parent_commit,
-        "command": COMMAND.format(seconds=f"{seconds:g}"),
+        "command": COMMAND.format(seed=args.seed, seconds=f"{seconds:g}"),
         "host": host(),
         "summary": {},
         "runs": [],
@@ -143,9 +145,9 @@ def main() -> int:
                 for pair in range(1, count + 1):
                     order = ("parent", "change") if pair % 2 else ("change", "parent")
                     for side in order:
-                        result = run_once(checkouts[side], workload, seconds, trace)
+                        result = run_once(checkouts[side], workload, args.seed, seconds, trace)
                         record["runs"].append({
-                            "workload": workload, "seed": SEED, "trace": trace,
+                            "workload": workload, "seed": args.seed, "trace": trace,
                             "side": side, "pair": pair, "result": result,
                         })
                         record["summary"] = summarize(record["runs"], directions)

@@ -14,7 +14,7 @@ there are CPUs:
 * ``evaluate`` with and without ``--compare`` on every corpus;
 * each with ``--layers 1`` and ``2`` and the result on stdout or in an
   ``--output`` file; ``summarize`` and ``evaluate`` with both similarity
-  anchors, ``features`` (which does not read the anchor) with one.
+  anchors, ``features`` (which takes no anchor) without one.
 
 The documents are ``tests/data/article_market.txt`` and, from
 ``perfbench/gen.py`` with seed 1, the 2000-sentence report and the
@@ -22,6 +22,13 @@ first news article; the corpora are ``tests/data/corpus`` and the
 seed-1 ``compare_corpus`` and ``news_corpus``.  Every run's exit code,
 stdout, stderr and written files are compared byte for byte; each
 difference is printed, and the exit code is 1 if there is any.
+
+Both sides inherit the environment of this script, so a switch set on
+its command line applies to both: for instance
+
+    OPENBLAS_CORETYPE=Sandybridge python3 tools/diff_outputs.py
+
+checks that the outputs keep their bytes under that BLAS kernel.
 """
 
 from __future__ import annotations
