@@ -105,6 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lexicon-dir", dest="lexicon_dir",
                        help="directory overriding the name lexicons")
         p.add_argument("--output", help="write output to this path instead of stdout")
+        p.set_defaults(command_parser=p)
 
     def add_selection(p: argparse.ArgumentParser) -> None:
         """The flags that only a summary reads; ``features`` has none."""
@@ -317,7 +318,9 @@ def _cmd_evaluate(args: argparse.Namespace, settings: dict, kwargs: dict) -> int
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:  # with the subcommand's usage line, not the root's
+        args.command_parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     handlers = {
         "summarize": _cmd_summarize,
         "features": _cmd_features,

@@ -9,16 +9,16 @@ chain initialization, then per update: hidden samples before visible
 samples, row-major).
 
 Training runs one fused update per batch (``_Pcd.update``): the three
-parameters are views into one flat buffer, and every intermediate,
-the sigmoid's scratch included, lands in an array made once per
-machine, so an update allocates no array but the samples that each
-draw returns, and it makes a fixed, small number of numpy calls.  Its
-products go through ``np.dot(..., out=)``, which makes the same BLAS
-call as ``@`` on these shapes with less overhead per call.  It computes
-the same values in the same order as the reference Gibbs step and
-phase statistics in ``tests/oracles.py``, and it draws the same
-uniforms in the same order, one ``bernoulli_array`` call per
-half-step, so weights are bit-equal to a loop of those.
+parameters are views into one flat buffer, and every intermediate
+lands in an array made once per machine, so an update allocates only
+the samples that its draws return.  Its products go through
+``np.dot(..., out=)``, the same BLAS call as ``@`` with less overhead.
+A Gibbs half-step hands its pre-activations to ``bernoulli_array``,
+which compares them with its uniforms' logits, so only the phase
+statistics compute a sigmoid.  The update computes the same values and
+draws the same uniforms in the same order as the reference Gibbs step
+and phase statistics in ``tests/oracles.py``, so its weights are
+bit-equal to a loop of those.
 Finiteness is checked once per epoch: adding a step never makes a
 non-finite float finite, so a parameter that breaks mid-epoch still
 fails the check, with the same history as a check after every update.
@@ -89,12 +89,6 @@ def _sigmoid(x: np.ndarray, nonnegative: np.ndarray, denominator: np.ndarray) ->
     return x
 
 
-def _sigmoid_scratch(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """An array of ``shape`` and the scratch arrays ``_sigmoid`` takes
-    with it."""
-    return np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape)
-
-
 def hidden_probabilities(rbm: Rbm, v: np.ndarray) -> np.ndarray:
     """sigmoid(hidden_bias + W v); accepts a vector or a row matrix."""
     v = np.asarray(v, dtype=np.float64)
@@ -136,12 +130,12 @@ class _Pcd:
         self._negative = np.empty_like(self.params)
         self._positive_parts = _split(self._positive, n_hidden, n_visible)
         self._negative_parts = _split(self._negative, n_hidden, n_visible)
-        # each a (values, nonnegative, denominator) triple for _sigmoid; the
-        # first holds the hidden pre-activations of a batch's rows, then of
-        # the chains
-        self._hidden = _sigmoid_scratch((max_batch + n_chains, n_hidden))
-        self._gibbs_hidden = _sigmoid_scratch((n_chains, n_hidden))
-        self._gibbs_visible = _sigmoid_scratch((n_chains, n_visible))
+        # the hidden pre-activations of a batch's rows, then of the chains,
+        # with _sigmoid's scratch; then the chains' in each Gibbs half-step
+        shape = (max_batch + n_chains, n_hidden)
+        self._hidden = np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape)
+        self._gibbs_hidden = np.empty((n_chains, n_hidden))
+        self._gibbs_visible = np.empty((n_chains, n_visible))
 
     def rbm(self) -> Rbm:
         return Rbm(self.weights, self.visible_bias, self.hidden_bias)
@@ -167,12 +161,12 @@ class _Pcd:
         hidden_bias, visible_bias = self.hidden_bias, self.visible_bias
         hidden, visible = self._gibbs_hidden, self._gibbs_visible
         for _ in range(config.gibbs_steps_per_update):
-            np.dot(states, weights_t, out=hidden[0])
-            np.add(hidden[0], hidden_bias, out=hidden[0])
-            h = rng.bernoulli_array(_sigmoid(*hidden))
-            np.dot(h, weights, out=visible[0])
-            np.add(visible[0], visible_bias, out=visible[0])
-            states = rng.bernoulli_array(_sigmoid(*visible))
+            np.dot(states, weights_t, out=hidden)
+            np.add(hidden, hidden_bias, out=hidden)
+            h = rng.bernoulli_array(hidden)
+            np.dot(h, weights, out=visible)
+            np.add(visible, visible_bias, out=visible)
+            states = rng.bernoulli_array(visible)
 
         n, n_chains = batch.shape[0], states.shape[0]
         values, nonnegative, denominator = self._hidden
@@ -244,7 +238,7 @@ def _train_rows(
     weights = rng.normal_array((N_HIDDEN, n_visible), std=WEIGHT_INIT_STD)
     rbm = Rbm(weights, np.zeros(n_visible), np.zeros(N_HIDDEN))
     pcd = _Pcd(rbm, config.n_chains, min(config.batch_size, n_rows))
-    states = rng.bernoulli_array(np.full((config.n_chains, n_visible), 0.5))
+    states = rng.bernoulli_array(np.zeros((config.n_chains, n_visible)))  # p = 0.5
     batches = []
     for start in range(0, n_rows, config.batch_size):
         batch = rows[start : start + config.batch_size]

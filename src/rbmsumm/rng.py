@@ -1,10 +1,10 @@
 """Seeded, portable pseudo-random number generator.
 
 The generator is xorshift64* (Marsaglia xorshift with a multiplicative
-output scramble), seeded through one round of splitmix64 so that any
-64-bit seed, including 0, yields a valid nonzero state.  All arithmetic
-is on 64-bit unsigned integers, so the stream is reproducible across
-platforms and languages.
+output scramble), seeded through one round of splitmix64 from any int
+reduced modulo 2^64 (so ``-1`` and ``2**64 - 1`` give one stream), 0
+included, into a valid nonzero state.  All arithmetic is on 64-bit
+unsigned integers, so the stream is reproducible across platforms.
 
 Reference stream (first three raw outputs):
 
@@ -15,21 +15,22 @@ Uniform doubles take the top 53 bits of each raw output; Gaussian
 variates use the Box-Muller transform on consecutive pairs of uniforms,
 and an array of them reads all its uniforms in one draw.  An array of
 odd size drops the second value of its last pair, so the next draw
-starts after that pair.
+starts after that pair.  A Bernoulli draw of logit ``x`` is 1 where
+its uniform ``u`` has ``log(u) - log1p(-u) < x``, the event ``u <
+sigmoid(x)`` but for ``x`` within rounding of that logit, with no
+sigmoid computed (Hinton, UTML TR 2010-003, section 3).
 
-Every draw reads its uniforms, in stream order, from one buffer that
-numpy fills a block of ``_CHUNK`` outputs at a time.  The xorshift
-step is linear over GF(2), so ``k`` steps are one 64x64 bit matrix
-``T^k``, kept as its 64 columns (Haramoto et al., "Efficient Jump Ahead
-for F2-Linear Random Number Generators", 2008).  A block steps
-``_LANES`` lanes of ``_STEPS`` states side by side.  Lane ``i`` starts
-``i * _STEPS`` steps into the block; the starts are reached by doubling,
-lanes ``[2^j, 2^(j+1))`` being ``T^(_STEPS * 2^j)`` times lanes
-``[0, 2^j)``.  The buffer keeps only a block's uniforms, since no
-draw reads a raw output; ``_block`` still returns the raw outputs,
-which the tests pin.  A generator takes its first block at
-construction from a small cache of read-only blocks, so generators of
-the same seed build it once.
+Every draw reads, in stream order, from one buffer that numpy fills a
+block of ``_CHUNK`` outputs at a time, holding their uniforms and the
+uniforms' logits.  The xorshift step is linear over GF(2), so ``k``
+steps are one 64x64 bit matrix ``T^k``, kept as its 64 columns
+(Haramoto et al., "Efficient Jump Ahead for F2-Linear Random Number
+Generators", 2008).  A block steps ``_LANES`` lanes of ``_STEPS``
+states side by side.  Lane ``i`` starts ``i * _STEPS`` steps into the
+block; the starts are reached by doubling, lanes ``[2^j, 2^(j+1))``
+being ``T^(_STEPS * 2^j)`` times lanes ``[0, 2^j)``.  A generator
+takes its first block at construction from a small cache of read-only
+blocks, so generators of the same seed build it once.
 """
 
 from __future__ import annotations
@@ -107,16 +108,22 @@ def _block(state: int) -> tuple[np.ndarray, int]:
 
 
 def _uniform_block(state: int) -> tuple[np.ndarray, int]:
-    """The uniform doubles in [0, 1) of ``_block(state)``, from the top
-    53 bits of each raw output, read-only, and the state after them."""
+    """Read-only rows of the uniform doubles in [0, 1) of ``_block(state)``,
+    from the top 53 bits of each raw output, and of their logits; and the
+    state after them."""
     raw, end = _block(state)
-    uniforms = (raw >> _U64(11)) * (2.0 ** -53)
-    uniforms.flags.writeable = False
-    return uniforms, end
+    block = np.empty((2, _CHUNK))
+    uniforms, logits = block
+    np.multiply(raw >> _U64(11), 2.0 ** -53, out=uniforms)
+    np.log1p(np.negative(uniforms, out=logits), out=logits)
+    with np.errstate(divide="ignore"):  # log(0) is -inf, below every logit
+        np.subtract(np.log(uniforms), logits, out=logits)
+    block.flags.writeable = False
+    return block, end
 
 
 # every machine of a run is seeded with the same config.seed, so each
-# would otherwise rebuild the same first block; 4 blocks are 256 KB
+# would otherwise rebuild the same first block; 4 blocks are 512 KB
 _first_block = functools.lru_cache(maxsize=4)(_uniform_block)
 
 
@@ -127,23 +134,24 @@ class Xorshift64Star:
         state = _splitmix64(seed & _MASK64)
         if state == 0:
             state = _STAR
-        # the current block's uniforms and the state after them
-        self._uniforms, self._state = _first_block(state)
+        # the current block's uniforms and logits, and the state after them
+        self._block, self._state = _first_block(state)
         self._pos = 0
 
-    def _take(self, n: int) -> np.ndarray:
-        """The next ``n`` uniforms, in stream order, not to be written."""
+    def _take(self, n: int, row: int = 0) -> np.ndarray:
+        """The next ``n`` uniforms (row 0) or their logits (row 1), in
+        stream order, not to be written."""
         end = self._pos + n
         if end <= _CHUNK:
-            out = self._uniforms[self._pos : end]
+            out = self._block[row, self._pos : end]
             self._pos = end
             return out
-        parts = [self._uniforms[self._pos :]]
+        parts = [self._block[row, self._pos :]]
         need = n - parts[0].size
         while need > 0:
-            self._uniforms, self._state = _uniform_block(self._state)
+            self._block, self._state = _uniform_block(self._state)
             self._pos = min(need, _CHUNK)
-            parts.append(self._uniforms[: self._pos])
+            parts.append(self._block[row, : self._pos])
             need -= self._pos
         return np.concatenate(parts)
 
@@ -161,8 +169,9 @@ class Xorshift64Star:
         # adding 0.0 turns a -0.0 into 0.0
         return 0.0 + std * np.array(z[:n], dtype=np.float64).reshape(shape)
 
-    def bernoulli_array(self, probs: np.ndarray) -> np.ndarray:
-        """0/1 samples, one uniform per entry in row-major order."""
-        p = np.asarray(probs, dtype=np.float64)
+    def bernoulli_array(self, logits: np.ndarray) -> np.ndarray:
+        """0/1 samples of ``sigmoid(logits)``, one uniform per entry in
+        row-major order; a logit of +inf draws 1, and -inf or NaN 0."""
+        x = np.asarray(logits, dtype=np.float64)
         # a bool written into float64 is exactly 0.0 or 1.0
-        return np.less(self._take(p.size).reshape(p.shape), p, out=np.empty(p.shape))
+        return np.less(self._take(x.size, 1).reshape(x.shape), x, out=np.empty(x.shape))

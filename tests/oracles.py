@@ -6,9 +6,9 @@ document, and RBM expectations come from brute-force enumeration of the
 joint state space.  The per-record feature stage, the per-column
 min-max, the scalar xorshift64* generator, the three-pass token builder,
 the four-mask sigmoid, the loop of one-update-per-call PCD training on a
-Gibbs step and phase statistics written with that sigmoid and plain
-``@`` products, the Porter stemmer that classes each letter on its own
-and scans each suffix table in order, the numeral regex run on every
+Gibbs step that draws from plain ``@`` logits and phase statistics
+written with that sigmoid, the Porter stemmer that classes each letter
+on its own and scans each suffix table in order, the numeral regex run on every
 surface and the tokenizer that runs its edge regex on every word are
 the plain forms that the package's one-pass feature matrix, one-call
 normalization, block RNG stream, one-pass token builder, in-place
@@ -378,13 +378,19 @@ class ScalarXorshift64Star:
         self._gauss_cache = None
         return np.array(z, dtype=np.float64).reshape(shape)
 
-    def bernoulli_array(self, probs) -> np.ndarray:
-        p = np.asarray(probs, dtype=np.float64)
-        out = np.empty(p.shape, dtype=np.float64)
-        flat_p = p.reshape(-1)
+    def bernoulli_array(self, logits) -> np.ndarray:
+        """1.0 where a uniform's logit is below the entry's, one uniform
+        per entry in row-major order.  The logit is numpy's scalar
+        ``log(u) - log1p(-u)``, as the block computes it; ``math``'s
+        functions round some of them differently."""
+        x = np.asarray(logits, dtype=np.float64)
+        out = np.empty(x.shape, dtype=np.float64)
+        flat_x = x.reshape(-1)
         flat_out = out.reshape(-1)
-        for i in range(flat_p.size):
-            flat_out[i] = 1.0 if self.random() < flat_p[i] else 0.0
+        with np.errstate(divide="ignore"):  # log(0) = -inf
+            for i in range(flat_x.size):
+                u = np.float64(self.random())
+                flat_out[i] = 1.0 if np.log(u) - np.log1p(-u) < flat_x[i] else 0.0
         return out
 
 
@@ -642,20 +648,31 @@ def four_mask_sigmoid(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------
 
 
+def hidden_logits(rbm, v) -> np.ndarray:
+    """hidden_bias + W v of a vector or of each row."""
+    return np.asarray(v, dtype=np.float64) @ rbm.weights.T + rbm.hidden_bias
+
+
+def visible_logits(rbm, h) -> np.ndarray:
+    """visible_bias + W^T h of a vector or of each row."""
+    return np.asarray(h, dtype=np.float64) @ rbm.weights + rbm.visible_bias
+
+
 def hidden_probabilities(rbm, v) -> np.ndarray:
     """sigmoid(hidden_bias + W v) of a vector or of each row."""
-    return four_mask_sigmoid(np.asarray(v, dtype=np.float64) @ rbm.weights.T + rbm.hidden_bias)
+    return four_mask_sigmoid(hidden_logits(rbm, v))
 
 
 def visible_probabilities(rbm, h) -> np.ndarray:
     """sigmoid(visible_bias + W^T h) of a vector or of each row."""
-    return four_mask_sigmoid(np.asarray(h, dtype=np.float64) @ rbm.weights + rbm.visible_bias)
+    return four_mask_sigmoid(visible_logits(rbm, h))
 
 
 def gibbs_step(rbm, v, rng) -> np.ndarray:
-    """One alternating Bernoulli sample: v -> h -> v'."""
-    h = rng.bernoulli_array(hidden_probabilities(rbm, v))
-    return rng.bernoulli_array(visible_probabilities(rbm, h))
+    """One alternating Bernoulli sample, v -> h -> v', each layer drawn
+    from its logits."""
+    h = rng.bernoulli_array(hidden_logits(rbm, v))
+    return rng.bernoulli_array(visible_logits(rbm, h))
 
 
 def phase_statistics(rbm, visible):
@@ -699,7 +716,7 @@ def pcd_train_rows(rows, config, n_hidden, history=None):
         visible_bias=np.zeros(rows.shape[1]),
         hidden_bias=np.zeros(n_hidden),
     )
-    states = rng.bernoulli_array(np.full((config.n_chains, rows.shape[1]), 0.5))
+    states = rng.bernoulli_array(np.zeros((config.n_chains, rows.shape[1])))  # p = 0.5
     # as in the package: an update that overflows, or computes inf - inf
     # inside a product, does not warn; pcd_update raises NonFiniteParameter
     with np.errstate(over="ignore", invalid="ignore"):

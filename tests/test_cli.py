@@ -196,7 +196,8 @@ class TestFeaturesCommand:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+        assert captured.err.startswith("usage: rbmsumm features [-h]")
+        assert f"rbmsumm features: error: unrecognized arguments: {' '.join(flag)}" in captured.err
 
     def test_config_file_may_hold_the_summary_keys(self, capsys, tmp_path):
         # one config file may serve every subcommand
@@ -527,6 +528,25 @@ def test_closed_stdout_exits_2(argv):
     assert seed_line.startswith("seed=")
     assert_one_error_line(error, "cannot write output")
     assert "Broken pipe" in error
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["features", ARTICLE, "--layers", "3"],
+        ["summarize", ARTICLE, "--no-enhance"],
+        ["evaluate", CORPUS, "--format", "json"],
+    ],
+)
+def test_a_rejected_flag_prints_the_subcommands_usage(capsys, argv):
+    # a bad value or an unknown flag, with the usage line of the subcommand
+    # given, not the root's
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: rbmsumm {argv[0]} [-h]"), err
+    assert err.splitlines()[-1].startswith(f"rbmsumm {argv[0]}: error: ")
 
 
 @pytest.mark.parametrize("command", ["summarize", "features", "evaluate"])

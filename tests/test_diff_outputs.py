@@ -1,6 +1,7 @@
 """``tools/diff_outputs.py`` on two copies of the package."""
 
 import importlib.util
+import json
 import shutil
 from pathlib import Path
 
@@ -22,9 +23,14 @@ def _copy_package(dest: Path) -> Path:
 def test_matrix_covers_every_subcommand_layer_anchor_and_sink(tmp_path):
     documents, corpora = diff_outputs.build_inputs(tmp_path, generated=False)
     matrix = diff_outputs.command_matrix(documents, corpora)
-    # each variant 2 layers x 2 sinks; summarize's 2 and evaluate's 2 with
+    # each variant 2 layers x 2 sinks; summarize's 3 and evaluate's 2 with
     # 2 anchors, features' 2 with none, since it does not read the anchor
-    assert len(matrix) == (2 * 2 + 2 + 2 * 2) * 4
+    assert len(matrix) == (3 * 2 + 2 + 2 * 2) * 4
+    configured = [argv for argv in matrix if "--config" in argv]
+    assert len(configured) == 2 * 4
+    assert {argv[0] for argv in configured} == {"summarize"}
+    config = Path(configured[0][configured[0].index("--config") + 1])
+    assert json.loads(config.read_text("utf-8")) == diff_outputs.TRAINING
     assert len({tuple(argv) for argv in matrix}) == len(matrix)
     assert {argv[0] for argv in matrix} == {"summarize", "features", "evaluate"}
     assert sum("--output" in argv for argv in matrix) == len(matrix) // 2

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbmsumm import rng as rng_module
+from rbmsumm.rbm import _sigmoid
 from rbmsumm.rng import Xorshift64Star
 
 from oracles import ScalarXorshift64Star
@@ -100,11 +101,11 @@ class TestDistributions:
 
     def test_bernoulli_extremes_and_mean(self):
         rng = Xorshift64Star(3)
-        zeros = rng.bernoulli_array(np.zeros(100))
-        ones = rng.bernoulli_array(np.ones(100))
+        zeros = rng.bernoulli_array(np.full(100, -np.inf))
+        ones = rng.bernoulli_array(np.full(100, np.inf))
         assert not zeros.any()
         assert ones.all()
-        samples = rng.bernoulli_array(np.full(20000, 0.25))
+        samples = rng.bernoulli_array(np.full(20000, math.log(0.25 / 0.75)))
         assert abs(samples.mean() - 0.25) < 0.01
 
 
@@ -160,9 +161,9 @@ class TestBlockStream:
             else:
                 rows = picker.randrange(1, 5)
                 cols = picker.randrange(0, 40) if kind == "bernoulli" else CHUNK // 3
-                p = np.array([[picker.random() for _ in range(cols)] for _ in range(rows)])
-                np.testing.assert_array_equal(rng.bernoulli_array(p), oracle.bernoulli_array(p))
-                drawn += p.size
+                x = np.array([[picker.gauss(0.0, 4.0) for _ in range(cols)] for _ in range(rows)])
+                np.testing.assert_array_equal(rng.bernoulli_array(x), oracle.bernoulli_array(x))
+                drawn += x.size
         assert next_uniform(rng) == oracle.random()
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -175,10 +176,10 @@ class TestBlockStream:
         assert rng._take(before).tolist() == [oracle.random() for _ in range(before)]
         picker = random.Random(seed)
         for shape in ((CHUNK - before,), (4, 9), (1, 1)):
-            p = np.array([picker.random() for _ in range(math.prod(shape))]).reshape(shape)
-            drawn = rng.bernoulli_array(p)
+            x = np.array([picker.gauss(0.0, 4.0) for _ in range(math.prod(shape))]).reshape(shape)
+            drawn = rng.bernoulli_array(x)
             assert drawn.shape == shape
-            np.testing.assert_array_equal(drawn, oracle.bernoulli_array(p))
+            np.testing.assert_array_equal(drawn, oracle.bernoulli_array(x))
         assert next_uniform(rng) == oracle.random()
 
 
@@ -194,14 +195,17 @@ class TestFirstBlockCache:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_cached_uniforms_are_read_only_top_53_bits(self, seed):
         oracle = ScalarXorshift64Star(seed)
-        uniforms, end = rng_module._first_block(oracle.state)
+        (uniforms, logits), end = rng_module._first_block(oracle.state)
         raw, raw_end = rng_module._block(oracle.state)
-        assert uniforms.dtype == np.float64
+        assert uniforms.dtype == logits.dtype == np.float64
         assert uniforms.tobytes() == ((raw >> np.uint64(11)) * 2.0**-53).tobytes()
         assert uniforms.tolist() == [oracle.random() for _ in range(CHUNK)]
+        with np.errstate(divide="ignore"):
+            assert logits.tobytes() == (np.log(uniforms) - np.log1p(-uniforms)).tobytes()
         assert end == raw_end == oracle.state
-        with pytest.raises(ValueError):
-            uniforms[0] = 0.5
+        for row in (uniforms, logits):
+            with pytest.raises(ValueError):
+                row[0] = 0.5
 
     def test_cache_holds_at_most_four_blocks(self):
         assert rng_module._first_block.cache_info().maxsize == 4
@@ -216,3 +220,84 @@ class TestFirstBlockCache:
                 assert rng._take(n).tolist() == [oracle.random() for _ in range(n)]
         for rng, oracle in zip(rngs, oracles):
             assert next_uniform(rng) == oracle.random()
+
+
+def generator_over(uniforms) -> Xorshift64Star:
+    """A generator whose current block starts with ``uniforms``, each a
+    multiple of 2^-53 in [0, 1), and goes on with zeros; its logits are
+    computed as every block's are."""
+    rng = Xorshift64Star(0)  # outside the patch, which must not reach the cache
+    raw = np.zeros(CHUNK, dtype=np.uint64)
+    raw[: len(uniforms)] = [int(u * 2.0**53) << 11 for u in uniforms]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rng_module, "_block", lambda state: (raw, state))
+        rng._block, _ = rng_module._uniform_block(0)
+    assert rng._take(len(uniforms)).tolist() == list(uniforms)
+    rng._pos = 0
+    return rng
+
+
+def sigmoid_draws(u: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``u < sigmoid(x)``, as draws were made from probabilities, and
+    where ``u`` is more than a few ulps from ``sigmoid(x)``.  An error
+    of an ulp in a logit near ``x`` moves the threshold in ``u`` by
+    about ``|x|`` ulps, so the margin grows with ``|x|``."""
+    p = _sigmoid(x.copy(), np.empty(x.shape, dtype=bool), np.empty(x.shape))
+    margin = 4.0 * np.spacing(np.maximum(u, p)) * (1.0 + np.abs(x))
+    return u < p, np.abs(u - p) > margin
+
+
+GRID = st.integers(0, 2**53 - 1).map(lambda k: k * 2.0**-53)
+
+
+class TestLogitDraws:
+    """A draw compares the logit of its uniform with its argument; that
+    is the event u < sigmoid(x) wherever rounding cannot tell them apart."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                GRID | st.sampled_from([0.0, 0.5 - 2.0**-53, 0.5, 1.0 - 2.0**-53]),
+                st.booleans(),
+                st.floats(-800.0, 800.0) | st.floats(-1e-9, 1e-9),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_agrees_with_the_sigmoid_draw_beyond_a_few_ulps(self, entries):
+        """Each ``x`` is drawn on its own, or as the uniform's logit plus
+        a small offset."""
+        u = np.array([entry[0] for entry in entries])
+        rng = generator_over(u)
+        logits = rng._block[1, : u.size]
+        x = np.array([lg + v if near else v for lg, (_, near, v) in zip(logits, entries)])
+        drawn = rng.bernoulli_array(x)
+        expected, far = sigmoid_draws(u, x)
+        np.testing.assert_array_equal(drawn[far], expected[far])
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_agrees_on_a_block_of_independent_logits(self, seed):
+        x = np.random.default_rng(seed % 2**32).normal(scale=8.0, size=CHUNK)
+        drawn = Xorshift64Star(seed).bernoulli_array(x)
+        expected, far = sigmoid_draws(Xorshift64Star(seed)._take(CHUNK), x)
+        assert far.all()
+        np.testing.assert_array_equal(drawn, expected)
+
+    def test_a_zero_uniform_draws_one_for_every_finite_logit(self):
+        x = np.array([-1e308, -800.0, -40.0, 0.0, 40.0, 1e308])
+        assert generator_over([0.0] * x.size).bernoulli_array(x).tolist() == [1.0] * x.size
+
+    def test_infinite_and_nan_logits(self):
+        u = [0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53]
+        for x, bit in ((np.inf, 1.0), (-np.inf, 0.0), (np.nan, 0.0)):
+            assert generator_over(u).bernoulli_array(np.full(4, x)).tolist() == [bit] * 4
+
+    def test_a_zero_logit_draws_u_below_one_half(self):
+        u = [0.0, 2.0**-53, 0.5 - 2.0**-53, 0.5, 0.5 + 2.0**-53, 1.0 - 2.0**-53]
+        drawn = generator_over(u).bernoulli_array(np.zeros(len(u)))
+        assert drawn.tolist() == [1.0, 1.0, 1.0, 0.0, 0.0, 0.0]
+        for seed in SEEDS:  # and over whole blocks of the stream
+            rng, uniforms = Xorshift64Star(seed), Xorshift64Star(seed)._take(2 * CHUNK)
+            assert rng.bernoulli_array(np.zeros(2 * CHUNK)).tolist() == (uniforms < 0.5).tolist()

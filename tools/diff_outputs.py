@@ -11,6 +11,10 @@ there are CPUs:
 
 * ``summarize`` as text and as JSON, and ``features`` with and without
   ``--no-enhance``, on every single document;
+* ``summarize`` as JSON under a ``--config`` file of non-default
+  training settings (``TRAINING``: 16 chains, 3 Gibbs steps per update,
+  batches of 7 rows), so that updates draw several times from wide
+  chain blocks, on every single document;
 * ``evaluate`` with and without ``--compare`` on every corpus;
 * each with ``--layers 1`` and ``2`` and the result on stdout or in an
   ``--output`` file; ``summarize`` and ``evaluate`` with both similarity
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import importlib.util
 import itertools
+import json
 import os
 import shutil
 import subprocess
@@ -46,6 +51,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
 OUTPUT = "out/result"  # relative to each run's directory, so both sides name it alike
+CONFIG = "training.json"  # written next to the single documents
+TRAINING = {"chains": 16, "gibbs_steps": 3, "batch_size": 7}
 
 
 def _load(path: Path):
@@ -67,8 +74,10 @@ def _write_corpus(directory: Path, documents) -> None:
 
 
 def build_inputs(dest: Path, generated: bool = True) -> tuple[list[Path], list[Path]]:
-    """The single documents and the corpus directories, under ``dest``."""
+    """The single documents and the corpus directories, under ``dest``,
+    with the ``CONFIG`` file next to the documents."""
     data = ROOT / "tests" / "data"
+    (dest / CONFIG).write_text(json.dumps(TRAINING), encoding="utf-8")
     documents = [dest / "article_market.txt"]
     shutil.copyfile(data / "article_market.txt", documents[0])
     corpora = [dest / "corpus"]
@@ -88,11 +97,13 @@ def build_inputs(dest: Path, generated: bool = True) -> tuple[list[Path], list[P
 def command_matrix(documents: list[Path], corpora: list[Path]) -> list[list[str]]:
     """Every command line to compare, ``--output`` ones included."""
     anchors = [["--similarity-anchor", "first"], ["--similarity-anchor", "latest"]]
+    config = str(documents[0].parent / CONFIG)
     variants = []
     for document in map(str, documents):
         variants += [
             (["summarize", document, "--format", "text"], anchors),
             (["summarize", document, "--format", "json"], anchors),
+            (["summarize", document, "--format", "json", "--config", config], anchors),
             (["features", document], [[]]),
             (["features", document, "--no-enhance"], [[]]),
         ]
