@@ -3,19 +3,30 @@
 Feature order is fixed and is part of the on-disk dump format:
 thematic, position, length, pos_in_para, proper_nouns, numerals,
 named_entities, tf_isf, centroid_sim.
+
+The matrix is built for the whole document at once, and every value
+has the bits of a sentence-by-sentence computation.  Each feature is a
+ratio, root or function of integer counts, and the counts are integer
+sums over flat arrays: int64 where no tf-isf total can reach 2**63,
+Python ints where a hand-built vocabulary could push one past it.  Each
+count converts to a double exactly, and the divisions, square roots
+and products that follow are correctly rounded IEEE operations in
+numpy as in Python.  The two library functions stay scalar:
+``math.cos`` in ``f_position`` and ``math.log1p`` in ``f_tf_isf``,
+called once per sentence.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import sys
-from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .document import PosTag, ProcessedDocument, Sentence
+from .document import PosTag, ProcessedDocument
 
 FEATURE_NAMES = (
     "thematic",
@@ -64,75 +75,42 @@ class SentenceFeatureMatrix:
 
 def thematic_words(doc: ProcessedDocument, config: FeatureConfig) -> frozenset[str]:
     """The most frequent non-stopword stems; count ties favour the
-    lexicographically smaller stem."""
-    top = heapq.nsmallest(
-        config.thematic_count, doc.vocabulary.items(), key=lambda kv: (-kv[1], kv[0])
-    )
-    return frozenset(stem for stem, _ in top)
+    lexicographically smaller stem.
 
-
-def f_thematic(counts: Counter, n_tokens: int, thematic: frozenset[str]) -> float:
-    """Share of tokens carrying a thematic stem; ``counts`` are the
-    sentence's content-stem counts, ``n_tokens`` its token count.
-
-    Stop words count toward the denominator but never the numerator.
+    Only stems counted at least as often as the ``thematic_count``-th
+    largest count can be chosen, so only those are ranked.
     """
-    return sum(c for stem, c in counts.items() if stem in thematic) / n_tokens
+    if not doc.vocabulary:
+        return frozenset()
+    k = config.thematic_count
+    floor = sorted(doc.vocabulary.values(), reverse=True)[:k][-1]
+    top = sorted((-c, stem) for stem, c in doc.vocabulary.items() if c >= floor)
+    return frozenset(stem for _, stem in top[:k])
 
 
-def f_position(doc_index: int, n_sentences: int, config: FeatureConfig) -> float:
+def f_position(doc_indices: Iterable[int], n_sentences: int, config: FeatureConfig) -> list[float]:
     """1 at the document's first and last sentence, a cosine ramp between.
 
     With 1-based position p, low = th * N and high = 2 * th * N, middle
     sentences get cos((p - low) * (1/high - low)), evaluated in radians.
     """
-    if doc_index == 0 or doc_index == n_sentences - 1:
-        return 1.0
-    pos = doc_index + 1
     low = config.th_fraction * n_sentences
     high = 2.0 * config.th_fraction * n_sentences
-    return math.cos((pos - low) * ((1.0 / high) - low))
+    slope = (1.0 / high) - low
+    last = n_sentences - 1
+    return [
+        1.0 if i == 0 or i == last else math.cos((i + 1 - low) * slope) for i in doc_indices
+    ]
 
 
-def f_length(sentence: Sentence, config: FeatureConfig) -> float:
-    """Token count, zeroed for sentences too short to carry information."""
-    count = len(sentence.tokens)
-    return 0.0 if count < config.short_sentence_min_words else float(count)
+def f_tf_isf(total: int, n_tokens: int) -> float:
+    """log(1 + total) per token, where ``total`` sums TF(stem) * OCC(stem)
+    over the sentence's content tokens.
 
-
-def f_pos_in_para(sentence: Sentence) -> float:
-    return 1.0 if sentence.is_para_first or sentence.is_para_last else 0.0
-
-
-def f_proper_nouns(sentence: Sentence) -> int:
-    proper = PosTag.PROPER_NOUN  # an Enum member lookup costs more than a local
-    return sum(1 for t in sentence.tokens if t.tag is proper)
-
-
-def f_numerals(sentence: Sentence) -> float:
-    return sum(1 for t in sentence.tokens if t.is_numeral) / len(sentence.tokens)
-
-
-def f_named_entities(sentence: Sentence) -> int:
-    """Number of maximal runs of proper-noun tokens."""
-    proper = PosTag.PROPER_NOUN
-    runs, previous = 0, False
-    for token in sentence.tokens:
-        name = token.tag is proper
-        runs += name and not previous
-        previous = name
-    return runs
-
-
-def f_tf_isf(counts: Counter, n_tokens: int, vocabulary: dict[str, int]) -> float:
-    """log(1 + sum of in-sentence frequency x count elsewhere) per token.
-
-    Each content token contributes TF(stem) * OCC(stem), where TF counts
-    the stem in this sentence and OCC counts it in all other sentences,
-    so a distinct stem contributes TF * TF * OCC; the +1 keeps the log
-    finite when nothing overlaps.
+    TF counts the stem in this sentence and OCC counts it in all other
+    sentences, so a distinct stem adds TF * TF * OCC; the +1 keeps the
+    log finite when nothing overlaps.
     """
-    total = sum(tf * tf * (vocabulary.get(stem, 0) - tf) for stem, tf in counts.items())
     return math.log1p(total) / n_tokens
 
 
@@ -148,16 +126,27 @@ def centroid_index(scores: list[float]) -> int:
     return best
 
 
-def f_centroid_sim(counts: Counter, centroid: Counter, centroid_norm: float) -> float:
-    """Cosine similarity of non-stopword stem count vectors;
-    ``centroid_norm`` is the Euclidean norm of ``centroid``."""
-    if not counts or not centroid:
-        return 0.0
-    # .get skips the Python-level Counter.__missing__ of an absent stem
-    dot = sum(c * centroid.get(stem, 0) for stem, c in counts.items())
-    norm = math.sqrt(sum(c * c for c in counts.values()))
-    # rounding can push a self-comparison a hair above 1
-    return min(1.0, dot / (norm * centroid_norm))
+def _flags(values: list[bool]) -> np.ndarray:
+    return np.frombuffer(bytes(values), dtype=bool)
+
+
+def _run_bounds(ordered: np.ndarray) -> np.ndarray:
+    """The index where each run of equal values starts, then ``ordered.size``."""
+    edges = np.ones(ordered.size + 1, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=edges[1:-1])
+    return np.flatnonzero(edges)
+
+
+def _stem_runs(
+    sentence: np.ndarray, stem: np.ndarray, width: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each distinct (sentence, stem) pair, in sentence order, and its
+    count: one sort of ``sentence * width + stem`` puts equal pairs in runs."""
+    key = sentence * width + stem
+    key.sort(kind="stable")
+    bounds = _run_bounds(key)
+    group_sentence, group_stem = np.divmod(key[bounds[:-1]], width)
+    return group_sentence, group_stem, bounds[1:] - bounds[:-1]
 
 
 def build_feature_matrix(
@@ -166,29 +155,81 @@ def build_feature_matrix(
     """All nine features of every sentence, one row each in
     ``FEATURE_NAMES`` order.
 
-    Each sentence's content-stem counts are built once, and the
-    centroid's counts and norm once per document.
+    One pass over the tokens gives flat arrays: each token's sentence,
+    its stop-word, name and numeral flags, and each content token's stem
+    id.  Every count, tf-isf total, dot product and squared norm is then
+    an integer sum over the flags or over ``_stem_runs``.
     """
     config = config or FeatureConfig()
-    thematic = thematic_words(doc, config)
-    n = doc.n_sentences
-    counts = [Counter(s.content_stems()) for s in doc.sentences]
-    tf_isf = [f_tf_isf(c, len(s), doc.vocabulary) for s, c in zip(doc.sentences, counts)]
-    centroid = counts[centroid_index(tf_isf)]
-    centroid_norm = math.sqrt(sum(c * c for c in centroid.values()))
+    sentences = doc.sentences
+    n = len(sentences)
+    n_tokens = np.array([len(s.tokens) for s in sentences], dtype=np.int64)
+    tokens = list(chain.from_iterable(s.tokens for s in sentences))
+    token_sentence = np.repeat(np.arange(n), n_tokens)
+    proper = PosTag.PROPER_NOUN  # an Enum member lookup costs more than a local
+    content = ~_flags([t.is_stopword for t in tokens])
+    name = _flags([t.tag is proper for t in tokens])
+    numeral = _flags([t.is_numeral for t in tokens])
+    index: dict[str, int] = {}
+    stem = np.array(
+        [index.setdefault(t.stem, len(index)) for t in tokens if not t.is_stopword],
+        dtype=np.int64,
+    )
+    width = max(len(index), 1)
+    doc_counts = [doc.vocabulary.get(s, 0) for s in index]
+    thematic = np.zeros(width, dtype=bool)
+    thematic[[index[s] for s in thematic_words(doc, config) if s in index]] = True
+    # the sums need none of these, and held to the end they would add to
+    # the run's peak memory
+    del tokens, index
+    group_sentence, group_stem, tf = _stem_runs(token_sentence[content], stem, width)
+    del stem
+    starts = _run_bounds(group_sentence)[:-1]
+
+    def per_sentence(values: np.ndarray) -> np.ndarray:
+        out = np.zeros(n, dtype=values.dtype)
+        out[group_sentence[starts]] = np.add.reduceat(values, starts)
+        return out
+
+    # with m a sentence's content tokens and c a stem's document count, a
+    # total is at most m * m * (max |c| + m); a hand-built vocabulary can
+    # push that past int64, and then the sums are taken over Python ints
+    m = int(per_sentence(tf).max(initial=0))
+    exact = np.int64 if m * m * (max(map(abs, doc_counts), default=0) + m) < 2**63 else object
+    counts = tf.astype(exact)
+    elsewhere = np.array(doc_counts, dtype=exact)[group_stem] - counts
+    totals = per_sentence(counts * counts * elsewhere)
+    del counts, elsewhere
+    tf_isf = [f_tf_isf(total, size) for total, size in zip(totals.tolist(), n_tokens.tolist())]
+    centroid = centroid_index(tf_isf)
+
+    # dot products and squared norms are at most m * m, so doubles hold
+    # them exactly below 2**26 content tokens in one sentence
+    centroid_tf = np.zeros(width, dtype=np.int64)
+    mine = group_sentence == centroid
+    centroid_tf[group_stem[mine]] = tf[mine]
+    dots = per_sentence(tf * centroid_tf[group_stem])
+    squares = per_sentence(tf * tf)
+    similarity = np.zeros(n)
+    if squares[centroid]:
+        norms = np.sqrt(squares) * math.sqrt(squares[centroid])
+        # rounding can push a self-comparison a hair above 1
+        np.minimum(np.divide(dots, norms, out=similarity, where=squares > 0), 1.0, out=similarity)
+
+    # a name starts a run unless the token before it in its sentence is one
+    run_start = name.copy()
+    run_start[1:] &= ~(name[:-1] & (token_sentence[1:] == token_sentence[:-1]))
+
     values = np.empty((n, N_FEATURES))
-    for i, (s, c) in enumerate(zip(doc.sentences, counts)):
-        values[i] = (
-            f_thematic(c, len(s), thematic),
-            f_position(s.doc_index, n, config),
-            f_length(s, config),
-            f_pos_in_para(s),
-            f_proper_nouns(s),
-            f_numerals(s),
-            f_named_entities(s),
-            tf_isf[i],
-            f_centroid_sim(c, centroid, centroid_norm),
-        )
+    values[:, 0] = per_sentence(tf * thematic[group_stem]) / n_tokens
+    values[:, 1] = f_position([s.doc_index for s in sentences], n, config)
+    values[:, 2] = np.where(n_tokens < config.short_sentence_min_words, 0, n_tokens)
+    values[:, 3] = [1.0 if s.is_para_first or s.is_para_last else 0.0 for s in sentences]
+    values[:, 4] = np.bincount(token_sentence[name], minlength=n)
+    values[:, 5] = np.bincount(token_sentence[numeral], minlength=n) / n_tokens
+    values[:, 6] = np.bincount(token_sentence[run_start], minlength=n)
+    values[:, 7] = tf_isf
+    values[:, 8] = similarity
     return SentenceFeatureMatrix(values=values)
 
 

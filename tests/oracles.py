@@ -596,16 +596,18 @@ def _oracle_tag(token: Token, sentence_initial: bool) -> str:
     return "noun"
 
 
-def oracle_tokens(surfaces: list[str]) -> list[Token]:
+def oracle_tokens(surfaces: list[str], stopwords: frozenset[str] | None = None) -> list[Token]:
     """Build every token with the bundled lexicons, rebuild it with its
     stop-word flag, then again with its tag; the first surface is
-    sentence-initial.  Every label but a proper noun becomes ``OTHER``."""
+    sentence-initial.  Every label but a proper noun becomes ``OTHER``.
+    ``stopwords`` replaces the bundled stop words."""
+    stopwords = _bundled("stopwords") if stopwords is None else stopwords
     tokens = []
     for surface in surfaces:
         lowered = surface.lower()
         stem = oracle_porter_stem(lowered) if lowered.isalpha() else lowered
         tokens.append(Token(surface=surface, stem=stem, is_numeral=oracle_is_numeral(surface)))
-    tokens = [replace(t, is_stopword=t.surface.lower() in _bundled("stopwords")) for t in tokens]
+    tokens = [replace(t, is_stopword=t.surface.lower() in stopwords) for t in tokens]
     tags = {"proper_noun": PosTag.PROPER_NOUN}
     return [
         replace(t, tag=tags.get(_oracle_tag(t, i == 0), PosTag.OTHER))
@@ -613,18 +615,21 @@ def oracle_tokens(surfaces: list[str]) -> list[Token]:
     ]
 
 
-def oracle_resolve_reference(lines, doc: ProcessedDocument) -> frozenset[int] | None:
+def oracle_resolve_reference(
+    lines, doc: ProcessedDocument, stopwords: frozenset[str] | None = None
+) -> frozenset[int] | None:
     """Literal reference lines resolved by the former key: the sorted
     ``(stem, count)`` pairs of each side's non-stop-word stems, each line
-    tokenized on its own.  A duplicate sentence gives its first index;
-    None when a line matches no sentence."""
+    tokenized and stemmed on its own, its stop words ``stopwords`` (the
+    bundled ones by default).  A duplicate sentence gives its first
+    index; None when a line matches no sentence."""
     by_stems = {}
     for sentence in doc.sentences:
         key = tuple(sorted(Counter(sentence.content_stems()).items()))
         by_stems.setdefault(key, sentence.doc_index)
     indices = set()
     for text in lines:
-        tokens = oracle_tokens(oracle_tokenize(text))
+        tokens = oracle_tokens(oracle_tokenize(text), stopwords)
         key = tuple(sorted(Counter(t.stem for t in tokens if not t.is_stopword).items()))
         if key not in by_stems:
             return None

@@ -23,11 +23,13 @@ def _copy_package(dest: Path) -> Path:
 def test_matrix_covers_every_subcommand_layer_anchor_and_sink(tmp_path):
     documents, corpora = diff_outputs.build_inputs(tmp_path, generated=False)
     matrix = diff_outputs.command_matrix(documents, corpora)
-    # each variant 2 layers x 2 sinks; summarize's 3 and evaluate's 2 with
-    # 2 anchors, features' 2 with none, since it does not read the anchor
-    assert len(matrix) == (3 * 2 + 2 + 2 * 2) * 4
+    # two documents and one corpus; each variant 2 layers x 2 sinks;
+    # summarize's 3 and evaluate's 2 with 2 anchors, features' 2 with
+    # none, since it does not read the anchor
+    assert [path.name for path in documents] == ["article_market.txt", "edge_cases.txt"]
+    assert len(matrix) == (2 * (3 * 2 + 2) + 2 * 2) * 4
     configured = [argv for argv in matrix if "--config" in argv]
-    assert len(configured) == 2 * 4
+    assert len(configured) == 2 * 2 * 4
     assert {argv[0] for argv in configured} == {"summarize"}
     config = Path(configured[0][configured[0].index("--config") + 1])
     assert json.loads(config.read_text("utf-8")) == diff_outputs.TRAINING

@@ -1,4 +1,6 @@
+import dataclasses
 import functools
+import importlib
 import inspect
 import math
 import random
@@ -25,6 +27,7 @@ from rbmsumm import (
     recall,
     run_pipeline,
 )
+from rbmsumm.assets import default_lexicons
 from rbmsumm.evaluation import (
     render_comparison_csv,
     render_metrics_csv,
@@ -161,6 +164,46 @@ class TestReferenceResolution:
                 resolve_reference(ref, doc)
         else:
             assert resolve_reference(ref, doc) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(1, 4), st.sampled_from(("absent", "fewer", "more"))
+    )
+    def test_lines_resolve_under_other_stop_words_as_before(self, seed, n_lines, change):
+        """The lexicons passed in, not the document's, decide which of a
+        line's words are stop words; each line is stemmed on its own."""
+        doc = _duplicates_doc()
+        picker = random.Random(seed)
+        words = sorted({t.surface.lower() for s in doc.sentences for t in s.tokens})
+        bundled = default_lexicons().stopwords
+        if change == "absent":  # words that no sentence holds
+            stopwords = bundled | {"zebra", "quokka"}
+        elif change == "fewer":  # stop words of the document become content
+            stopwords = bundled - set(picker.sample(sorted(bundled & set(words)), 3))
+        else:  # content words of the document become stop words
+            stopwords = bundled | set(picker.sample(sorted(set(words) - bundled), 3))
+        lexicons = dataclasses.replace(default_lexicons(), stopwords=frozenset(stopwords))
+        lines = [picker.choice(doc.sentences).original_text for _ in range(n_lines)]
+        lines += [line.upper() for line in lines[:1]]
+        expected = oracle_resolve_reference(lines, doc, frozenset(stopwords))
+        ref = ReferenceSummary(source_id="dup", sentences=tuple(lines))
+        if expected is None:
+            with pytest.raises(ValueError, match="not found"):
+                resolve_reference(ref, doc, lexicons)
+        else:
+            assert resolve_reference(ref, doc, lexicons) == expected
+
+    def test_porter_runs_only_on_words_the_document_lacks(self, monkeypatch):
+        doc = _duplicates_doc()
+        module = importlib.import_module("rbmsumm.preprocess")
+        stemmed = []
+        real = module.porter_stem
+        monkeypatch.setattr(module, "porter_stem", lambda word: stemmed.append(word) or real(word))
+        lines = [doc.sentences[4].original_text, "Entirely unrelated 1500 words, ENTIRELY."]
+        ref = ReferenceSummary(source_id="dup", sentences=tuple(lines))
+        with pytest.raises(ValueError, match="not found"):
+            resolve_reference(ref, doc)
+        assert stemmed == ["entirely", "unrelated", "words"]
 
     def test_duplicate_sentences_resolve_to_the_first(self):
         doc = _duplicates_doc()

@@ -16,15 +16,8 @@ from rbmsumm.features import (
     FEATURE_NAMES,
     build_feature_matrix,
     centroid_index,
-    f_centroid_sim,
-    f_length,
-    f_named_entities,
-    f_numerals,
-    f_pos_in_para,
     f_position,
-    f_proper_nouns,
     f_tf_isf,
-    f_thematic,
     normalize_columns,
     thematic_words,
 )
@@ -77,22 +70,28 @@ def make_doc(sentence_word_lists, **kwargs):
     return ProcessedDocument(sentences=sentences, paragraph_count=1, vocabulary=vocab)
 
 
-def counts(sentence):
-    """The content-stem counts that the stem-count features take."""
-    return Counter(sentence.content_stems())
+def feature(name, doc, config=CONFIG):
+    """One column of ``doc``'s feature matrix, one value per sentence."""
+    return build_feature_matrix(doc, config).values[:, FEATURE_NAMES.index(name)]
+
+
+def sentence_feature(name, words, **kwargs):
+    """A feature of the one sentence of a document built from ``words``."""
+    return feature(name, make_doc([words], **kwargs))[0]
 
 
 def thematic_share(sentence, thematic):
-    return f_thematic(counts(sentence), len(sentence), thematic)
+    """The thematic feature of ``sentence`` alone in a document whose
+    vocabulary ranks exactly the stems ``thematic`` first."""
+    counts = Counter(sentence.content_stems())
+    above = max(counts.values(), default=0) + 1
+    vocabulary = {**counts, **{stem: counts[stem] + above for stem in thematic}}
+    doc = ProcessedDocument(sentences=(sentence,), paragraph_count=1, vocabulary=vocabulary)
+    return feature("thematic", doc, FeatureConfig(thematic_count=len(thematic)))[0]
 
 
 def tf_isf(sentence, doc):
-    return f_tf_isf(counts(sentence), len(sentence), doc.vocabulary)
-
-
-def centroid_sim(sentence, centroid):
-    c = counts(centroid)
-    return f_centroid_sim(counts(sentence), c, math.sqrt(sum(v * v for v in c.values())))
+    return feature("tf_isf", doc)[sentence.doc_index]
 
 
 class TestThematicWords:
@@ -157,77 +156,82 @@ class TestThematicRatio:
 class TestPositionFeature:
     def test_first_sentence(self):
         for n in (1, 2, 5, 100):
-            assert f_position(0, n, CONFIG) == 1.0
+            assert f_position([0], n, CONFIG) == [1.0]
 
     def test_last_sentence(self):
         for n in (1, 2, 5, 100):
-            assert f_position(n - 1, n, CONFIG) == 1.0
+            assert f_position([n - 1], n, CONFIG) == [1.0]
 
     def test_middle_value_matches_direct_evaluation(self):
         # N=10, 0-based index 4: cos((5 - 2) * ((1/4) - 2))
         expected = math.cos((5 - 2) * ((1 / 4) - 2))
-        assert f_position(4, 10, CONFIG) == pytest.approx(expected, abs=1e-12)
+        assert f_position([4], 10, CONFIG)[0] == pytest.approx(expected, abs=1e-12)
 
     def test_range(self):
         for n in range(3, 40):
-            for i in range(n):
-                assert -1.0 <= f_position(i, n, CONFIG) <= 1.0
+            assert all(-1.0 <= p <= 1.0 for p in f_position(range(n), n, CONFIG))
 
 
 class TestLengthFeature:
     def test_below_threshold(self):
-        assert f_length(make_sentence(["a", "b"]), CONFIG) == 0.0
+        assert sentence_feature("length", ["a", "b"]) == 0.0
 
     def test_at_threshold(self):
-        assert f_length(make_sentence(["a", "b", "c"]), CONFIG) == 3.0
+        assert sentence_feature("length", ["a", "b", "c"]) == 3.0
 
     def test_long(self):
-        assert f_length(make_sentence(["w"] * 15), CONFIG) == 15.0
+        assert sentence_feature("length", ["w"] * 15) == 15.0
 
     def test_threshold_equivalence(self):
         for n in range(1, 10):
-            value = f_length(make_sentence(["w"] * n), CONFIG)
+            value = sentence_feature("length", ["w"] * n)
             assert (value == 0.0) == (n < CONFIG.short_sentence_min_words)
 
 
 class TestParagraphPosition:
     def test_first(self):
-        assert f_pos_in_para(make_sentence(["x"], first=True, last=False)) == 1.0
+        assert sentence_feature("pos_in_para", ["x"], first=True, last=False) == 1.0
 
     def test_middle(self):
-        assert f_pos_in_para(make_sentence(["x"], first=False, last=False)) == 0.0
+        assert sentence_feature("pos_in_para", ["x"], first=False, last=False) == 0.0
 
     def test_single_sentence_paragraph(self):
-        assert f_pos_in_para(make_sentence(["x"], first=True, last=True)) == 1.0
+        assert sentence_feature("pos_in_para", ["x"], first=True, last=True) == 1.0
 
 
 class TestCountFeatures:
     def test_proper_nouns(self):
-        s = make_sentence(["Ann", "Bob", "Cid"], proper={"Ann", "Bob", "Cid"})
-        assert f_proper_nouns(s) == 3
+        words = ["Ann", "Bob", "Cid"]
+        assert sentence_feature("proper_nouns", words, proper=set(words)) == 3
 
     def test_no_proper_nouns(self):
-        assert f_proper_nouns(make_sentence(["plain", "words"])) == 0
+        assert sentence_feature("proper_nouns", ["plain", "words"]) == 0
 
     def test_tagger_fixture_sentence(self):
         doc = preprocess(RawDocument("Delhi Technological University announced results."))
-        assert f_proper_nouns(doc.sentences[0]) == 3
+        assert feature("proper_nouns", doc)[0] == 3
 
     def test_numeral_ratio(self):
         doc = preprocess(RawDocument("rose 12 in 2016"))
-        assert f_numerals(doc.sentences[0]) == pytest.approx(0.5)
+        assert feature("numerals", doc)[0] == pytest.approx(0.5)
 
     def test_numeral_extremes(self):
-        assert f_numerals(make_sentence(["cat", "dog"])) == 0.0
-        assert f_numerals(make_sentence(["1", "2"], numerals={"1", "2"})) == 1.0
+        assert sentence_feature("numerals", ["cat", "dog"]) == 0.0
+        assert sentence_feature("numerals", ["1", "2"], numerals={"1", "2"}) == 1.0
 
     def test_entity_counts(self):
-        one_run = make_sentence(["Ann", "Bob", "cat"], proper={"Ann", "Bob"})
-        two_runs = make_sentence(["Ann", "cat", "Bob"], proper={"Ann", "Bob"})
-        none = make_sentence(["cat", "dog"])
-        assert f_named_entities(one_run) == 1
-        assert f_named_entities(two_runs) == 2
-        assert f_named_entities(none) == 0
+        proper = {"Ann", "Bob"}
+        assert sentence_feature("named_entities", ["Ann", "Bob", "cat"], proper=proper) == 1
+        assert sentence_feature("named_entities", ["Ann", "cat", "Bob"], proper=proper) == 2
+        assert sentence_feature("named_entities", ["cat", "dog"]) == 0
+
+    def test_entity_runs_end_at_the_sentence_boundary(self):
+        # the last token of one sentence and the first of the next are both
+        # names, and each sentence counts its own run
+        names = {"Ann", "Bob", "Cid", "Dan"}
+        doc = make_doc([["cat", "Ann"], ["Bob", "dog"], ["Cid", "Dan"]], proper=names)
+        assert list(feature("named_entities", doc)) == [1.0, 1.0, 1.0]
+        assert list(feature("proper_nouns", doc)) == [1.0, 1.0, 2.0]
 
 
 class TestTfIsf:
@@ -253,7 +257,7 @@ class TestTfIsf:
 
 
 def tf_isf_scores(doc):
-    return [tf_isf(s, doc) for s in doc.sentences]
+    return list(feature("tf_isf", doc))
 
 
 class TestCentroid:
@@ -267,22 +271,23 @@ class TestCentroid:
     def test_tie_goes_to_lowest_index(self):
         assert centroid_index(tf_isf_scores(make_doc([["x", "y"], ["x", "y"]]))) == 0
 
+    # in each document below, sentence 0 is the centroid: it has the
+    # highest tf-isf score, or ties for it and comes first
     def test_self_similarity(self):
-        s = make_sentence(["a", "b", "c"])
-        assert centroid_sim(s, s) == pytest.approx(1.0)
+        doc = make_doc([["a", "b", "c"], ["a", "b", "c"]])
+        assert list(feature("centroid_sim", doc)) == pytest.approx([1.0, 1.0])
 
     def test_disjoint_similarity(self):
-        assert centroid_sim(make_sentence(["a", "b"]), make_sentence(["c"])) == 0.0
+        assert list(feature("centroid_sim", make_doc([["c"], ["a", "b"]]))) == [1.0, 0.0]
 
     def test_partial_overlap(self):
-        a = make_sentence(["a", "b"])
-        centroid = make_sentence(["a"])
-        assert centroid_sim(a, centroid) == pytest.approx(1 / math.sqrt(2))
+        doc = make_doc([["a"], ["a", "b"]])
+        assert centroid_index(tf_isf_scores(doc)) == 0
+        assert feature("centroid_sim", doc)[1] == pytest.approx(1 / math.sqrt(2))
 
     def test_empty_content_gives_zero(self):
-        empty = make_sentence(["the"], stopwords={"the"})
-        other = make_sentence(["a"])
-        assert centroid_sim(empty, other) == 0.0
+        doc = make_doc([["a"], ["the"]], stopwords={"the"})
+        assert list(feature("centroid_sim", doc)) == [1.0, 0.0]
 
 
 class TestFeatureMatrix:
@@ -416,6 +421,99 @@ class TestOnePassMatchesPerRecordStage:
         assert raw.values.tobytes() == expected.tobytes()
         normalized = normalize_columns(raw)
         assert normalized.values.tobytes() == per_column_minmax(expected).tobytes()
+
+
+def python_int_tf_isf(doc):
+    """Each sentence's tf-isf from a total summed in Python ints."""
+    scores = []
+    for sentence in doc.sentences:
+        counts = Counter(sentence.content_stems())
+        total = sum(tf * tf * (doc.vocabulary.get(stem, 0) - tf) for stem, tf in counts.items())
+        scores.append(math.log1p(total) / len(sentence.tokens))
+    return scores
+
+
+def with_vocabulary(doc, vocabulary):
+    return ProcessedDocument(doc.sentences, doc.paragraph_count, vocabulary)
+
+
+class TestWholeDocumentSums:
+    """Hand-built documents at the edges of the array build's integer sums."""
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            {"y": 2**52},  # a total past 2**53
+            {"x": 2**62},  # a total past 2**63
+            {"x": 2**62, "y": 2**52},
+            {"x": 2**70, "z": -(2**66)},  # mixed signs in one sentence
+        ],
+    )
+    def test_totals_past_float_and_int64_precision(self, counts):
+        doc = make_doc([["x", "x", "w"], ["y", "y"], ["x", "y", "z"], ["w"]])
+        doc = with_vocabulary(doc, {**doc.vocabulary, **counts})
+        expected = python_int_tf_isf(doc)
+        assert any(s > 0 for s in expected)
+        values = build_feature_matrix(doc, CONFIG).values
+        assert values[:, FEATURE_NAMES.index("tf_isf")].tolist() == expected
+        centroid = centroid_index(expected)
+        sim = values[:, FEATURE_NAMES.index("centroid_sim")]
+        assert sim[centroid] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "count",
+        [
+            2**61 - 3,  # the bound 2 * 2 * (count + 2) is 2**63 - 4: int64 sums
+            2**61 - 2,  # the bound reaches 2**63: Python-int sums
+            2**62,
+        ],
+    )
+    def test_one_sentence_at_the_int64_edge(self, count):
+        doc = with_vocabulary(make_doc([["x", "x"]]), {"x": count})
+        total = 2 * 2 * (count - 2)
+        assert feature("tf_isf", doc).tolist() == [math.log1p(total) / 2]
+
+    def test_sentence_without_content_stems(self):
+        doc = make_doc([["the", "cat"], ["the", "of"], ["cat", "sat"]], stopwords={"the", "of"})
+        values = build_feature_matrix(doc, CONFIG).values
+        assert values.tobytes() == per_record_feature_matrix(doc, CONFIG).tobytes()
+        row = dict(zip(FEATURE_NAMES, values[1]))
+        assert row["thematic"] == row["tf_isf"] == row["centroid_sim"] == 0.0
+
+    def test_every_sentence_stop_words_only(self):
+        doc = make_doc([["the"], ["of", "the"], ["a"]], stopwords={"the", "of", "a"})
+        assert doc.vocabulary == {}
+        values = build_feature_matrix(doc, CONFIG).values
+        assert values.tobytes() == per_record_feature_matrix(doc, CONFIG).tobytes()
+        for name in ("thematic", "tf_isf", "centroid_sim"):
+            assert not values[:, FEATURE_NAMES.index(name)].any()
+
+    def test_vocabulary_without_a_sentence_stem(self):
+        # "x" is missing, so it adds 1 * 1 * (0 - 1); "y" adds 1 * 1 * 4
+        doc = with_vocabulary(make_doc([["x", "y"], ["y", "z"]]), {"y": 5, "z": 1})
+        values = build_feature_matrix(doc, CONFIG).values
+        assert values.tobytes() == per_record_feature_matrix(doc, CONFIG).tobytes()
+        assert values[0, FEATURE_NAMES.index("tf_isf")] == math.log1p(3) / 2
+
+    def test_vocabulary_below_a_sentence_own_count_raises_as_before(self):
+        # 2 * 2 * (1 - 2) = -4, whose log1p is undefined
+        doc = with_vocabulary(make_doc([["w"], ["x", "x"]]), {"w": 1, "x": 1})
+        with pytest.raises(ValueError, match="math domain error") as raised:
+            per_record_feature_matrix(doc, CONFIG)
+        with pytest.raises(ValueError, match="math domain error") as ours:
+            build_feature_matrix(doc, CONFIG)
+        assert str(ours.value) == str(raised.value)
+
+
+class TestTfIsfFunction:
+    def test_log1p_per_token(self):
+        assert f_tf_isf(0, 3) == 0.0
+        assert f_tf_isf(4, 4) == math.log1p(4) / 4
+        assert f_tf_isf(2**64, 2) == math.log1p(2**64) / 2
+
+    def test_total_at_minus_one_is_a_domain_error(self):
+        with pytest.raises(ValueError, match="math domain error"):
+            f_tf_isf(-1, 2)
 
 
 class TestFeatureConfig:

@@ -17,7 +17,7 @@ from rbmsumm import (
 )
 from rbmsumm.document import Token
 from rbmsumm.assets import _LEXICON_FILES, default_lexicons, load_lexicons, load_wordlist
-from rbmsumm.features import f_named_entities
+from rbmsumm.features import FEATURE_NAMES, build_feature_matrix
 from rbmsumm.preprocess import (
     _NUMERAL,
     build_tokens,
@@ -237,12 +237,14 @@ class TestPosTagger:
 
 
 class TestEntityChunks:
-    """Entity runs as the tagger marks them and ``f_named_entities`` counts them."""
+    """Entity runs as the tagger marks them and the ``named_entities``
+    feature counts them."""
 
     def chunk(self, words):
-        sentence = preprocess(RawDocument(" ".join(words))).sentences[0]
-        names = [t.tag is PosTag.PROPER_NOUN for t in sentence.tokens]
-        return names, f_named_entities(sentence)
+        doc = preprocess(RawDocument(" ".join(words)))
+        names = [t.tag is PosTag.PROPER_NOUN for t in doc.sentences[0].tokens]
+        runs = build_feature_matrix(doc).values[0, FEATURE_NAMES.index("named_entities")]
+        return names, runs
 
     def test_one_maximal_run(self):
         assert self.chunk(["visited", "Morgan", "Stanley", "today"]) == (

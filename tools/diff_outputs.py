@@ -20,9 +20,9 @@ there are CPUs:
   ``--output`` file; ``summarize`` and ``evaluate`` with both similarity
   anchors, ``features`` (which takes no anchor) without one.
 
-The documents are ``tests/data/article_market.txt`` and, from
-``perfbench/gen.py`` with seed 1, the 2000-sentence report and the
-first news article; the corpora are ``tests/data/corpus`` and the
+The documents are ``tests/data/article_market.txt``, the small
+``EDGE_CASES`` document and, from ``perfbench/gen.py`` with seed 1, the
+2000-sentence report and the first news article; the corpora are ``tests/data/corpus`` and the
 seed-1 ``compare_corpus`` and ``news_corpus``.  Every run's exit code,
 stdout, stderr and written files are compared byte for byte; each
 difference is printed, and the exit code is 1 if there is any.
@@ -53,6 +53,14 @@ SEED = 1
 OUTPUT = "out/result"  # relative to each run's directory, so both sides name it alike
 CONFIG = "training.json"  # written next to the single documents
 TRAINING = {"chains": 16, "gibbs_steps": 3, "batch_size": 7}
+# sentences that the other inputs lack: stop words only, one word, a
+# repeat, numerals only, and a paragraph of one sentence
+EDGE_CASES = (
+    "Reef fish numbers fell sharply in 2016. It was all of them. Reefs. "
+    "Reef fish numbers fell sharply in 2016. 1500 2016 3.5.\n\n"
+    "Divers counted the fish again in March.\n\n"
+    "The reef recovered slowly after the storm. Tourism returned to the coast.\n"
+)
 
 
 def _load(path: Path):
@@ -78,8 +86,9 @@ def build_inputs(dest: Path, generated: bool = True) -> tuple[list[Path], list[P
     with the ``CONFIG`` file next to the documents."""
     data = ROOT / "tests" / "data"
     (dest / CONFIG).write_text(json.dumps(TRAINING), encoding="utf-8")
-    documents = [dest / "article_market.txt"]
+    documents = [dest / "article_market.txt", dest / "edge_cases.txt"]
     shutil.copyfile(data / "article_market.txt", documents[0])
+    documents[1].write_text(EDGE_CASES, encoding="utf-8")
     corpora = [dest / "corpus"]
     shutil.copytree(data / "corpus", corpora[0])
     if generated:
