@@ -4,10 +4,11 @@ Settings are merged from the defaults, then an optional JSON config
 file whose keys mirror the flag names, then explicit flags.  Each key
 sets one parameter of a config class or library call, whose default is
 the key's default and whose annotation is the type a config value must
-have.  Every run resolves to a concrete seed, which is echoed on
-standard error so results can be reproduced.  Each subcommand
-makes one pass through the library; ``evaluate --compare`` runs both
-layer counts and prints the metrics of the one ``--layers`` names.
+have, or, as a ``Literal``, its legal values.  Every run resolves to a
+concrete seed, which is echoed on standard error so results can be
+reproduced.  Each subcommand makes one pass through the library;
+``evaluate --compare`` runs both layer counts and prints the metrics of
+the one ``--layers`` names.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ EXIT_MISSING_REFERENCE = 4
 class _CliSettings:
     """The settings that no library call takes."""
 
-    format: str = "text"
+    format: typing.Literal["text", "json"] = "text"
     output: str | None = None
     no_enhance: bool = False
     compare: bool = False
@@ -73,16 +74,16 @@ _KEYS = {
     **{f.name: (_CliSettings, f.name) for f in fields(_CliSettings)},
 }
 
-_CHOICES = {
-    "layers": (1, 2),
-    "similarity_anchor": ("first", "latest"),
-    "format": ("text", "json"),
-}
-
-
 def _parameter(key: str) -> inspect.Parameter:
     owner, name = _KEYS[key]
     return inspect.signature(owner, eval_str=True).parameters[name]
+
+
+def _choices(key: str) -> tuple:
+    """The legal values of a key annotated with a ``Literal``; () for
+    any other key."""
+    annotation = _parameter(key).annotation
+    return typing.get_args(annotation) if typing.get_origin(annotation) is typing.Literal else ()
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -97,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--seed", type=int, help=f"RNG seed {default('seed')}")
-        p.add_argument("--layers", type=int, choices=_CHOICES["layers"],
+        p.add_argument("--layers", type=int, choices=_choices("layers"),
                        help=f"RBM layers, 2 being stacked {default('layers')}")
         p.add_argument("--config", help="JSON config file mirroring flag names")
         p.add_argument("--stopwords", help="override stop-word list file")
@@ -110,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_selection(p: argparse.ArgumentParser) -> None:
         """The flags that only a summary reads; ``features`` has none."""
         p.add_argument("--similarity-anchor", dest="similarity_anchor",
-                       choices=_CHOICES["similarity_anchor"],
+                       choices=_choices("similarity_anchor"),
                        help=f"sentence the Jaccard pick compares against "
                        f"{default('similarity_anchor')}")
         limits = p.add_mutually_exclusive_group()
@@ -120,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sum = sub.add_parser("summarize", help="summarize one document")
     p_sum.add_argument("input", help="input text file, or - for stdin")
-    p_sum.add_argument("--format", choices=_CHOICES["format"],
+    p_sum.add_argument("--format", choices=_choices("format"),
                        help=f"output format {default('format')}")
     add_common(p_sum)
     add_selection(p_sum)
@@ -141,16 +142,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_value(key: str, value) -> None:
-    """Reject a config value of the wrong type or outside the choices."""
+    """Reject a config value of the wrong type or outside the choices;
+    a ``Literal``'s types are those of its values."""
     annotation = _parameter(key).annotation
-    types = typing.get_args(annotation) or (annotation,)
+    choices = _choices(key)
+    types = tuple(dict.fromkeys(map(type, choices))) or typing.get_args(annotation)
+    types = types or (annotation,)
     names = " or ".join("null" if t is type(None) else t.__name__ for t in types)
     if float in types:
         types += (int,)
     if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
         raise _CliError(EXIT_UNREADABLE, f"config key {key!r} must be {names}, not {value!r}")
-    choices = _CHOICES.get(key)
-    if choices is not None and value not in choices:
+    if choices and value not in choices:
         raise _CliError(
             EXIT_UNREADABLE, f"config key {key!r} must be one of {choices}, not {value!r}"
         )

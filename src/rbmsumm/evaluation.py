@@ -12,14 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import get_args
 
 from .assets import Lexicons, default_lexicons
 from .document import ProcessedDocument, RawDocument
 from .errors import EmptyReference, EmptySystemSummary, MissingReference
-from .features import FeatureConfig
 from . import preprocess  # the module: perfbench counts its porter_stem calls
-from .rbm import TrainConfig
-from .summarizer import SummaryConfig, run_pipeline
+from .rbm import Layers
+from .summarizer import run_pipeline
 
 
 @dataclass(frozen=True)
@@ -132,13 +132,10 @@ def _mean_scores(scores: list[EvalScores]) -> EvalScores:
 def _evaluate(
     entries: list[tuple[RawDocument, ReferenceSummary | None]],
     layer_counts: tuple[int, ...],
-    feature_config: FeatureConfig | None,
-    train_config: TrainConfig | None,
-    summary_config: SummaryConfig | None,
-    anchor: str,
-    lexicons: Lexicons | None,
+    settings: dict,
 ) -> dict[int, CorpusEvaluation]:
-    """Score every document per layer count; ``(1, 2)`` stacks 2 on 1."""
+    """Score every document per layer count; ``(1, 2)`` stacks 2 on 1.
+    ``settings`` are ``run_pipeline``'s keyword arguments but ``layers``."""
     if not entries:
         raise ValueError("corpus is empty")
     per_document: dict[int, list[DocumentScore]] = {n: [] for n in layer_counts}
@@ -147,12 +144,9 @@ def _evaluate(
             raise MissingReference(f"no reference for document {raw.source_id!r}")
         base = ref_indices = None
         for layers in layer_counts:
-            base = run_pipeline(
-                raw, feature_config, train_config, summary_config, layers, anchor, lexicons,
-                base=base,
-            )
+            base = run_pipeline(raw, layers=layers, base=base, **settings)
             if ref_indices is None:
-                ref_indices = resolve_reference(reference, base.doc, lexicons)
+                ref_indices = resolve_reference(reference, base.doc, settings.get("lexicons"))
             system = frozenset(base.summary.selected)
             per_document[layers].append(
                 DocumentScore(source_id=raw.source_id, scores=score_sets(system, ref_indices))
@@ -167,17 +161,12 @@ def _evaluate(
 
 def evaluate_corpus(
     entries: list[tuple[RawDocument, ReferenceSummary | None]],
-    feature_config: FeatureConfig | None = None,
-    train_config: TrainConfig | None = None,
-    summary_config: SummaryConfig | None = None,
-    layers: int = 1,
-    anchor: str = "latest",
-    lexicons: Lexicons | None = None,
+    layers: Layers = 1,
+    **settings,
 ) -> CorpusEvaluation:
-    """Summarize every document and score it against its reference."""
-    return _evaluate(
-        entries, (layers,), feature_config, train_config, summary_config, anchor, lexicons
-    )[layers]
+    """Summarize every document and score it against its reference.
+    ``settings`` are ``run_pipeline``'s other keyword arguments."""
+    return _evaluate(entries, (layers,), settings)[layers]
 
 
 @dataclass(frozen=True)
@@ -189,18 +178,13 @@ class ModeComparison:
 
 
 def compare_modes(
-    entries: list[tuple[RawDocument, ReferenceSummary | None]],
-    feature_config: FeatureConfig | None = None,
-    train_config: TrainConfig | None = None,
-    summary_config: SummaryConfig | None = None,
-    anchor: str = "latest",
-    lexicons: Lexicons | None = None,
+    entries: list[tuple[RawDocument, ReferenceSummary | None]], **settings
 ) -> ModeComparison:
-    """Mean scores for the single-layer mode next to the stacked mode."""
-    by_layers = _evaluate(
-        entries, (1, 2), feature_config, train_config, summary_config, anchor, lexicons
-    )
-    return ModeComparison(by_layers[1].mean, by_layers[2].mean, by_layers)
+    """Mean scores for the single-layer mode next to the stacked mode.
+    ``settings`` are ``run_pipeline``'s keyword arguments but ``layers``."""
+    one, two = get_args(Layers)
+    by_layers = _evaluate(entries, (one, two), settings)
+    return ModeComparison(by_layers[one].mean, by_layers[two].mean, by_layers)
 
 
 def render_metrics_csv(result: CorpusEvaluation) -> str:

@@ -27,6 +27,7 @@ from itertools import chain
 import numpy as np
 
 from .document import PosTag, ProcessedDocument
+from .errors import DegenerateDocument
 
 FEATURE_NAMES = (
     "thematic",
@@ -162,6 +163,8 @@ def build_feature_matrix(
     """
     config = config or FeatureConfig()
     sentences = doc.sentences
+    if not sentences:
+        raise DegenerateDocument("document has no sentences")
     n = len(sentences)
     n_tokens = np.array([len(s.tokens) for s in sentences], dtype=np.int64)
     tokens = list(chain.from_iterable(s.tokens for s in sentences))

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -38,8 +39,11 @@ from .rng import Xorshift64Star
 # one hidden unit per feature, so an enhanced matrix keeps its input's shape
 N_HIDDEN = N_FEATURES
 WEIGHT_INIT_STD = 0.01
-# a 65 536 x 9 float64 chain array is 4.7 MB
+# a 65 536 x 9 float64 chain array is 4.7 MB; epochs and Gibbs steps per
+# update share the bound, so that training always ends
 MAX_CHAINS = 2**16
+# one machine, or two stacked
+Layers = Literal[1, 2]
 
 
 @dataclass(frozen=True)
@@ -67,14 +71,14 @@ class TrainConfig:
         # the chains still advance; NaN fails both comparisons
         if not 0 <= self.learning_rate <= sys.float_info.max:
             raise ValueError("learning_rate must be finite and >= 0")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+        if not 0 <= self.epochs <= MAX_CHAINS:
+            raise ValueError(f"epochs must be in [0, {MAX_CHAINS}]")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if not 1 <= self.n_chains <= MAX_CHAINS:
             raise ValueError(f"n_chains must be in [1, {MAX_CHAINS}]")
-        if self.gibbs_steps_per_update < 1:
-            raise ValueError("gibbs_steps_per_update must be >= 1")
+        if not 1 <= self.gibbs_steps_per_update <= MAX_CHAINS:
+            raise ValueError(f"gibbs_steps_per_update must be in [1, {MAX_CHAINS}]")
 
 
 def _sigmoid(x: np.ndarray, nonnegative: np.ndarray, denominator: np.ndarray) -> np.ndarray:
@@ -284,7 +288,7 @@ def enhance(matrix: SentenceFeatureMatrix, rbm: Rbm) -> SentenceFeatureMatrix:
 def stack_enhance(
     matrix: SentenceFeatureMatrix,
     config: TrainConfig | None = None,
-    layers: int = 1,
+    layers: Layers = 1,
 ) -> SentenceFeatureMatrix:
     """Enhance through one trained RBM, or through two stacked ones.
 
@@ -293,7 +297,7 @@ def stack_enhance(
     the same configuration.  Given that output, one layer here is the
     second machine alone.
     """
-    if layers not in (1, 2):
+    if layers not in get_args(Layers):
         raise ValueError("layers must be 1 or 2")
     config = config or TrainConfig()
     enhanced = enhance(matrix, train(matrix, config))

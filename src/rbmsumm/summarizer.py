@@ -21,6 +21,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .features import (
     normalize_columns,
 )
 from .preprocess import preprocess
-from .rbm import TrainConfig, stack_enhance
+from .rbm import Layers, TrainConfig, stack_enhance
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,8 @@ class RankedSentence:
 
 # the fraction of N that a summary keeps when no limit is set
 DEFAULT_LIMIT_RATIO = 0.33
+# the sentence that each Jaccard pick is compared against
+Anchor = Literal["first", "latest"]
 
 
 @dataclass(frozen=True)
@@ -105,7 +108,7 @@ def select(
     ranked: list[RankedSentence],
     doc: ProcessedDocument,
     config: SummaryConfig | None = None,
-    anchor: str = "latest",
+    anchor: Anchor = "latest",
 ) -> list[int]:
     """Pick sentence indices, in selection order.
 
@@ -116,7 +119,7 @@ def select(
     and ties go to the better rank.  When no live candidate shares a
     stem with the anchor, all score 0 and the best-ranked live one wins.
     """
-    if anchor not in ("latest", "first"):
+    if anchor not in get_args(Anchor):
         raise ValueError("anchor must be 'latest' or 'first'")
     config = config or SummaryConfig()
     n = len(ranked)
@@ -200,8 +203,8 @@ def run_pipeline(
     feature_config: FeatureConfig | None = None,
     train_config: TrainConfig | None = None,
     summary_config: SummaryConfig | None = None,
-    layers: int = 1,
-    anchor: str = "latest",
+    layers: Layers = 1,
+    anchor: Anchor = "latest",
     lexicons=None,
     *,
     base: PipelineResult | None = None,
@@ -229,16 +232,7 @@ def run_pipeline(
     )
 
 
-def summarize(
-    raw: RawDocument,
-    feature_config: FeatureConfig | None = None,
-    train_config: TrainConfig | None = None,
-    summary_config: SummaryConfig | None = None,
-    layers: int = 1,
-    anchor: str = "latest",
-    lexicons=None,
-) -> Summary:
-    """Full pipeline: preprocess, featurize, enhance, select, assemble."""
-    return run_pipeline(
-        raw, feature_config, train_config, summary_config, layers, anchor, lexicons
-    ).summary
+def summarize(raw: RawDocument, **settings) -> Summary:
+    """Full pipeline: preprocess, featurize, enhance, select, assemble.
+    ``settings`` are ``run_pipeline``'s keyword arguments."""
+    return run_pipeline(raw, **settings).summary

@@ -1,4 +1,5 @@
-"""``tools/bench_pairs.py``: the summary it writes from alternating runs, and the seed it runs."""
+"""``tools/bench_pairs.py``: the summary it writes from alternating runs,
+the seed it runs, and the printed figures each run keeps."""
 
 import importlib.util
 import json
@@ -68,3 +69,29 @@ def test_seed_reaches_every_run_and_the_recorded_command(tmp_path, monkeypatch):
     assert "--seed 7 " in record["command"]
     assert {r["seed"] for r in record["runs"]} == {7}
     assert list(record["summary"]) == ["w seed=7"]
+
+
+def test_a_run_keeps_the_figures_printed_before_its_result(tmp_path):
+    # lines as perfbench/run.py prints them, traced and untraced
+    printed = [
+        "workload=w seed=1 operations=3",
+        "wall latency p50: 3.0000 ms traced, 2.0000 ms in the untraced first round, overhead 50.0%",
+        "latency_tail_ms: 250.1234 ms (p99 of 500 operations)",
+        "evaluation.resolve_ms_per_doc: 1.14 ms",
+        "evaluation.load_corpus_ms: not called",
+        "cli.self_ms: 2.5e-05 ms",
+        "rbm.train_ms_per_doc: 4 ms",
+    ]
+    metrics = {"rbm.train_ms_per_doc": {"value": 4.0, "unit": "ms"}}
+    final = {"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}
+    script = tmp_path / "perfbench" / "run.py"
+    script.parent.mkdir()
+    stdout = "\n".join([*printed, json.dumps(final)])
+    script.write_text(f"print({stdout!r})\n")
+    result = bench_pairs.run_once(tmp_path, "w", 1, 1.0, 1)
+    assert result["metrics"] == metrics
+    assert result["figures"] == {
+        "latency_tail_ms": {"value": 250.1234, "unit": "ms"},
+        "evaluation.resolve_ms_per_doc": {"value": 1.14, "unit": "ms"},
+        "cli.self_ms": {"value": 2.5e-05, "unit": "ms"},
+    }

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import rbmsumm
 import rbmsumm.summarizer
 from rbmsumm import RawDocument, run_pipeline
-from rbmsumm.cli import _KEYS, _CliSettings, _parameter, main
+from rbmsumm.cli import _KEYS, _choices, _CliSettings, _parameter, main
 from rbmsumm.rbm import MAX_CHAINS, TrainConfig
 from rbmsumm.summarizer import DEFAULT_LIMIT_RATIO
 
@@ -403,6 +403,9 @@ class TestConfigPrecedence:
         # rejected before any chain array is allocated
         ({"chains": 10**30}, [], "n_chains must be in [1, 65536]"),
         ({"chains": MAX_CHAINS + 1}, [], "n_chains must be in [1, 65536]"),
+        # an epoch or Gibbs step count this large would never finish training
+        ({"epochs": 10**20}, [], "epochs must be in [0, 65536]"),
+        ({"gibbs_steps": 10**20}, [], "gibbs_steps_per_update must be in [1, 65536]"),
         # 1 / (2 * th_fraction * N) would overflow in the position feature
         ({"th_fraction": 1e-310}, [], "th_fraction must be in [2.2250738585072014e-308, 0.5)"),
     ],
@@ -412,7 +415,7 @@ class TestConfigPrecedence:
         "lexicon-dir-key-missing", "lexicon-dir-flag-missing", "learning-rate-nan",
         "learning-rate-infinity", "learning-rate-int-past-float-range",
         "learning-rate-overflows-a-parameter", "chains-1e30", "chains-past-bound",
-        "th-fraction-below-normal-floats",
+        "epochs-1e20", "gibbs-steps-1e20", "th-fraction-below-normal-floats",
     ],
 )
 def test_bad_setting_exits_2(capsys, tmp_path, config, flags, fragment):
@@ -431,22 +434,27 @@ def test_bad_setting_exits_2(capsys, tmp_path, config, flags, fragment):
 _FUZZ_FLOATS = st.sampled_from(
     [math.nan, math.inf, -math.inf, 1e308, -1e308, 10**400, -0.5, 0.0, 1e-300, 0.2, 0.5, 2.5]
 )
+# small counts keep each run fast; the large ones lie past every bound
+# that a count has, and past int64 and uint64
+_FUZZ_INTS = st.one_of(st.integers(-3, 6), st.sampled_from([2**16 + 1, 2**63, 2**64, 10**20]))
 # relative paths land in the test's working directory
-_FUZZ_STRINGS = st.sampled_from(["", "first", "latest", "json", "text", "missing.txt"])
-_FUZZ_SCALARS = st.one_of(
-    st.none(), st.booleans(), st.integers(-3, 6), _FUZZ_FLOATS, _FUZZ_STRINGS
-)
+_FUZZ_STRINGS = st.sampled_from(["", "missing.txt"])
+_FUZZ_SCALARS = st.one_of(st.none(), st.booleans(), _FUZZ_INTS, _FUZZ_FLOATS, _FUZZ_STRINGS)
 _FUZZ_VALUES = st.one_of(
     _FUZZ_SCALARS, st.lists(st.one_of(_FUZZ_SCALARS, st.lists(_FUZZ_SCALARS, max_size=2)), max_size=2)
 )
 
 
 def _values_of_the_type(key):
-    """Values of the type the key's parameter is annotated with."""
+    """Values of the type the key's parameter is annotated with: a
+    ``Literal``'s own values, or values of each type it names."""
+    choices = _choices(key)
+    if choices:
+        return st.sampled_from(choices)
     annotation = _parameter(key).annotation
     types = typing.get_args(annotation) or (annotation,)
     options = {
-        type(None): st.none(), bool: st.booleans(), int: st.integers(-3, 6),
+        type(None): st.none(), bool: st.booleans(), int: _FUZZ_INTS,
         float: _FUZZ_FLOATS, str: _FUZZ_STRINGS,
     }
     return st.one_of([v for t, v in options.items() if t in types])
@@ -463,19 +471,25 @@ def _fuzzed_configs(draw):
 
 
 @settings(
-    max_examples=40,
+    max_examples=80,
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(config=_fuzzed_configs())
-def test_fuzzed_config_never_escapes_main(capsys, tmp_path, monkeypatch, config):
+@given(
+    command=st.sampled_from([["summarize", ARTICLE], ["features", ARTICLE], ["evaluate", CORPUS]]),
+    config=_fuzzed_configs(),
+)
+def test_fuzzed_config_never_escapes_main(capsys, tmp_path, monkeypatch, command, config):
     monkeypatch.chdir(tmp_path)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    code, _, err = run_cli(capsys, "summarize", ARTICLE, "--config", str(path))
+    code, _, err = run_cli(capsys, *command, "--config", str(path))
     assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err
     if code:
-        assert err.splitlines()[-1].startswith("error: ")
+        lines = err.splitlines(keepends=True)
+        assert lines[-1].startswith("error: ") and lines[-1].endswith("\n"), err
+        assert sum(line.startswith("error: ") for line in lines) == 1, err
 
 
 @pytest.mark.parametrize(

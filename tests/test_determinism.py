@@ -8,9 +8,12 @@ They also do under a random hash seed with one and with two OpenBLAS
 threads, and when the article comes on stdin (``-``) in place of its
 path.  ``evaluate --compare --output`` on the test corpus writes the
 same stdout, stderr and both CSV files in this process and in fresh
-ones under those thread counts.
+ones under those thread counts.  Both single-document commands also
+give the warm call's bytes under those settings on a generated report
+of a few hundred sentences.
 """
 
+import importlib
 import os
 import subprocess
 import sys
@@ -27,6 +30,7 @@ DATA = Path(__file__).parent / "data"
 ARTICLE = str(DATA / "article_market.txt")
 CORPUS = str(DATA / "corpus")
 SRC = str(Path(rbmsumm.__file__).resolve().parent.parent)
+PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
 # a random hash seed, each with its own OpenBLAS thread count
 THREADED = [
     {"PYTHONHASHSEED": "random", "OPENBLAS_NUM_THREADS": threads} for threads in ("1", "2")
@@ -116,3 +120,24 @@ def test_evaluate_compare_writes_the_same_files_in_every_process(
     for run_bytes, run_files in zip(fresh, written[1:]):
         assert run_bytes == here
         assert run_files == written[0]
+
+
+def test_a_generated_report_gives_the_same_bytes_in_every_process(
+    capsysbinary, tmp_path, monkeypatch
+):
+    # the first 75 paragraphs, 308 sentences, of the benchmark's seed-1 report
+    monkeypatch.syspath_prepend(PERFBENCH)
+    (generated,) = importlib.import_module("gen").long_report(1)
+    del sys.modules["gen"]
+    report = tmp_path / "report.txt"
+    report.write_text("\n\n".join(generated.text.split("\n\n")[:75]) + "\n", "utf-8")
+    commands = [
+        ["features", str(report), "--layers", "2"],
+        ["summarize", str(report), "--format", "json"],
+    ]
+    warm = [warm_call(capsysbinary, argv) for argv in commands]
+    assert warm[1][1].startswith(b"seed=42 sentences=308 ")
+    fresh = in_parallel([
+        lambda argv=argv, env=env: fresh_process(argv, env) for argv in commands for env in THREADED
+    ])
+    assert fresh == [bytes_ for bytes_ in warm for _ in THREADED]

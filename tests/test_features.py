@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from rbmsumm import FeatureConfig, RawDocument, preprocess
 from rbmsumm.document import PosTag, ProcessedDocument, Sentence, Token
+from rbmsumm.errors import DegenerateDocument
 from rbmsumm.features import (
     FEATURE_NAMES,
     build_feature_matrix,
@@ -313,6 +314,12 @@ class TestFeatureMatrix:
         assert row["position"] == 1.0
         assert row["pos_in_para"] == 1.0
         assert row["tf_isf"] == 0.0
+
+    def test_document_without_sentences_raises_the_preprocess_error(self):
+        # preprocess never builds one; a hand-built one gets the same type
+        doc = ProcessedDocument(sentences=(), paragraph_count=0, vocabulary={})
+        with pytest.raises(DegenerateDocument, match="no sentences"):
+            build_feature_matrix(doc, CONFIG)
 
     def test_paragraph_swap_only_moves_position_column(self):
         para_a = "Alpha beta gamma delta. Alpha beta epsilon zeta."

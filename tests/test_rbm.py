@@ -478,6 +478,15 @@ class TestTrain:
         with pytest.raises(ValueError, match="n_chains"):
             TrainConfig(n_chains=MAX_CHAINS + 1)
         assert TrainConfig(n_chains=MAX_CHAINS).n_chains == MAX_CHAINS
+        # epochs and Gibbs steps share the bound, so that training ends
+        with pytest.raises(ValueError, match=r"epochs must be in \[0, 65536\]"):
+            TrainConfig(epochs=MAX_CHAINS + 1)
+        with pytest.raises(ValueError, match=r"gibbs_steps_per_update must be in \[1, 65536\]"):
+            TrainConfig(gibbs_steps_per_update=0)
+        with pytest.raises(ValueError, match="gibbs_steps_per_update"):
+            TrainConfig(gibbs_steps_per_update=MAX_CHAINS + 1)
+        edge = TrainConfig(epochs=MAX_CHAINS, gibbs_steps_per_update=MAX_CHAINS)
+        assert edge.epochs == edge.gibbs_steps_per_update == MAX_CHAINS
 
 
 class TestFiniteCheckOncePerEpoch:

@@ -16,7 +16,10 @@ stopped benchmark keeps the runs it finished.  It holds ``what``,
 ``parent_commit``, ``command``, ``host``, ``summary`` (per workload and
 metric: each side's q1, median, q3 and run count, and the pairs in
 which the change read better, by the direction ``BENCHMARK.json``
-gives) and ``runs`` (each run's final JSON line).
+gives) and ``runs`` (each run's final JSON line).  Each run also keeps,
+under ``figures``, the ``name: value unit`` lines printed before that
+line for figures it lacks: the times of layers that only some workloads
+call, in a traced run, and the latency tail, in an untraced one.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -35,6 +39,8 @@ ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10  # untraced, per workload
 TRACED_PAIRS = 3  # per workload; a traced figure needs several runs per side
 COMMAND = "python3 perfbench/run.py --workload <workload> --seed {seed} --seconds {seconds} --trace <trace>"
+# a printed ``name: value unit`` line, as ``%g`` and ``%f`` write the value
+FIGURE = re.compile(r"([\w.]+): (-?[\d.]+(?:e[-+]\d+)?) (\S+)")
 
 
 def _git(*args: str) -> str:
@@ -53,7 +59,8 @@ def export_commit(commit: str, dest: Path) -> None:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """The final JSON line of one ``perfbench/run.py`` run in ``checkout``."""
+    """The final JSON line of one ``perfbench/run.py`` run in ``checkout``,
+    with its ``figures``."""
     command = [
         sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
         "--seconds", str(seconds), "--trace", str(trace),
@@ -62,7 +69,19 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     lines = proc.stdout.strip().splitlines()
     if not lines or not lines[-1].startswith("{"):
         raise SystemExit(f"{' '.join(command)} in {checkout} exited {proc.returncode} without a result")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    result["figures"] = figures(lines[:-1], result["metrics"])
+    return result
+
+
+def figures(lines: list[str], metrics: dict) -> dict:
+    """The ``name: value unit`` lines whose name is not in ``metrics``; a
+    line such as ``name: not called`` gives no figure."""
+    return {
+        match[1]: {"value": float(match[2]), "unit": match[3]}
+        for match in map(FIGURE.match, lines)
+        if match and match[1] not in metrics
+    }
 
 
 def quartiles(values: list[float]) -> dict:
