@@ -7,7 +7,7 @@ against reference extracts.
 """
 
 from .assets import Lexicons, load_lexicons
-from .document import PosTag, ProcessedDocument, RawDocument, Sentence, Token
+from .document import ProcessedDocument, RawDocument, Sentence, Token
 from .errors import (
     DegenerateDocument,
     DimensionMismatch,

@@ -14,6 +14,7 @@ the one ``--layers`` names.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import sys
@@ -74,6 +75,8 @@ _KEYS = {
     **{f.name: (_CliSettings, f.name) for f in fields(_CliSettings)},
 }
 
+
+@functools.cache  # _KEYS is fixed, so each key's signature is read once
 def _parameter(key: str) -> inspect.Parameter:
     owner, name = _KEYS[key]
     return inspect.signature(owner, eval_str=True).parameters[name]

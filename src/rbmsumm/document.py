@@ -2,15 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
-
-
-class PosTag(Enum):
-    """Whether a token is a name: the one tag the features read."""
-
-    PROPER_NOUN = "proper_noun"
-    OTHER = "other"
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -25,7 +17,7 @@ class RawDocument:
 class Token:
     surface: str
     stem: str
-    tag: PosTag = PosTag.OTHER
+    is_name: bool = False
     is_stopword: bool = False
     is_numeral: bool = False
 
@@ -54,8 +46,6 @@ class ProcessedDocument:
 
     sentences: tuple[Sentence, ...]
     paragraph_count: int
-    # non-stopword stem -> total occurrences across the document
-    vocabulary: dict[str, int] = field(repr=False)
 
     @property
     def n_sentences(self) -> int:

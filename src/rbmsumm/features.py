@@ -8,12 +8,12 @@ The matrix is built for the whole document at once, and every value
 has the bits of a sentence-by-sentence computation.  Each feature is a
 ratio, root or function of integer counts, and the counts are integer
 sums over flat arrays: int64 where no tf-isf total can reach 2**63,
-Python ints where a hand-built vocabulary could push one past it.  Each
-count converts to a double exactly, and the divisions, square roots
-and products that follow are correctly rounded IEEE operations in
-numpy as in Python.  The two library functions stay scalar:
-``math.cos`` in ``f_position`` and ``math.log1p`` in ``f_tf_isf``,
-called once per sentence.
+as in any document of fewer than about 1.66 million content tokens,
+and Python ints past that.  Each count converts to a double exactly,
+and the divisions, square roots and products that follow are
+correctly rounded IEEE operations in numpy as in Python.  The two
+library functions stay scalar: ``math.cos`` in ``f_position`` and
+``math.log1p`` in ``f_tf_isf``, called once per sentence.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from itertools import chain
 
 import numpy as np
 
-from .document import PosTag, ProcessedDocument
+from .document import ProcessedDocument
 from .errors import DegenerateDocument
 
 FEATURE_NAMES = (
@@ -42,6 +42,7 @@ FEATURE_NAMES = (
 )
 
 N_FEATURES = len(FEATURE_NAMES)
+_INT64_LIMIT = 2**63  # tf-isf totals that could reach it are summed in Python ints
 
 
 @dataclass(frozen=True)
@@ -74,18 +75,18 @@ class SentenceFeatureMatrix:
         return self.values.shape[0]
 
 
-def thematic_words(doc: ProcessedDocument, config: FeatureConfig) -> frozenset[str]:
-    """The most frequent non-stopword stems; count ties favour the
-    lexicographically smaller stem.
+def thematic_words(counts: dict[str, int], config: FeatureConfig) -> frozenset[str]:
+    """The most frequent stems in ``counts`` (stem -> document count);
+    count ties favour the lexicographically smaller stem.
 
     Only stems counted at least as often as the ``thematic_count``-th
     largest count can be chosen, so only those are ranked.
     """
-    if not doc.vocabulary:
+    if not counts:
         return frozenset()
     k = config.thematic_count
-    floor = sorted(doc.vocabulary.values(), reverse=True)[:k][-1]
-    top = sorted((-c, stem) for stem, c in doc.vocabulary.items() if c >= floor)
+    floor = sorted(counts.values(), reverse=True)[:k][-1]
+    top = sorted((-c, stem) for stem, c in counts.items() if c >= floor)
     return frozenset(stem for _, stem in top[:k])
 
 
@@ -159,7 +160,7 @@ def build_feature_matrix(
     One pass over the tokens gives flat arrays: each token's sentence,
     its stop-word, name and numeral flags, and each content token's stem
     id.  Every count, tf-isf total, dot product and squared norm is then
-    an integer sum over the flags or over ``_stem_runs``.
+    an integer sum over the flags, the stem ids or ``_stem_runs``.
     """
     config = config or FeatureConfig()
     sentences = doc.sentences
@@ -169,9 +170,8 @@ def build_feature_matrix(
     n_tokens = np.array([len(s.tokens) for s in sentences], dtype=np.int64)
     tokens = list(chain.from_iterable(s.tokens for s in sentences))
     token_sentence = np.repeat(np.arange(n), n_tokens)
-    proper = PosTag.PROPER_NOUN  # an Enum member lookup costs more than a local
     content = ~_flags([t.is_stopword for t in tokens])
-    name = _flags([t.tag is proper for t in tokens])
+    name = _flags([t.is_name for t in tokens])
     numeral = _flags([t.is_numeral for t in tokens])
     index: dict[str, int] = {}
     stem = np.array(
@@ -179,9 +179,10 @@ def build_feature_matrix(
         dtype=np.int64,
     )
     width = max(len(index), 1)
-    doc_counts = [doc.vocabulary.get(s, 0) for s in index]
+    doc_counts = np.bincount(stem, minlength=width)
     thematic = np.zeros(width, dtype=bool)
-    thematic[[index[s] for s in thematic_words(doc, config) if s in index]] = True
+    top = thematic_words(dict(zip(index, doc_counts.tolist())), config)
+    thematic[[index[s] for s in top]] = True
     # the sums need none of these, and held to the end they would add to
     # the run's peak memory
     del tokens, index
@@ -195,12 +196,12 @@ def build_feature_matrix(
         return out
 
     # with m a sentence's content tokens and c a stem's document count, a
-    # total is at most m * m * (max |c| + m); a hand-built vocabulary can
-    # push that past int64, and then the sums are taken over Python ints
+    # total is at most m * m * (max c + m) <= 2 * T**3 for T content tokens
+    # in the document, under 2**63 below about 1.66 million; else Python ints
     m = int(per_sentence(tf).max(initial=0))
-    exact = np.int64 if m * m * (max(map(abs, doc_counts), default=0) + m) < 2**63 else object
+    exact = np.int64 if m * m * (int(doc_counts.max()) + m) < _INT64_LIMIT else object
     counts = tf.astype(exact)
-    elsewhere = np.array(doc_counts, dtype=exact)[group_stem] - counts
+    elsewhere = doc_counts.astype(exact)[group_stem] - counts
     totals = per_sentence(counts * counts * elsewhere)
     del counts, elsewhere
     tf_isf = [f_tf_isf(total, size) for total, size in zip(totals.tolist(), n_tokens.tolist())]

@@ -3,7 +3,7 @@
 Pure-function implementation of the classic five-step suffix-stripping
 algorithm, matching the behaviour of the widely used C port (including
 its two step-2 refinements, ``bli -> ble`` and ``logi -> log``, which
-the standard reference vocabulary reflects).  Words of length <= 2 are
+the standard reference word list reflects).  Words of length <= 2 are
 returned unchanged.
 
 Steps 2, 3 and 4 look a word up by its last two letters, as the C

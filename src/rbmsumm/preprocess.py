@@ -8,13 +8,12 @@ document, on any machine.
 from __future__ import annotations
 
 import re
-from collections import Counter
 # never called: each Token is built once, and the benchmark in perfbench/
 # counts calls to this name as Token rebuilds
 from dataclasses import replace  # noqa: F401
 
 from .assets import Lexicons, default_lexicons
-from .document import PosTag, ProcessedDocument, RawDocument, Sentence, Token
+from .document import ProcessedDocument, RawDocument, Sentence, Token
 from .errors import DegenerateDocument, EmptyDocument
 from .porter import porter_stem
 
@@ -109,11 +108,11 @@ def make_token(surface: str, sentence_initial: bool, lex: Lexicons) -> Token:
     # what Token's frozen __init__ does, without the cost of a keyword
     # call, so the token has the layout Token(...) gives it; filling
     # __dict__ builds faster but makes later attribute reads slower, and
-    # did not win end to end (ROADMAP.md item 5)
+    # did not win end to end (figures: commit acbc85b, in CHANGES.md)
     token = _new_object(Token)
     _set_attribute(token, "surface", surface)
     _set_attribute(token, "stem", porter_stem(lowered) if lowered.isalpha() else lowered)
-    _set_attribute(token, "tag", PosTag.PROPER_NOUN if name else PosTag.OTHER)
+    _set_attribute(token, "is_name", name)
     _set_attribute(token, "is_stopword", stopword)
     _set_attribute(token, "is_numeral", is_numeral(surface))
     return token
@@ -179,9 +178,4 @@ def preprocess(raw: RawDocument, lexicons: Lexicons | None = None) -> ProcessedD
         raise DegenerateDocument(
             f"document {raw.source_id!r} has no sentences after preprocessing"
         )
-    vocabulary = Counter(stem for s in sentences for stem in s.content_stems())
-    return ProcessedDocument(
-        sentences=tuple(sentences),
-        paragraph_count=para_index,
-        vocabulary=dict(vocabulary),
-    )
+    return ProcessedDocument(sentences=tuple(sentences), paragraph_count=para_index)

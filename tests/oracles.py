@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 import rbmsumm
-from rbmsumm.document import PosTag, ProcessedDocument, Token
+from rbmsumm.document import ProcessedDocument, Token
 from rbmsumm.errors import NonFiniteParameter
 from rbmsumm.porter import _STEP2, _STEP3, _STEP4
 from rbmsumm.rbm import WEIGHT_INIT_STD, Rbm
@@ -105,12 +105,12 @@ def oracle_feature_matrix(
             position = math.cos(((i + 1) - low) * ((1.0 / high) - low))
         length = 0.0 if total < short_min_words else float(total)
         pos_in_para = 1.0 if (s.is_para_first or s.is_para_last) else 0.0
-        proper = sum(1 for t in tokens if t.tag is PosTag.PROPER_NOUN)
+        proper = sum(1 for t in tokens if t.is_name)
         numerals = sum(1 for t in tokens if t.is_numeral) / total
         entities = 0
         previous_proper = False
         for t in tokens:
-            now = t.tag is PosTag.PROPER_NOUN
+            now = t.is_name
             if now and not previous_proper:
                 entities += 1
             previous_proper = now
@@ -141,14 +141,18 @@ def _record_counts(sentence) -> Counter:
     return Counter(sentence.content_stems())
 
 
-def _record_tf_isf(sentence, doc: ProcessedDocument) -> float:
+def _record_document_counts(doc: ProcessedDocument) -> Counter:
+    return Counter(stem for s in doc.sentences for stem in s.content_stems())
+
+
+def _record_tf_isf(sentence, document_counts: Counter) -> float:
     counts = _record_counts(sentence)
     total = 0.0
     for token in sentence.tokens:
         if token.is_stopword:
             continue
         tf = counts[token.stem]
-        occ = doc.vocabulary.get(token.stem, 0) - tf
+        occ = document_counts[token.stem] - tf
         total += tf * occ
     return math.log1p(total) / len(sentence.tokens)
 
@@ -166,9 +170,10 @@ def _record_centroid_sim(sentence, centroid) -> float:
 
 def per_record_feature_matrix(doc: ProcessedDocument, config) -> np.ndarray:
     """The raw feature matrix, built as a list of nine-float rows."""
-    ranked = sorted(doc.vocabulary.items(), key=lambda kv: (-kv[1], kv[0]))
+    document_counts = _record_document_counts(doc)
+    ranked = sorted(document_counts.items(), key=lambda kv: (-kv[1], kv[0]))
     thematic = frozenset(stem for stem, _ in ranked[: config.thematic_count])
-    tf_isf = [_record_tf_isf(s, doc) for s in doc.sentences]
+    tf_isf = [_record_tf_isf(s, document_counts) for s in doc.sentences]
     best = 0
     for i, score in enumerate(tf_isf):
         if score > tf_isf[best]:
@@ -186,7 +191,7 @@ def per_record_feature_matrix(doc: ProcessedDocument, config) -> np.ndarray:
             position = math.cos((s.doc_index + 1 - low) * ((1.0 / high) - low))
         runs, previous = 0, False
         for t in tokens:
-            name = t.tag is PosTag.PROPER_NOUN
+            name = t.is_name
             runs += name and not previous
             previous = name
         rows.append([
@@ -194,7 +199,7 @@ def per_record_feature_matrix(doc: ProcessedDocument, config) -> np.ndarray:
             position,
             0.0 if len(tokens) < config.short_sentence_min_words else float(len(tokens)),
             1.0 if s.is_para_first or s.is_para_last else 0.0,
-            float(sum(1 for t in tokens if t.tag is PosTag.PROPER_NOUN)),
+            float(sum(1 for t in tokens if t.is_name)),
             sum(1 for t in tokens if t.is_numeral) / len(tokens),
             float(runs),
             score,
@@ -563,7 +568,7 @@ def oracle_tokenize(sentence: str) -> list[str]:
 
 
 # ---------------------------------------------------------------------
-# Three-pass token builder: stems and numerals, stop words, tags
+# Three-pass token builder: stems and numerals, stop words, names
 # ---------------------------------------------------------------------
 
 
@@ -598,9 +603,9 @@ def _oracle_tag(token: Token, sentence_initial: bool) -> str:
 
 def oracle_tokens(surfaces: list[str], stopwords: frozenset[str] | None = None) -> list[Token]:
     """Build every token with the bundled lexicons, rebuild it with its
-    stop-word flag, then again with its tag; the first surface is
-    sentence-initial.  Every label but a proper noun becomes ``OTHER``.
-    ``stopwords`` replaces the bundled stop words."""
+    stop-word flag, then again with its name flag, set where the
+    former tagger's label is a proper noun; the first surface is
+    sentence-initial.  ``stopwords`` replaces the bundled stop words."""
     stopwords = _bundled("stopwords") if stopwords is None else stopwords
     tokens = []
     for surface in surfaces:
@@ -608,9 +613,8 @@ def oracle_tokens(surfaces: list[str], stopwords: frozenset[str] | None = None) 
         stem = oracle_porter_stem(lowered) if lowered.isalpha() else lowered
         tokens.append(Token(surface=surface, stem=stem, is_numeral=oracle_is_numeral(surface)))
     tokens = [replace(t, is_stopword=t.surface.lower() in stopwords) for t in tokens]
-    tags = {"proper_noun": PosTag.PROPER_NOUN}
     return [
-        replace(t, tag=tags.get(_oracle_tag(t, i == 0), PosTag.OTHER))
+        replace(t, is_name=_oracle_tag(t, i == 0) == "proper_noun")
         for i, t in enumerate(tokens)
     ]
 

@@ -7,10 +7,11 @@ import shutil
 import subprocess
 import sys
 import typing
+import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import rbmsumm
@@ -34,6 +35,21 @@ def run_cli(capsys, *argv):
 def assert_one_error_line(err, fragment):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert fragment in err
+
+
+def assert_main_ends_cleanly(capsys, *argv):
+    """``main`` exits with a code the CLI documents, with no traceback and
+    no warning, and on failure with exactly one ``error:`` line, the last."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run_cli(capsys, *argv)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err
+    assert [str(w.message) for w in caught] == []
+    lines = err.splitlines(keepends=True)
+    assert sum(line.startswith("error: ") for line in lines) == (1 if code else 0), err
+    if code:
+        assert lines[-1].startswith("error: ") and lines[-1].endswith("\n"), err
 
 
 class TestSummarizeCommand:
@@ -483,13 +499,100 @@ def test_fuzzed_config_never_escapes_main(capsys, tmp_path, monkeypatch, command
     monkeypatch.chdir(tmp_path)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    code, _, err = run_cli(capsys, *command, "--config", str(path))
-    assert code in (0, 2, 3, 4)
-    assert "Traceback" not in err
-    if code:
-        lines = err.splitlines(keepends=True)
-        assert lines[-1].startswith("error: ") and lines[-1].endswith("\n"), err
-        assert sum(line.startswith("error: ") for line in lines) == 1, err
+    assert_main_ends_cleanly(capsys, *command, "--config", str(path))
+
+
+# pieces of document bytes: whitespace, punctuation, NUL, bytes that are
+# not UTF-8, stop words, and sentences that may repeat
+_DOCUMENT_PIECES = st.sampled_from([
+    b" ", b"\n", b"\n\n", b"\t", b".", b"?!", b"...", b"-- ;", b"\x00", b"\xff", b"\xc3(",
+    b"\xed\xa0\x80", b"The of and a in. ", b"Markets rose in Nairobi. ", b"Prices fell 12 points. ",
+])
+_DOCUMENT_COMMANDS = {
+    "summarize-file": ["summarize", "{doc}"],
+    "summarize-stdin": ["summarize", "-"],
+    "features-file": ["features", "{doc}"],
+    "features-stdin": ["features", "-"],
+    "evaluate-one-document": ["evaluate", "{corpus}"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_DOCUMENT_COMMANDS))
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(document=st.one_of(st.lists(_DOCUMENT_PIECES, max_size=8).map(b"".join), st.binary(max_size=12)))
+@example(document=b"")
+@example(document=b" \n\n\t ")
+@example(document=b"... ?! -- ;")
+@example(document=b"Markets\x00rose. \x00")
+@example(document=b"Caf\xe9 prices rose.")
+@example(document=b"Markets rose in Nairobi.")
+@example(document=b"Markets rose. Markets rose. Markets rose.")
+@example(document=b"The of and a in. It was the.")
+def test_fuzzed_document_never_escapes_main(capsys, tmp_path, monkeypatch, command, document):
+    doc = tmp_path / "doc.txt"
+    corpus = tmp_path / "corpus"
+    corpus.mkdir(exist_ok=True)
+    doc.write_bytes(document)
+    (corpus / "doc.txt").write_bytes(document)
+    (corpus / "doc.ref").write_text("0\n")
+    # as in UTF-8 mode, where stdin decodes with surrogateescape
+    stdin = io.TextIOWrapper(io.BytesIO(document), encoding="utf-8", errors="surrogateescape")
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert_main_ends_cleanly(
+        capsys, *[a.format(doc=doc, corpus=corpus) for a in _DOCUMENT_COMMANDS[command]]
+    )
+
+
+def _broken_symlink(path):
+    path.symlink_to(path.with_name("missing" + path.suffix))
+
+
+@pytest.mark.parametrize(
+    "name, make, code, fragment",
+    [
+        ("doc.ref", Path.mkdir, 2, "Is a directory"),
+        ("doc.ref", _broken_symlink, 4, "no reference file for document 'doc'"),
+        ("doc.txt", _broken_symlink, 2, "No such file or directory"),
+        ("doc.ref", lambda p: p.write_bytes(b"\xff\n"), 2, "doc.ref is not UTF-8"),
+        ("doc.ref", lambda p: p.write_text("-1\n"), 2, "out-of-range indices [-1]"),
+        ("doc.ref", lambda p: p.write_text(f"{10**30}\n"), 2, f"indices [{10**30}]"),
+    ],
+    ids=[
+        "ref-is-a-directory", "ref-is-a-broken-symlink", "txt-is-a-broken-symlink",
+        "ref-not-utf-8", "negative-index", "huge-index",
+    ],
+)
+def test_odd_corpus_exits_with_one_error_line(capsys, tmp_path, name, make, code, fragment):
+    """A one-document corpus whose file ``name`` ``make`` replaces."""
+    (tmp_path / "doc.txt").write_text("Markets rose in Nairobi. Prices fell sharply.\n")
+    (tmp_path / "doc.ref").write_text("0\n")
+    (tmp_path / name).unlink()
+    make(tmp_path / name)
+    got, out, err = run_cli(capsys, "evaluate", str(tmp_path))
+    assert got == code
+    assert out == ""
+    assert_one_error_line(err, fragment)
+
+
+def test_each_settings_signature_is_read_once(capsys, monkeypatch):
+    calls = []
+    signature = inspect.signature
+
+    def counting(owner, **kwargs):
+        calls.append(owner)
+        return signature(owner, **kwargs)
+
+    _parameter.cache_clear()
+    monkeypatch.setattr(inspect, "signature", counting)
+    for _ in range(2):
+        assert main(["summarize", ARTICLE, "--limit", "2"]) == 0
+    capsys.readouterr()
+    # one evaluation per key at most: 35 per main call before the cache
+    assert 0 < len(calls) <= len(_KEYS)
 
 
 @pytest.mark.parametrize(

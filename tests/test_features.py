@@ -1,17 +1,18 @@
+import dataclasses
 import json
 import math
 import sys
 from collections import Counter
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rbmsumm.features
 from rbmsumm import FeatureConfig, RawDocument, preprocess
-from rbmsumm.document import PosTag, ProcessedDocument, Sentence, Token
+from rbmsumm.document import ProcessedDocument, Sentence, Token
 from rbmsumm.errors import DegenerateDocument
 from rbmsumm.features import (
     FEATURE_NAMES,
@@ -41,7 +42,7 @@ def make_sentence(words, doc_index=0, para_index=0, pos_in_para=0,
         Token(
             surface=w,
             stem=w.lower(),
-            tag=PosTag.PROPER_NOUN if w in proper else PosTag.OTHER,
+            is_name=w in proper,
             is_stopword=w.lower() in stopwords,
             is_numeral=w in numerals,
         )
@@ -63,12 +64,12 @@ def make_doc(sentence_word_lists, **kwargs):
         make_sentence(words, doc_index=i, **kwargs)
         for i, words in enumerate(sentence_word_lists)
     )
-    vocab = {}
-    for s in sentences:
-        for t in s.tokens:
-            if not t.is_stopword:
-                vocab[t.stem] = vocab.get(t.stem, 0) + 1
-    return ProcessedDocument(sentences=sentences, paragraph_count=1, vocabulary=vocab)
+    return ProcessedDocument(sentences=sentences, paragraph_count=1)
+
+
+def stem_counts(doc):
+    """Each non-stopword stem's count in ``doc``."""
+    return Counter(stem for s in doc.sentences for stem in s.content_stems())
 
 
 def feature(name, doc, config=CONFIG):
@@ -82,12 +83,12 @@ def sentence_feature(name, words, **kwargs):
 
 
 def thematic_share(sentence, thematic):
-    """The thematic feature of ``sentence`` alone in a document whose
-    vocabulary ranks exactly the stems ``thematic`` first."""
-    counts = Counter(sentence.content_stems())
-    above = max(counts.values(), default=0) + 1
-    vocabulary = {**counts, **{stem: counts[stem] + above for stem in thematic}}
-    doc = ProcessedDocument(sentences=(sentence,), paragraph_count=1, vocabulary=vocabulary)
+    """The thematic feature of ``sentence`` in a document whose second
+    sentence repeats each stem of ``thematic`` more often than
+    ``sentence`` holds any stem, so that exactly those stems rank first."""
+    above = max(Counter(sentence.content_stems()).values(), default=0) + 1
+    filler = make_sentence([stem for stem in sorted(thematic) for _ in range(above)], doc_index=1)
+    doc = ProcessedDocument(sentences=(sentence, filler), paragraph_count=1)
     return feature("thematic", doc, FeatureConfig(thematic_count=len(thematic)))[0]
 
 
@@ -97,17 +98,17 @@ def tf_isf(sentence, doc):
 
 class TestThematicWords:
     def test_top_frequency_word_included(self, article_doc):
-        assert "market" in thematic_words(article_doc, CONFIG)
+        assert "market" in thematic_words(stem_counts(article_doc), CONFIG)
 
     def test_small_vocabulary_returns_all(self):
         doc = make_doc([["alpha", "beta"], ["gamma", "delta"]])
-        assert thematic_words(doc, CONFIG) == {"alpha", "beta", "gamma", "delta"}
+        assert thematic_words(stem_counts(doc), CONFIG) == {"alpha", "beta", "gamma", "delta"}
 
     def test_tie_breaks_lexicographically(self):
         doc = make_doc([[f"w{i:02d}" for i in range(9)] + ["aa"], ["zz"]])
         # eleven distinct stems, all count 1: the lexicographically
         # largest one must be the one dropped
-        result = thematic_words(doc, CONFIG)
+        result = thematic_words(stem_counts(doc), CONFIG)
         assert len(result) == 10
         assert "zz" not in result
         assert "aa" in result
@@ -122,8 +123,7 @@ class TestThematicWords:
     def test_equals_the_head_of_the_sorted_vocabulary(self, vocabulary, count):
         # few counts over many stems: most of the ranking is decided by ties
         ranked = sorted(vocabulary.items(), key=lambda kv: (-kv[1], kv[0]))
-        doc = SimpleNamespace(vocabulary=vocabulary)
-        assert thematic_words(doc, FeatureConfig(thematic_count=count)) == {
+        assert thematic_words(vocabulary, FeatureConfig(thematic_count=count)) == {
             stem for stem, _ in ranked[:count]
         }
 
@@ -317,7 +317,7 @@ class TestFeatureMatrix:
 
     def test_document_without_sentences_raises_the_preprocess_error(self):
         # preprocess never builds one; a hand-built one gets the same type
-        doc = ProcessedDocument(sentences=(), paragraph_count=0, vocabulary={})
+        doc = ProcessedDocument(sentences=(), paragraph_count=0)
         with pytest.raises(DegenerateDocument, match="no sentences"):
             build_feature_matrix(doc, CONFIG)
 
@@ -432,53 +432,76 @@ class TestOnePassMatchesPerRecordStage:
 
 def python_int_tf_isf(doc):
     """Each sentence's tf-isf from a total summed in Python ints."""
+    in_doc = stem_counts(doc)
     scores = []
     for sentence in doc.sentences:
         counts = Counter(sentence.content_stems())
-        total = sum(tf * tf * (doc.vocabulary.get(stem, 0) - tf) for stem, tf in counts.items())
+        total = sum(tf * tf * (in_doc[stem] - tf) for stem, tf in counts.items())
         scores.append(math.log1p(total) / len(sentence.tokens))
     return scores
 
 
-def with_vocabulary(doc, vocabulary):
-    return ProcessedDocument(doc.sentences, doc.paragraph_count, vocabulary)
+def repeated_tokens(copies):
+    """One sentence per dict of ``copies``, holding each word that many
+    times as one shared token whose stem is the word."""
+    sentences = tuple(
+        dataclasses.replace(
+            make_sentence([], doc_index=i),
+            tokens=tuple(t for w, k in words.items() for t in (Token(surface=w, stem=w),) * k),
+        )
+        for i, words in enumerate(copies)
+    )
+    return ProcessedDocument(sentences=sentences, paragraph_count=1)
 
 
 class TestWholeDocumentSums:
-    """Hand-built documents at the edges of the array build's integer sums."""
+    """Documents at the edges of the array build's integer sums.  A real
+    document needs about 1.66 million content tokens before its sums can
+    take Python ints, so the tests lower ``_INT64_LIMIT`` to reach them."""
 
     @pytest.mark.parametrize(
         "counts",
         [
-            {"y": 2**52},  # a total past 2**53
-            {"x": 2**62},  # a total past 2**63
-            {"x": 2**62, "y": 2**52},
-            {"x": 2**70, "z": -(2**66)},  # mixed signs in one sentence
+            # one dict per sentence: word -> copies.  2**18 * 2**18 *
+            # (2**17 + 1) is a real int64 total past 2**53, from about 0.4
+            # million tokens; the last document adds 3 * 3 * 3 to it, and
+            # no double holds that odd total
+            ({"x": 2**18}, {"x": 2**17 + 1}),
+            ({"x": 2, "w": 1}, {"y": 2}, {"x": 1, "y": 1, "z": 1}, {"w": 1}),
+            ({"x": 2**18, "y": 3}, {"y": 2}, {"x": 2**17 + 1, "y": 1}),
         ],
     )
-    def test_totals_past_float_and_int64_precision(self, counts):
-        doc = make_doc([["x", "x", "w"], ["y", "y"], ["x", "y", "z"], ["w"]])
-        doc = with_vocabulary(doc, {**doc.vocabulary, **counts})
+    def test_totals_past_float_and_int64_precision(self, counts, monkeypatch):
+        """int64 sums, and Python-int sums past a lowered int64 limit,
+        give the bytes of totals summed in Python ints."""
+        doc = repeated_tokens(counts)
         expected = python_int_tf_isf(doc)
         assert any(s > 0 for s in expected)
-        values = build_feature_matrix(doc, CONFIG).values
-        assert values[:, FEATURE_NAMES.index("tf_isf")].tolist() == expected
-        centroid = centroid_index(expected)
-        sim = values[:, FEATURE_NAMES.index("centroid_sim")]
-        assert sim[centroid] == pytest.approx(1.0)
+        column = FEATURE_NAMES.index("tf_isf")
+        int64_sums = build_feature_matrix(doc, CONFIG).values
+        monkeypatch.setattr(rbmsumm.features, "_INT64_LIMIT", 0)
+        python_int_sums = build_feature_matrix(doc, CONFIG).values
+        for values in (int64_sums, python_int_sums):
+            assert values[:, column].tolist() == expected
+            sim = values[:, FEATURE_NAMES.index("centroid_sim")]
+            assert sim[centroid_index(expected)] == pytest.approx(1.0)
+        assert python_int_sums.tobytes() == int64_sums.tobytes()
 
     @pytest.mark.parametrize(
-        "count",
+        "limit",
         [
-            2**61 - 3,  # the bound 2 * 2 * (count + 2) is 2**63 - 4: int64 sums
-            2**61 - 2,  # the bound reaches 2**63: Python-int sums
-            2**62,
+            21,  # the bound 2 * 2 * (3 + 2) is 20: int64 sums
+            20,  # the bound reaches the limit: Python-int sums
+            0,
         ],
     )
-    def test_one_sentence_at_the_int64_edge(self, count):
-        doc = with_vocabulary(make_doc([["x", "x"]]), {"x": count})
-        total = 2 * 2 * (count - 2)
-        assert feature("tf_isf", doc).tolist() == [math.log1p(total) / 2]
+    def test_sums_either_side_of_a_lowered_int64_limit(self, limit, monkeypatch):
+        doc = make_doc([["x", "x"], ["x"]])
+        monkeypatch.setattr(rbmsumm.features, "_INT64_LIMIT", limit)
+        values = build_feature_matrix(doc, CONFIG).values
+        assert values[:, FEATURE_NAMES.index("tf_isf")].tolist() == python_int_tf_isf(doc)
+        assert python_int_tf_isf(doc) == [math.log1p(2 * 2 * 1) / 2, math.log1p(1 * 1 * 2)]
+        assert values.tobytes() == per_record_feature_matrix(doc, CONFIG).tobytes()
 
     def test_sentence_without_content_stems(self):
         doc = make_doc([["the", "cat"], ["the", "of"], ["cat", "sat"]], stopwords={"the", "of"})
@@ -489,27 +512,11 @@ class TestWholeDocumentSums:
 
     def test_every_sentence_stop_words_only(self):
         doc = make_doc([["the"], ["of", "the"], ["a"]], stopwords={"the", "of", "a"})
-        assert doc.vocabulary == {}
+        assert stem_counts(doc) == {}
         values = build_feature_matrix(doc, CONFIG).values
         assert values.tobytes() == per_record_feature_matrix(doc, CONFIG).tobytes()
         for name in ("thematic", "tf_isf", "centroid_sim"):
             assert not values[:, FEATURE_NAMES.index(name)].any()
-
-    def test_vocabulary_without_a_sentence_stem(self):
-        # "x" is missing, so it adds 1 * 1 * (0 - 1); "y" adds 1 * 1 * 4
-        doc = with_vocabulary(make_doc([["x", "y"], ["y", "z"]]), {"y": 5, "z": 1})
-        values = build_feature_matrix(doc, CONFIG).values
-        assert values.tobytes() == per_record_feature_matrix(doc, CONFIG).tobytes()
-        assert values[0, FEATURE_NAMES.index("tf_isf")] == math.log1p(3) / 2
-
-    def test_vocabulary_below_a_sentence_own_count_raises_as_before(self):
-        # 2 * 2 * (1 - 2) = -4, whose log1p is undefined
-        doc = with_vocabulary(make_doc([["w"], ["x", "x"]]), {"w": 1, "x": 1})
-        with pytest.raises(ValueError, match="math domain error") as raised:
-            per_record_feature_matrix(doc, CONFIG)
-        with pytest.raises(ValueError, match="math domain error") as ours:
-            build_feature_matrix(doc, CONFIG)
-        assert str(ours.value) == str(raised.value)
 
 
 class TestTfIsfFunction:

@@ -15,7 +15,6 @@ ALLOWED_IMPORTS = {
     # data types
     "Rbm",
     "Token",
-    "PosTag",
     "ProcessedDocument",
     # errors
     "NonFiniteParameter",

@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -8,14 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rbmsumm
+import rbmsumm.features
 from rbmsumm import (
     DegenerateDocument,
     EmptyDocument,
-    PosTag,
     RawDocument,
     preprocess,
 )
-from rbmsumm.document import Token
+from rbmsumm.document import Sentence, Token
 from rbmsumm.assets import _LEXICON_FILES, default_lexicons, load_lexicons, load_wordlist
 from rbmsumm.features import FEATURE_NAMES, build_feature_matrix
 from rbmsumm.preprocess import (
@@ -201,39 +202,41 @@ class TestStopwordsAndStems:
 
 
 class TestPosTagger:
-    def tag(self, words):
-        return [t.tag for t in build_tokens(words, LEX)]
+    """The name decision, the one part of a tagger the features read."""
+
+    def names(self, words):
+        return [t.is_name for t in build_tokens(words, LEX)]
 
     def test_sentence_initial_determiner(self):
-        assert self.tag(["The", "cat"])[0] is PosTag.OTHER
+        assert self.names(["The", "cat"])[0] is False
 
     def test_mid_sentence_capital_is_proper_noun(self):
-        assert self.tag(["visited", "Delhi"])[1] is PosTag.PROPER_NOUN
+        assert self.names(["visited", "Delhi"])[1] is True
 
     def test_digits_are_numerals(self):
         token = build_tokens(["120"], LEX)[0]
-        assert token.tag is PosTag.OTHER
+        assert token.is_name is False
         assert token.is_numeral
 
     def test_sentence_initial_unknown_capital_is_proper_noun(self):
-        assert self.tag(["Nairobi", "traders", "met"])[0] is PosTag.PROPER_NOUN
+        assert self.names(["Nairobi", "traders", "met"])[0] is True
 
     def test_sentence_initial_common_word_is_not_proper_noun(self):
-        assert self.tag(["Markets", "fell"])[0] is not PosTag.PROPER_NOUN
+        assert self.names(["Markets", "fell"])[0] is False
 
     def test_default_other(self):
-        assert self.tag(["zzgrobble"])[0] is PosTag.OTHER
+        assert self.names(["zzgrobble"])[0] is False
 
     def test_every_token_gets_exactly_one_tag(self, article_doc):
         for sentence in article_doc.sentences:
             for token in sentence.tokens:
-                assert isinstance(token.tag, PosTag)
+                assert type(token.is_name) is bool
 
     def test_stopwords_never_proper_nouns(self, article_doc):
         for sentence in article_doc.sentences:
             for token in sentence.tokens:
                 if token.is_stopword:
-                    assert token.tag is not PosTag.PROPER_NOUN
+                    assert not token.is_name
 
 
 class TestEntityChunks:
@@ -242,7 +245,7 @@ class TestEntityChunks:
 
     def chunk(self, words):
         doc = preprocess(RawDocument(" ".join(words)))
-        names = [t.tag is PosTag.PROPER_NOUN for t in doc.sentences[0].tokens]
+        names = [t.is_name for t in doc.sentences[0].tokens]
         runs = build_feature_matrix(doc).values[0, FEATURE_NAMES.index("named_entities")]
         return names, runs
 
@@ -311,11 +314,39 @@ class TestPreprocessPipeline:
     def test_deterministic(self, article_raw):
         assert preprocess(article_raw) == preprocess(article_raw)
 
-    def test_vocabulary_counts(self, article_doc):
-        assert article_doc.vocabulary["market"] == 4
-        assert article_doc.vocabulary["export"] == 2
-        assert article_doc.vocabulary["point"] == 2
-        assert "the" not in article_doc.vocabulary
+    def test_vocabulary_counts(self, article_doc, monkeypatch):
+        """The document counts of the non-stopword stems, as the features
+        derive them from the stem ids and rank them for the thematic words."""
+        seen = []
+        thematic_words = rbmsumm.features.thematic_words
+
+        def spy(counts, config):
+            seen.append(counts)
+            return thematic_words(counts, config)
+
+        monkeypatch.setattr(rbmsumm.features, "thematic_words", spy)
+        build_feature_matrix(article_doc)
+        [counts] = seen
+        assert counts["market"] == 4
+        assert counts["export"] == 2
+        assert counts["point"] == 2
+        assert "the" not in counts
+        assert counts == Counter(
+            stem for s in article_doc.sentences for stem in s.content_stems()
+        )
+
+    def test_preprocess_reads_no_content_stems(self, article_raw, monkeypatch):
+        # each stem count is taken once, by the feature build
+        calls = []
+        content_stems = Sentence.content_stems
+
+        def counting(sentence):
+            calls.append(sentence)
+            return content_stems(sentence)
+
+        monkeypatch.setattr(Sentence, "content_stems", counting)
+        assert preprocess(article_raw).n_sentences == 6
+        assert calls == []
 
     def test_flag_consistency_invariant(self, article_doc):
         for s in article_doc.sentences:
@@ -400,7 +431,7 @@ class TestOneTokenPerWord:
 
 
 def is_name(word, lex, sentence_initial=False):
-    return make_token(word.capitalize(), sentence_initial, lex).tag is PosTag.PROPER_NOUN
+    return make_token(word.capitalize(), sentence_initial, lex).is_name
 
 
 # per never-a-name file, an entry that no other word list blocks as a name
