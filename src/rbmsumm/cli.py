@@ -327,6 +327,9 @@ def main(argv: list[str] | None = None) -> int:
     args, unknown = parser.parse_known_args(argv)
     if unknown:  # with the subcommand's usage line, not the root's
         args.command_parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    for action in args.command_parser._actions:  # argparse reads "--flag=--" as []
+        if action.option_strings and getattr(args, action.dest, None) == []:
+            args.command_parser.error(f"argument {action.option_strings[0]}: expected one argument")
     handlers = {
         "summarize": _cmd_summarize,
         "features": _cmd_features,

@@ -8,19 +8,25 @@ recently selected sentence by default ("latest") or always the seed
 rank order.  All ties break toward the better-ranked candidate.
 
 Each top-half sentence's content stems are turned into a set once per
-``select`` call.  With the "latest" anchor, an inverted index maps every
-stem to the candidates that contain it, and a pick counts overlaps only
-for the candidates that share a stem with the anchor; every other
-candidate scores 0.  With the "first" anchor every score is fixed, so
-each is counted once and one sort gives the order of the picks.
+``select`` call.  With the "latest" anchor, a ``uint8`` incidence matrix
+has one column per candidate and one row per stem that two or more
+candidates hold, with a 1 where the candidate holds the stem; a stem
+that one candidate holds adds to no overlap, so it gets no row.  A pick
+sums the anchor's rows into each candidate's overlap ``k`` and scores
+every candidate at once as ``k / (len(a) + len(b) - k)``.  ``k`` and the
+denominator are small integers, exact in float64 in any order of
+summing, so each score is one correctly rounded division of the same
+two integers as ``jaccard``'s ``int / int``, and bit-equal to it.  A
+picked candidate's size becomes infinite, so it scores ``k / inf = 0``
+from then on, and ``argmax`` takes the first best score, the better
+rank.  With the "first" anchor every score is fixed, so each is counted
+once and one sort gives the order of the picks.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from typing import Literal, get_args
 
 import numpy as np
@@ -139,25 +145,46 @@ def select(
 
         selected = [0] + sorted(range(1, half), key=key)[: limit - 1]
     else:
-        postings: dict[str, set[int]] = {}  # stem -> live rank positions
-        for pos in range(1, half):
-            for stem in stems[pos]:
-                postings.setdefault(stem, set()).add(pos)
+        # the incidence matrix: a stem gets a row once a second candidate
+        # holds it.  Rows follow the sets' iteration order, which no score
+        # depends on, since sums of 0s and 1s are exact in any order
+        holder: dict[str, int] = {}  # stem -> the first position holding it
+        row: dict[str, int] = {}  # shared stem -> its row
+        rows_of: list[list[int]] = []  # rank position -> its shared rows
+        for pos, s in enumerate(stems):
+            rows_of.append([])
+            for stem in s:
+                first = holder.setdefault(stem, pos)
+                if first != pos:
+                    if stem not in row:
+                        row[stem] = len(row)
+                        rows_of[first].append(row[stem])
+                    rows_of[pos].append(row[stem])
+        held = np.zeros((len(row), half), np.uint8)
+        held.put([r * half + pos for pos, rows in enumerate(rows_of) for r in rows], 1)
+        sizes = np.array([len(s) for s in stems], np.float64)
+        lengths = sizes.tolist()
+        # a picked candidate's size is infinite, so it scores k / inf = 0
+        sizes[0] = math.inf
+        overlap, den = np.empty(half), np.empty(half)
         live = [True] * half
         first_live = 1
         selected = [0]  # rank positions
         while len(selected) < limit and first_live < half:
-            a = stems[selected[-1]]
-            overlaps = Counter(chain.from_iterable(postings.get(s, ()) for s in a))
-            best, best_sim = first_live, 0.0
-            for pos, k in overlaps.items():
-                sim = k / (len(a) + len(stems[pos]) - k)
-                if sim > best_sim or (sim == best_sim and pos < best):
-                    best, best_sim = pos, sim
+            pos = selected[-1]
+            best = first_live
+            rows = rows_of[pos]
+            if rows:  # so len(a) >= 1, and every denominator too
+                np.add.reduce(held.take(rows, 0), 0, np.float64, overlap)
+                np.subtract(sizes, overlap, den)
+                den += lengths[pos]
+                np.divide(overlap, den, overlap)
+                candidate = overlap.argmax()
+                if overlap[candidate]:
+                    best = int(candidate)
             selected.append(best)
+            sizes[best] = math.inf
             live[best] = False
-            for stem in stems[best]:
-                postings[stem].discard(best)
             while first_live < half and not live[first_live]:
                 first_live += 1
     picks = [top[pos] for pos in selected]

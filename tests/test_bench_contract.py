@@ -116,3 +116,8 @@ def test_layer_counters_of_one_pipeline_run(bench, article_raw, layers):
         if surface.lower().isalpha()
     }
     assert tracer.counts["preprocess.porter_calls"] == len(pairs)
+    # selection scores without jaccard, from one content_stems call per
+    # top-half candidate, however many picks it makes
+    assert tracer.counts["summarizer.jaccard"] == 0
+    assert metrics["summarizer.jaccard_calls_per_doc"] == 0
+    assert tracer.counts["summarizer.stem_builds"] == math.ceil(n / 2)

@@ -1,8 +1,10 @@
+import argparse
 import inspect
 import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 import rbmsumm
 import rbmsumm.summarizer
 from rbmsumm import RawDocument, run_pipeline
-from rbmsumm.cli import _KEYS, _choices, _CliSettings, _parameter, main
+from rbmsumm.cli import _KEYS, _build_parser, _choices, _CliSettings, _parameter, main
 from rbmsumm.rbm import MAX_CHAINS, TrainConfig
 from rbmsumm.summarizer import DEFAULT_LIMIT_RATIO
 
@@ -595,6 +597,112 @@ def test_each_settings_signature_is_read_once(capsys, monkeypatch):
     assert 0 < len(calls) <= len(_KEYS)
 
 
+def _subcommand_actions() -> dict[str, list[argparse.Action]]:
+    """Each subcommand's actions, as the parser that ``main`` builds has them."""
+    (subparsers,) = [
+        action for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return {name: parser._actions for name, parser in subparsers.choices.items()}
+
+
+_ARGV_ACTIONS = _subcommand_actions()
+# one short document, and a corpus of it, keep each run fast
+_ARGV_TEXT = "Markets rose in Nairobi. Prices fell 12 points. Markets rose again.\n"
+# values inside and outside each flag's range, words, and paths relative
+# to the test's working directory; an argument from the OS holds no NUL
+_ARGV_INTS = ["0", "1", "2", "3", "-1", str(2**64), "1_0"]
+_ARGV_FLOATS = ["0.5", "0.9", "1", "1.5", "0", "nan", "inf", "1e400"]
+_ARGV_STRINGS = [
+    "doc.txt", "corpus", "config.json", "missing.txt", "out/result", "doc.txt/x",
+    "", " ", "-", "--", "x", "text", "json", "first", "latest",
+]
+_ARGV_VALUES = st.sampled_from(_ARGV_INTS + _ARGV_FLOATS + _ARGV_STRINGS)
+_ARGV_JUNK = st.sampled_from(
+    ["--bogus", "-x", "--seed=", "--limit=2", "--layers=3", "--help=1", "-", "--", "summarize"]
+)
+
+
+def _flag_values(action: argparse.Action):
+    """Mostly values that the flag's ``choices`` or type accept."""
+    if action.choices:
+        legal = [str(c) for c in action.choices]
+    else:
+        legal = {int: _ARGV_INTS, float: _ARGV_FLOATS}.get(action.type, _ARGV_STRINGS)
+    return st.one_of(st.sampled_from(legal), st.sampled_from(legal), _ARGV_VALUES)
+
+
+@st.composite
+def _fuzzed_argv(draw):
+    """Mostly a subcommand and its input, then flags of the parser's own
+    actions with their values, and now and then no subcommand or a wrong
+    one, a missing input, a stray value or a junk token."""
+    commands = sorted(_ARGV_ACTIONS)
+    command = draw(st.sampled_from(commands) if draw(st.integers(0, 9)) else st.sampled_from(
+        ["summarise", None]
+    ))
+    actions = [a for a in _ARGV_ACTIONS.get(command, _ARGV_ACTIONS["summarize"]) if a.option_strings]
+    argv = [] if command is None else [command]
+    inputs = {"summarize": ["doc.txt", "-"], "features": ["doc.txt", "-"], "evaluate": ["corpus"]}
+    if command in inputs and draw(st.integers(0, 9)):
+        argv.append(draw(st.sampled_from(inputs[command])))
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            argv.append(draw(_ARGV_VALUES))
+        elif kind == 1:
+            argv.append(draw(_ARGV_JUNK))
+        else:
+            action = draw(st.sampled_from(actions))
+            flag = draw(st.sampled_from(action.option_strings))
+            if action.nargs == 0:
+                argv.append(flag)
+                continue
+            value = draw(_flag_values(action))
+            argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(argv=_fuzzed_argv())
+@example(argv=[])
+@example(argv=["summarize", "doc.txt", "--ratio", "nan"])
+@example(argv=["evaluate", "corpus", "--compare", "--limit", "1", "--ratio", "0.5"])
+@example(argv=["features", "-", "--similarity-anchor", "first"])
+@example(argv=["summarize", "doc.txt", "--stopwords=--"])
+def test_fuzzed_argv_never_escapes_main(capsys, tmp_path, monkeypatch, argv):
+    """``main`` exits with a code the CLI documents, with no traceback and
+    no warning, and on failure with exactly one error line, the last:
+    its own ``error:`` line or argparse's ``rbmsumm ...: error:`` one."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "doc.txt").write_text(_ARGV_TEXT)
+    (tmp_path / "corpus").mkdir(exist_ok=True)
+    (tmp_path / "corpus" / "doc.txt").write_text(_ARGV_TEXT)
+    (tmp_path / "corpus" / "doc.ref").write_text("0\n")
+    (tmp_path / "config.json").write_text('{"layers": 2}')
+    (tmp_path / "out").mkdir(exist_ok=True)
+    monkeypatch.setattr("sys.stdin", io.StringIO(_ARGV_TEXT))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors and --help
+            code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err
+    assert [str(w.message) for w in caught] == []
+    lines = err.splitlines(keepends=True)
+    errors = [line for line in lines if re.match(r"(rbmsumm( \w+)?: )?error: ", line)]
+    assert len(errors) == (1 if code else 0), err
+    if code:
+        assert lines[-1] == errors[0] and lines[-1].endswith("\n"), err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -653,6 +761,7 @@ def test_closed_stdout_exits_2(argv):
         ["features", ARTICLE, "--layers", "3"],
         ["summarize", ARTICLE, "--no-enhance"],
         ["evaluate", CORPUS, "--format", "json"],
+        ["summarize", ARTICLE, "--seed=--"],  # which argparse reads as []
     ],
 )
 def test_a_rejected_flag_prints_the_subcommands_usage(capsys, argv):

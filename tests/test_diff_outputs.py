@@ -24,10 +24,10 @@ def test_matrix_covers_every_subcommand_layer_anchor_and_sink(tmp_path):
     documents, corpora = diff_outputs.build_inputs(tmp_path, generated=False)
     matrix = diff_outputs.command_matrix(documents, corpora)
     # two documents and one corpus; each variant 2 layers x 2 sinks;
-    # summarize's 3 and evaluate's 2 with 2 anchors, features' 2 with
+    # summarize's 4 and evaluate's 2 with 2 anchors, features' 2 with
     # none, since it does not read the anchor
     assert [path.name for path in documents] == ["article_market.txt", "edge_cases.txt"]
-    assert len(matrix) == (2 * (3 * 2 + 2) + 2 * 2) * 4
+    assert len(matrix) == (2 * (4 * 2 + 2) + 2 * 2) * 4
     configured = [argv for argv in matrix if "--config" in argv]
     assert len(configured) == 2 * 2 * 4
     assert {argv[0] for argv in configured} == {"summarize"}
@@ -40,6 +40,11 @@ def test_matrix_covers_every_subcommand_layer_anchor_and_sink(tmp_path):
     anchored = [argv for argv in matrix if "--similarity-anchor" in argv]
     assert {argv[argv.index("--similarity-anchor") + 1] for argv in anchored} == {"first", "latest"}
     assert [argv for argv in matrix if argv not in anchored and argv[0] != "features"] == []
+    # past the top half: 0.9 of N outruns the ceil(N / 2) candidates
+    past_half = [argv for argv in matrix if "--ratio" in argv]
+    assert len(past_half) == 2 * 2 * 2 * 2
+    assert {argv[argv.index("--ratio") + 1] for argv in past_half} == {"0.9"}
+    assert {argv[0] for argv in past_half} == {"summarize"}
 
 
 def test_identical_copies_match_and_a_stop_word_edit_is_reported(tmp_path):

@@ -503,6 +503,14 @@ class TestWholeDocumentSums:
         assert python_int_tf_isf(doc) == [math.log1p(2 * 2 * 1) / 2, math.log1p(1 * 1 * 2)]
         assert values.tobytes() == per_record_feature_matrix(doc, CONFIG).tobytes()
 
+    def test_a_real_total_of_2_to_the_63_is_summed_in_python_ints(self):
+        """Two sentences of 2**21 copies of one token, about 4.2 million
+        content tokens: each sentence's real total is tf * tf * (OCC - tf)
+        = 2**63, one past the int64 range, where int64 sums would wrap."""
+        doc = repeated_tokens(({"x": 2**21}, {"x": 2**21}))
+        values = build_feature_matrix(doc, CONFIG).values
+        assert values[:, FEATURE_NAMES.index("tf_isf")].tolist() == [math.log1p(2**63) / 2**21] * 2
+
     def test_sentence_without_content_stems(self):
         doc = make_doc([["the", "cat"], ["the", "of"], ["cat", "sat"]], stopwords={"the", "of"})
         values = build_feature_matrix(doc, CONFIG).values

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rbmsumm import (
@@ -229,6 +229,76 @@ class TestSelect:
         stems = [set(s.content_stems()) for s in doc.sentences]
         got = select(ranked, doc, SummaryConfig(limit_sentences=limit), "first")
         assert got == trace_selection(ranked, stems, limit, "first")
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+        limit_past_n=st.integers(-300, 2),
+    )
+    @example(n=300, seed=1, limit_past_n=-200)
+    @example(n=300, seed=2, limit_past_n=0)
+    @example(n=299, seed=3, limit_past_n=2)
+    def test_latest_matches_trace_on_long_documents(self, n, seed, limit_past_n):
+        """Documents of up to 300 sentences over 30 stems, so that stems
+        held by several candidates, stems held by one and tied scores all
+        occur; some sentences hold no content stem, only a stem of their
+        own, or the stems of an earlier sentence."""
+        rng = random.Random(seed)
+        stem_lists = []
+        for i in range(n):
+            kind = rng.random()
+            if kind < 0.05:
+                words = ["the"] * rng.randint(0, 2)  # no content stem
+            elif kind < 0.1:
+                words = [f"only{i}"]  # no stem that another sentence holds
+            elif kind < 0.15 and stem_lists:
+                words = list(rng.choice(stem_lists))  # an exact duplicate
+            else:
+                words = rng.choices(RANDOM_STEMS, k=rng.randint(1, 6))
+                if rng.random() < 0.3:
+                    words.append(f"only{i}")
+            stem_lists.append(words)
+        order = list(range(n))
+        rng.shuffle(order)
+        limit = max(1, n + limit_past_n)
+        doc = make_doc(stem_lists, stopwords={"the"})
+        ranked = [RankedSentence(i, float(n - pos)) for pos, i in enumerate(order)]
+        stems = [set(s.content_stems()) for s in doc.sentences]
+        got = select(ranked, doc, SummaryConfig(limit_sentences=limit), "latest")
+        assert got == trace_selection(ranked, stems, limit, "latest")
+
+    @pytest.mark.parametrize("limit", [1, 2, 3])
+    def test_latest_on_a_one_sentence_document(self, limit):
+        doc = make_doc([["alpha", "beta"]])
+        ranked = [RankedSentence(0, 1.0)]
+        assert select(ranked, doc, SummaryConfig(limit_sentences=limit), "latest") == [0]
+
+    def test_latest_anchor_without_a_shared_stem_takes_the_next_rank(self):
+        # the seed holds only its own stem and sentence 4 no content stem,
+        # so the picks after them fall back to the best-ranked live
+        # candidate; so does the pick after 3, whose one shared stem only
+        # the picked 2 holds
+        stem_lists = [["solo"], ["gamma"], ["delta", "eps"], ["eps"], ["the"], ["gamma", "z"]]
+        doc = make_doc(stem_lists + [["pad"]] * 6, stopwords={"the"})
+        order = (0, 4, 2, 1, 3, 5, 6, 7, 8, 9, 10, 11)
+        ranked = [RankedSentence(i, 12.0 - pos) for pos, i in enumerate(order)]
+        picks = select(ranked, doc, SummaryConfig(limit_sentences=6), "latest")
+        stems = [set(s.content_stems()) for s in doc.sentences]
+        assert picks == trace_selection(ranked, stems, 6, "latest") == [0, 4, 2, 3, 1, 5]
+
+    def test_latest_prefers_an_exact_duplicate(self):
+        # the seed's duplicate is ranked last in the top half, and still
+        # wins at Jaccard 1.0 over a better-ranked partial overlap
+        doc = make_doc([["alpha", "beta"], ["alpha", "gamma"], ["delta"], ["alpha", "beta"],
+                        ["pad"], ["pad"], ["pad"], ["pad"]])
+        ranked = [RankedSentence(i, 8.0 - i) for i in range(8)]
+        assert select(ranked, doc, SummaryConfig(limit_sentences=3), "latest") == [0, 3, 1]
+
+
+# the stems of the long random documents: a small alphabet, so that
+# candidates share stems and scores tie
+RANDOM_STEMS = [f"stem{i}" for i in range(30)]
 
 
 def trace_selection(ranked, stems, limit, anchor="latest"):

@@ -15,6 +15,8 @@ there are CPUs:
   training settings (``TRAINING``: 16 chains, 3 Gibbs steps per update,
   batches of 7 rows), so that updates draw several times from wide
   chain blocks, on every single document;
+* ``summarize`` as JSON with ``--ratio 0.9`` on every single document,
+  so that the picks run past the top half into rank order;
 * ``evaluate`` with and without ``--compare`` on every corpus;
 * each with ``--layers 1`` and ``2`` and the result on stdout or in an
   ``--output`` file; ``summarize`` and ``evaluate`` with both similarity
@@ -113,6 +115,7 @@ def command_matrix(documents: list[Path], corpora: list[Path]) -> list[list[str]
             (["summarize", document, "--format", "text"], anchors),
             (["summarize", document, "--format", "json"], anchors),
             (["summarize", document, "--format", "json", "--config", config], anchors),
+            (["summarize", document, "--format", "json", "--ratio", "0.9"], anchors),
             (["features", document], [[]]),
             (["features", document, "--no-enhance"], [[]]),
         ]
