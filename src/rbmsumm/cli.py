@@ -164,10 +164,14 @@ def _check_value(key: str, value) -> None:
 
 def _read_config(path: str) -> dict:
     try:
-        loaded = json.loads(Path(path).read_text("utf-8"))
-    except OSError as exc:
+        text = Path(path).read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _CliError(EXIT_UNREADABLE, f"config file is not valid JSON: {exc}")
+    except (OSError, ValueError) as exc:  # a NUL in the path is a ValueError
         raise _CliError(EXIT_UNREADABLE, f"cannot read config file: {exc}")
-    except ValueError as exc:  # includes JSONDecodeError and UnicodeDecodeError
+    try:
+        loaded = json.loads(text)
+    except ValueError as exc:  # includes JSONDecodeError
         raise _CliError(EXIT_UNREADABLE, f"config file is not valid JSON: {exc}")
     if not isinstance(loaded, dict):
         raise _CliError(EXIT_UNREADABLE, "config file must hold a JSON object")
@@ -230,10 +234,10 @@ def _read_input(path: str) -> RawDocument:
             text = sys.stdin.read().encode("utf-8", "surrogateescape").decode("utf-8")
             return RawDocument(text=text, source_id="stdin")
         return RawDocument(text=Path(path).read_text("utf-8"), source_id=Path(path).stem)
-    except OSError as exc:
-        raise _CliError(EXIT_UNREADABLE, f"cannot read input: {exc}")
     except UnicodeDecodeError as exc:
         raise _CliError(EXIT_UNREADABLE, f"input {path} is not UTF-8: {exc}")
+    except (OSError, ValueError) as exc:  # a NUL in the path is a ValueError
+        raise _CliError(EXIT_UNREADABLE, f"cannot read input: {exc}")
 
 
 def _write_output(text: str, output: str | None) -> None:
@@ -243,7 +247,7 @@ def _write_output(text: str, output: str | None) -> None:
             sys.stdout.flush()  # so that a closed stdout fails here, not at exit
         else:
             Path(output).write_text(text, encoding="utf-8", newline="\n")
-    except OSError as exc:  # includes BrokenPipeError
+    except (OSError, ValueError) as exc:  # BrokenPipeError, or a NUL in the path
         raise _CliError(EXIT_UNREADABLE, f"cannot write output: {exc}")
 
 

@@ -119,13 +119,10 @@ def f_tf_isf(total: int, n_tokens: int) -> float:
 def centroid_index(scores: list[float]) -> int:
     """Index of the highest tf-isf score; ties go to the earliest.
 
-    ``scores`` are the sentences' ``f_tf_isf`` values, in document order.
+    ``scores`` are the sentences' ``f_tf_isf`` values, in document order;
+    they are finite, and ``argmax`` takes the first maximum.
     """
-    best = 0
-    for i, score in enumerate(scores):
-        if score > scores[best]:
-            best = i
-    return best
+    return int(np.argmax(scores))
 
 
 def _flags(values: list[bool]) -> np.ndarray:

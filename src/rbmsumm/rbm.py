@@ -8,17 +8,24 @@ seed; the RNG is consumed in a fixed order (weights row-major, then
 chain initialization, then per update: hidden samples before visible
 samples, row-major).
 
-Training runs one fused update per batch (``_Pcd.update``): the three
-parameters are views into one flat buffer, and every intermediate
-lands in an array made once per machine, so an update allocates only
-the samples that its draws return.  Its products go through
-``np.dot(..., out=)``, the same BLAS call as ``@`` with less overhead.
-A Gibbs half-step hands its pre-activations to ``bernoulli_array``,
-which compares them with its uniforms' logits, so only the phase
-statistics compute a sigmoid.  The update computes the same values and
-draws the same uniforms in the same order as the reference Gibbs step
-and phase statistics in ``tests/oracles.py``, so its weights are
-bit-equal to a loop of those.
+Training runs one fused update per batch (``_Pcd.update``).  The
+parameters are one (V+1) x (H+1) matrix, the biases in its last row
+and column, and each row that meets it ends in a 1, so a bias rides in
+its product.  The chain rows and the batch rows are stacked: each Gibbs
+half-step is one product, both phases' hidden probabilities Y are one
+product, and the step of W and both biases is one signed product
+``X^T (Y * s)`` of the stacked rows X, with the learning rate folded
+into the row scale s.  Every intermediate lands in an array made once
+per machine, so an update allocates only the samples that its draws
+return.  Its products go through ``np.dot(..., out=)``, the same BLAS
+call as ``@`` with less overhead.  A Gibbs half-step hands its
+pre-activations to ``bernoulli_array``, which compares them with its
+uniforms' logits, so only the phase statistics compute a sigmoid.  The
+update computes the same values and draws the same uniforms in the
+same order as the fused reference update in ``tests/oracles.py``, so
+its weights are bit-equal to a loop of those.  Against the unfused
+reference, with separate products, bias adds and divides, its sums run
+in another order, so the parameters differ in their last bits.
 Finiteness is checked once per epoch: adding a step never makes a
 non-finite float finite, so a parameter that breaks mid-epoch still
 fails the check, with the same history as a check after every update.
@@ -81,16 +88,18 @@ class TrainConfig:
             raise ValueError(f"gibbs_steps_per_update must be in [1, {MAX_CHAINS}]")
 
 
-def _sigmoid(x: np.ndarray, nonnegative: np.ndarray, denominator: np.ndarray) -> np.ndarray:
+def _sigmoid(
+    x: np.ndarray, nonnegative: np.ndarray, denominator: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Logistic function of ``x``, in place, with ``nonnegative`` (bool)
     and ``denominator`` as scratch arrays of its shape; exp only ever
-    sees a value <= 0, so it never overflows.  Returns ``x``."""
+    sees a value <= 0, so it never overflows.  Returns ``x``, or writes
+    the result into ``out`` when it is given and returns that."""
     np.greater_equal(x, 0.0, out=nonnegative)
     np.exp(np.copysign(x, -1.0, out=x), out=x)  # exp(-|x|)
     np.add(x, 1.0, out=denominator)
     np.copyto(x, 1.0, where=nonnegative)  # 1/d there, e/d elsewhere
-    np.divide(x, denominator, out=x)
-    return x
+    return np.divide(x, denominator, out=x if out is None else out)
 
 
 def hidden_probabilities(rbm: Rbm, v: np.ndarray) -> np.ndarray:
@@ -104,102 +113,114 @@ def hidden_probabilities(rbm: Rbm, v: np.ndarray) -> np.ndarray:
     return _sigmoid(x, np.empty(x.shape, dtype=bool), np.empty_like(x))
 
 
-def _split(flat: np.ndarray, n_hidden: int, n_visible: int):
-    """Weights, hidden bias and visible bias: views into ``flat``, in
-    that order."""
-    hw = n_hidden * n_visible
-    return (
-        flat[:hw].reshape(n_hidden, n_visible),
-        flat[hw : hw + n_hidden],
-        flat[hw + n_hidden :],
-    )
-
-
 class _Pcd:
-    """One machine under persistent-CD training: its parameters are
-    views into one flat buffer, and each update writes into scratch
-    arrays made once."""
+    """One machine under persistent-CD training, with its chains.
 
-    def __init__(self, rbm: Rbm, n_chains: int, max_batch: int):
+    The parameters are one (V+1) x (H+1) matrix: ``W^T`` on top, the
+    hidden bias in row V and the visible bias in column H, so that a row
+    ending in 1 meets each bias in its product.  The corner ``[V, H]``
+    is spare: no product, check or copy reads it.  Each update writes
+    into scratch arrays made once, through views made once per batch
+    size.
+    """
+
+    def __init__(self, rbm: Rbm, states: np.ndarray, config: TrainConfig, max_batch: int):
         n_hidden, n_visible = rbm.weights.shape
-        self.params = np.concatenate(
-            (rbm.weights.ravel(), rbm.hidden_bias, rbm.visible_bias), dtype=np.float64
-        )
-        self.weights, self.hidden_bias, self.visible_bias = _split(
-            self.params, n_hidden, n_visible
-        )
-        self._weights_t = self.weights.T
-        # the positive and the negative phase statistics, laid out as params
-        self._positive = np.empty_like(self.params)
-        self._negative = np.empty_like(self.params)
-        self._positive_parts = _split(self._positive, n_hidden, n_visible)
-        self._negative_parts = _split(self._negative, n_hidden, n_visible)
-        # the hidden pre-activations of a batch's rows, then of the chains,
-        # with _sigmoid's scratch; then the chains' in each Gibbs half-step
-        shape = (max_batch + n_chains, n_hidden)
-        self._hidden = np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape)
+        n_chains = states.shape[0]
+        self.params = params = np.zeros((n_visible + 1, n_hidden + 1))
+        params[:n_visible, :n_hidden] = rbm.weights.T
+        params[n_visible, :n_hidden] = rbm.hidden_bias
+        params[:n_visible, n_hidden] = rbm.visible_bias
+        # [v, 1] times the first gives hidden logits, [h, 1] times the
+        # second visible ones
+        self._to_hidden, self._to_visible = params[:, :n_hidden], params[:n_visible].T
+        self._config = config
+        # [chains; batch] and the chains' hidden sample, each row ending in
+        # 1, with views of the samples' cells; the chains' logits in each
+        # Gibbs half-step
+        self._rows = np.ones((n_chains + max_batch, n_visible + 1))
+        self._chains = self._rows[:n_chains]
+        self._chain_states = self._chains[:, :n_visible]
+        self._chain_states[...] = states
+        self._chain_hidden = np.ones((n_chains, n_hidden + 1))
+        self._hidden_sample = self._chain_hidden[:, :n_hidden]
         self._gibbs_hidden = np.empty((n_chains, n_hidden))
         self._gibbs_visible = np.empty((n_chains, n_visible))
+        # the stacked rows' hidden logits, with _sigmoid's scratch, and
+        # their probabilities, each row ending in 1, before and after scaling
+        shape = (n_chains + max_batch, n_hidden)
+        self._logits = np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape)
+        self._probabilities = np.ones((n_chains + max_batch, n_hidden + 1))
+        self._scaled = np.empty_like(self._probabilities)
+        self._step = np.empty_like(params)
+        self._views: dict[int, tuple] = {}
 
     def rbm(self) -> Rbm:
-        return Rbm(self.weights, self.visible_bias, self.hidden_bias)
+        """Contiguous copies of the weights and the two biases."""
+        n_visible, n_hidden = self._to_hidden.shape[0] - 1, self._to_hidden.shape[1]
+        return Rbm(
+            np.ascontiguousarray(self._to_visible[:n_hidden]),
+            self.params[:n_visible, n_hidden].copy(),
+            self.params[n_visible, :n_hidden].copy(),
+        )
 
-    def update(
-        self,
-        batch: np.ndarray,
-        batch_sum: np.ndarray,
-        states: np.ndarray,
-        config: TrainConfig,
-        rng: Xorshift64Star,
-    ) -> np.ndarray:
+    def _batch_views(self, n: int) -> tuple:
+        """The views that an update of an ``n``-row batch works in: the
+        stacked rows X = [chains; batch] with their ones, X^T, X's batch
+        cells, ``_sigmoid``'s arguments for X's hidden logits, Y = [P, 1]
+        and its cells P, the scaled Y, and the step's row scale s:
+        ``-lr/C`` on the C chain rows, ``+lr/n`` on the batch rows."""
+        views = self._views.get(n)
+        if views is None:
+            n_chains, n_visible = self._gibbs_visible.shape
+            lr, size = self._config.learning_rate, n_chains + n
+            scale = np.concatenate((np.full(n_chains, -lr / n_chains), np.full(n, lr / n)))
+            rows, y = self._rows[:size], self._probabilities[:size]
+            views = self._views[n] = (
+                rows,
+                rows.T,
+                rows[n_chains:, :n_visible],
+                tuple(a[:size] for a in self._logits),
+                y,
+                y[:, :-1],
+                self._scaled[:size],
+                scale[:, None],
+            )
+        return views
+
+    def update(self, batch: np.ndarray, rng: Xorshift64Star) -> np.ndarray:
         """One persistent-CD parameter update; returns the chains' new
-        visible states.  ``batch_sum`` is ``batch.sum(axis=0)``.
+        visible states.
 
         The chains advance by ``gibbs_steps_per_update`` full Gibbs
-        steps from ``states`` (never from the data), then each
-        parameter moves by learning_rate times the difference between
-        the data statistics and the chain statistics.  The caller checks
+        steps from their last states (never from the data).  Then one
+        product gives the hidden probabilities of the chains and the
+        batch, and one signed product of those rows with them gives the
+        step, learning_rate times the data statistics minus the chain
+        statistics, of W and both biases at once.  The caller checks
         the parameters with ``check_finite``.
         """
-        weights, weights_t = self.weights, self._weights_t
-        hidden_bias, visible_bias = self.hidden_bias, self.visible_bias
+        rows, rows_t, data, logits, y, probabilities, scaled, scale = (
+            self._batch_views(batch.shape[0])
+        )
         hidden, visible = self._gibbs_hidden, self._gibbs_visible
-        for _ in range(config.gibbs_steps_per_update):
-            np.dot(states, weights_t, out=hidden)
-            np.add(hidden, hidden_bias, out=hidden)
-            h = rng.bernoulli_array(hidden)
-            np.dot(h, weights, out=visible)
-            np.add(visible, visible_bias, out=visible)
+        for _ in range(self._config.gibbs_steps_per_update):
+            np.dot(self._chains, self._to_hidden, out=hidden)
+            np.copyto(self._hidden_sample, rng.bernoulli_array(hidden))
+            np.dot(self._chain_hidden, self._to_visible, out=visible)
             states = rng.bernoulli_array(visible)
-
-        n, n_chains = batch.shape[0], states.shape[0]
-        values, nonnegative, denominator = self._hidden
-        probabilities = values[: n + n_chains]
-        data, chains = probabilities[:n], probabilities[n:]
-        np.dot(batch, weights_t, out=data)
-        np.dot(states, weights_t, out=chains)
-        np.add(probabilities, hidden_bias, out=probabilities)
-        _sigmoid(probabilities, nonnegative[: n + n_chains], denominator[: n + n_chains])
-
-        positive, negative = self._positive, self._negative
-        pos_w, pos_hb, pos_vb = self._positive_parts
-        np.dot(data.T, batch, out=pos_w)
-        np.add.reduce(data, axis=0, out=pos_hb)
-        pos_vb[...] = batch_sum
-        np.divide(positive, n, out=positive)
-        neg_w, neg_hb, neg_vb = self._negative_parts
-        np.dot(chains.T, states, out=neg_w)
-        np.add.reduce(chains, axis=0, out=neg_hb)
-        np.add.reduce(states, axis=0, out=neg_vb)
-        np.divide(negative, n_chains, out=negative)
-
-        np.subtract(positive, negative, out=positive)
-        np.multiply(positive, config.learning_rate, out=positive)
-        np.add(self.params, positive, out=self.params)
+            np.copyto(self._chain_states, states)
+        np.copyto(data, batch)
+        np.dot(rows, self._to_hidden, out=logits[0])
+        _sigmoid(*logits, out=probabilities)
+        np.multiply(y, scale, out=scaled)
+        np.dot(rows_t, scaled, out=self._step)
+        np.add(self.params, self._step, out=self.params)
         return states
 
     def check_finite(self) -> None:
-        if not np.isfinite(self.params).all():
+        # the spare corner is the last cell
+        if not np.isfinite(self.params.reshape(-1)[:-1]).all():
             raise NonFiniteParameter(
                 "non-finite RBM parameter after update; lower the learning_rate"
             )
@@ -241,12 +262,10 @@ def _train_rows(
     rng = Xorshift64Star(config.seed)
     weights = rng.normal_array((N_HIDDEN, n_visible), std=WEIGHT_INIT_STD)
     rbm = Rbm(weights, np.zeros(n_visible), np.zeros(N_HIDDEN))
-    pcd = _Pcd(rbm, config.n_chains, min(config.batch_size, n_rows))
     states = rng.bernoulli_array(np.zeros((config.n_chains, n_visible)))  # p = 0.5
-    batches = []
-    for start in range(0, n_rows, config.batch_size):
-        batch = rows[start : start + config.batch_size]
-        batches.append((batch, batch.sum(axis=0)))
+    pcd = _Pcd(rbm, states, config, min(config.batch_size, n_rows))
+    size = config.batch_size
+    batches = [rows[start : start + size] for start in range(0, n_rows, size)]
     # a logit that overflows to +-inf saturates the sigmoid as any past
     # +-40 does; a parameter that overflows raises NonFiniteParameter at
     # the end of its epoch, and the updates after it, which compute on
@@ -254,8 +273,8 @@ def _train_rows(
     with np.errstate(over="ignore"):
         for _ in range(config.epochs):
             with np.errstate(invalid="ignore"):
-                for batch, batch_sum in batches:
-                    states = pcd.update(batch, batch_sum, states, config, rng)
+                for batch in batches:
+                    pcd.update(batch, rng)
             pcd.check_finite()
             if history is not None:
                 history.append(reconstruction_cross_entropy(pcd.rbm(), rows))

@@ -5,9 +5,9 @@ are recomputed with plain loops and ``math`` calls from a processed
 document, and RBM expectations come from brute-force enumeration of the
 joint state space.  The per-record feature stage, the per-column
 min-max, the scalar xorshift64* generator, the three-pass token builder,
-the four-mask sigmoid, the loop of one-update-per-call PCD training on a
-Gibbs step that draws from plain ``@`` logits and phase statistics
-written with that sigmoid, the Porter stemmer that classes each letter
+the four-mask sigmoid, the loop of one-update-per-call PCD training
+that builds the fused parameter matrix afresh in every call and
+multiplies with plain ``@``, the Porter stemmer that classes each letter
 on its own and scans each suffix table in order, the numeral regex run on every
 surface and the tokenizer that runs its edge regex on every word are
 the plain forms that the package's one-pass feature matrix, one-call
@@ -16,7 +16,10 @@ sigmoid, fused training loop, gated pattern-reading stemmer,
 digit-gated numeral test and fast-path tokenizer must match exactly;
 the nine-way part-of-speech chain is the former tagger, whose
 proper-noun decision the package's one-expression name decision must
-reproduce.  Tests compare the package against these.
+reproduce.  The unfused PCD update, a Gibbs step that draws from plain
+``@`` logits and phase statistics written with that sigmoid, is the
+training before fusion, whose picks and rank order the package must
+keep.  Tests compare the package against these.
 
 Of the package, this module imports only data types, error types,
 constants, tables and the block generator, which is itself pinned to
@@ -652,8 +655,8 @@ def four_mask_sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------
-# PCD training before the fused loop: one call per update, each making
-# fresh arrays from a plain Gibbs step and phase statistics
+# PCD training before fusion: one call per update, each making fresh
+# arrays from a plain Gibbs step and phase statistics
 # ---------------------------------------------------------------------
 
 
@@ -693,9 +696,18 @@ def phase_statistics(rbm, visible):
     return hp.T @ visible / n, visible.sum(axis=0) / n, hp.sum(axis=0) / n
 
 
-def pcd_update(rbm, batch, states, config, rng):
-    """One persistent-CD update, returning a new Rbm and the chains'
-    new visible states."""
+def _check_finite(rbm) -> None:
+    if not (
+        np.isfinite(rbm.weights).all()
+        and np.isfinite(rbm.visible_bias).all()
+        and np.isfinite(rbm.hidden_bias).all()
+    ):
+        raise NonFiniteParameter("non-finite RBM parameter after update")
+
+
+def unfused_pcd_update(rbm, batch, states, config, rng):
+    """One persistent-CD update as separate products, biases and
+    divides, returning a new Rbm and the chains' new visible states."""
     batch = np.asarray(batch, dtype=np.float64)
     for _ in range(config.gibbs_steps_per_update):
         states = gibbs_step(rbm, states, rng)
@@ -707,18 +719,63 @@ def pcd_update(rbm, batch, states, config, rng):
         visible_bias=rbm.visible_bias + lr * (pos_vb - neg_vb),
         hidden_bias=rbm.hidden_bias + lr * (pos_hb - neg_hb),
     )
-    if not (
-        np.isfinite(updated.weights).all()
-        and np.isfinite(updated.visible_bias).all()
-        and np.isfinite(updated.hidden_bias).all()
-    ):
-        raise NonFiniteParameter("non-finite RBM parameter after update")
+    _check_finite(updated)
     return updated, states
 
 
-def pcd_train_rows(rows, config, n_hidden, history=None):
+# ---------------------------------------------------------------------
+# Fused PCD training: the same update as one parameter matrix, made
+# fresh from the Rbm in every call, with each bias in its product
+# ---------------------------------------------------------------------
+
+
+def with_ones(x: np.ndarray) -> np.ndarray:
+    """``x`` with a column of ones appended."""
+    return np.hstack([x, np.ones((x.shape[0], 1))])
+
+
+def fused_parameters(rbm) -> np.ndarray:
+    """The (V+1) x (H+1) matrix [[W^T, visible_bias], [hidden_bias, 0]]."""
+    n_hidden, n_visible = rbm.weights.shape
+    m = np.zeros((n_visible + 1, n_hidden + 1))
+    m[:n_visible, :n_hidden] = rbm.weights.T
+    m[:n_visible, n_hidden] = rbm.visible_bias
+    m[n_visible, :n_hidden] = rbm.hidden_bias
+    return m
+
+
+def pcd_update(rbm, batch, states, config, rng):
+    """One persistent-CD update, returning a new Rbm and the chains'
+    new visible states: each half-step draws from ``[x, 1] @ M``, and
+    the step is ``X^T (Y * s)`` over the stacked rows X = [chains;
+    batch] with ones, their hidden probabilities Y with ones, and the
+    row scale s = -lr/C on chain rows and +lr/n on batch rows."""
+    n_hidden, n_visible = rbm.weights.shape
+    m = fused_parameters(rbm)
+    for _ in range(config.gibbs_steps_per_update):
+        h = rng.bernoulli_array(with_ones(states) @ m[:, :n_hidden])
+        states = rng.bernoulli_array(with_ones(h) @ m[:n_visible].T)
+    rows = with_ones(np.vstack([states, np.asarray(batch, dtype=np.float64)]))
+    probabilities = with_ones(four_mask_sigmoid(rows @ m[:, :n_hidden]))
+    lr, n_chains, n = config.learning_rate, states.shape[0], batch.shape[0]
+    scale = np.concatenate([np.full(n_chains, -(lr / n_chains)), np.full(n, lr / n)])
+    # as in the package, a step that overflows does not warn: the spare
+    # corner sums the row scales, which can round past the largest float
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = m + rows.T @ (probabilities * scale[:, None])
+    updated = Rbm(
+        weights=m[:n_visible, :n_hidden].T.copy(),
+        visible_bias=m[:n_visible, n_hidden].copy(),
+        hidden_bias=m[n_visible, :n_hidden].copy(),
+    )
+    _check_finite(updated)
+    return updated, states
+
+
+def pcd_train_rows(rows, config, n_hidden, history=None, fused=True):
     """Train a fresh RBM on ``rows`` by a loop of ``pcd_update`` calls,
-    drawing from the seed's stream in the package's order."""
+    or of ``unfused_pcd_update`` calls when not ``fused``, drawing from
+    the seed's stream in the package's order."""
     rng = Xorshift64Star(config.seed)
     rbm = Rbm(
         weights=rng.normal_array((n_hidden, rows.shape[1]), std=WEIGHT_INIT_STD),
@@ -727,12 +784,13 @@ def pcd_train_rows(rows, config, n_hidden, history=None):
     )
     states = rng.bernoulli_array(np.zeros((config.n_chains, rows.shape[1])))  # p = 0.5
     # as in the package: an update that overflows, or computes inf - inf
-    # inside a product, does not warn; pcd_update raises NonFiniteParameter
+    # inside a product, does not warn; the update raises NonFiniteParameter
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(config.epochs):
             for start in range(0, rows.shape[0], config.batch_size):
                 batch = rows[start : start + config.batch_size]
-                rbm, states = pcd_update(rbm, batch, states, config, rng)
+                update = pcd_update if fused else unfused_pcd_update  # a test may patch either
+                rbm, states = update(rbm, batch, states, config, rng)
             if history is not None:
                 history.append(rbmsumm.rbm.reconstruction_cross_entropy(rbm, rows))
     return rbm

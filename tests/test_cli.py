@@ -724,6 +724,28 @@ def test_unwritable_output_exits_2(capsys, tmp_path, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["summarize", "a\x00b"], "cannot read input: embedded null byte"),
+        (["features", "a\x00b"], "cannot read input: embedded null byte"),
+        (["summarize", ARTICLE, "--output", "a\x00b"], "cannot write output: embedded null byte"),
+        (["evaluate", CORPUS, "--output", "a\x00b"], "cannot write output: embedded null byte"),
+        (["summarize", ARTICLE, "--config", "a\x00b"], "cannot read config file: embedded null"),
+    ],
+    ids=["input", "features-input", "output", "evaluate-output", "config"],
+)
+def test_a_nul_in_a_path_exits_2(capsys, argv, fragment):
+    """``open`` refuses a path that holds a NUL with a ValueError, not an
+    OSError; a real command line cannot carry one, but a caller of
+    ``main`` can."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("error: ") == 1
+    assert_one_error_line(err.splitlines(keepends=True)[-1], fragment)  # after any seed= line
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["summarize", ARTICLE],

@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import math
+import re
 import shutil
 from pathlib import Path
 
@@ -66,8 +68,81 @@ def test_identical_copies_match_and_a_stop_word_edit_is_reported(tmp_path):
     stopwords.write_text("".join(line for line in lines if line != "the\n"), "utf-8")
     assert len(stopwords.read_text("utf-8").splitlines()) == len(lines) - 1
     summarize, features, evaluate = (" ".join(argv) for argv in matrix)
-    assert diff_outputs.differences(parent, change, matrix) == [
+    found = diff_outputs.differences(parent, change, matrix)
+    assert [line.partition(" (")[0] for line in found] == [
         f"{summarize}: file out/result differ",
         f"{features}: stdout differ",
         f"{evaluate}: file out/result, file out/result.compare.csv differ",
     ]
+    # the JSON outputs say how far their floats moved; the CSVs do not
+    assert re.fullmatch(
+        r".* \(largest float distance \d+ ULP; selected changed; rank order changed\)", found[0]
+    )
+    assert re.fullmatch(r".* \(largest float distance \d+ ULP\)", found[1])
+    assert "(" not in found[2]
+
+
+def _summary(selected, ranked, text="t"):
+    """A ``summarize --format json`` output of (doc_index, score) pairs,
+    best first."""
+    scores = [{"doc_index": i, "score": score} for i, score in ranked]
+    payload = {"selected_indices": selected, "scores": scores, "text": text}
+    return (json.dumps(payload, indent=2) + "\n").encode()
+
+
+def _up(x: float, n: int) -> float:
+    """``x`` moved ``n`` doubles toward +inf."""
+    for _ in range(n):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+def test_ulps_counts_doubles_across_zero():
+    ulps = diff_outputs.ulps
+    assert ulps(1.0, 1.0) == 0
+    assert ulps(1.0, _up(1.0, 5)) == ulps(_up(1.0, 5), 1.0) == 5
+    assert ulps(0.0, -0.0) == 0
+    tiny = math.ulp(0.0)  # the smallest subnormal
+    assert ulps(-tiny, tiny) == 2
+    assert ulps(_up(-1.0, 3), -1.0) == 3
+
+
+def test_a_summary_that_moved_by_a_few_ulps_keeps_its_picks_and_ranks():
+    parent = _summary([4, 5], [(4, 4.7), (5, 4.6), (2, 4.5)])
+    change = _summary([4, 5], [(4, _up(4.7, 3)), (5, 4.6), (2, _up(4.5, 1))])
+    argv = ["summarize", "doc.txt", "--format", "json"]
+    assert diff_outputs.float_report(argv, parent, change) == (
+        "largest float distance 3 ULP; selected unchanged; rank order unchanged"
+    )
+
+
+def test_a_summary_whose_ranks_swapped_pairs_scores_by_sentence():
+    # sentences 5 and 2 trade places; each keeps its own score bits but one
+    parent = _summary([4], [(4, 4.7), (5, 4.6), (2, 4.6)])
+    change = _summary([4], [(4, 4.7), (2, 4.6), (5, _up(4.6, 2))], text="u")
+    argv = ["summarize", "doc.txt", "--format", "json", "--output", "out/result"]
+    assert diff_outputs.float_report(argv, parent, change) == (
+        "largest float distance 2 ULP; selected unchanged; rank order changed"
+    )
+    moved = _summary([5], [(5, 4.8), (4, 4.7), (2, 4.6)])
+    assert diff_outputs.float_report(argv, parent, moved).endswith(
+        "; selected changed; rank order changed"
+    )
+
+
+def test_features_report_the_largest_distance_and_text_outputs_none():
+    rows = [
+        {"doc_index": 0, "thematic": 0.375, "position": 1.0},
+        {"doc_index": 1, "thematic": 0.5, "position": 0.25},
+    ]
+    moved = [dict(rows[0], position=_up(1.0, 7)), dict(rows[1], thematic=_up(0.5, 2))]
+    features = ["features", "doc.txt"]
+    parent, change, short = (json.dumps(v, indent=2).encode() for v in (rows, moved, rows[:1]))
+    assert diff_outputs.float_report(features, parent, change) == "largest float distance 7 ULP"
+    assert diff_outputs.float_report(features, parent, short) == (
+        "floats not paired: the outputs differ in shape"
+    )
+    text = ["summarize", "doc.txt", "--format", "text"]
+    assert diff_outputs.float_report(text, b"One.\n", b"Two.\n") is None
+    evaluate = ["evaluate", "corpus"]
+    assert diff_outputs.float_report(evaluate, b"a,b\n1.0,2.0\n", b"a,b\n1.0,2.5\n") is None

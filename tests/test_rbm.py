@@ -1,5 +1,7 @@
+import importlib
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import rbmsumm.rbm as rbm_module
-from rbmsumm import DimensionMismatch, NonFiniteParameter
+from rbmsumm import DimensionMismatch, NonFiniteParameter, RawDocument, run_pipeline
 from rbmsumm.features import SentenceFeatureMatrix
 from rbmsumm.rbm import (
     MAX_CHAINS,
@@ -76,9 +78,9 @@ def untrained(n_visible, seed):
 def fused_update(rbm, batch, states, config, rng):
     """One ``_Pcd.update`` on a copy of ``rbm``, checked as training
     checks it; returns the updated machine and chain states."""
-    pcd = _Pcd(rbm, states.shape[0], batch.shape[0])
+    pcd = _Pcd(rbm, states, config, batch.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):  # as in _train_rows
-        states = pcd.update(batch, batch.sum(axis=0), states, config, rng)
+        states = pcd.update(batch, rng)
     pcd.check_finite()
     return pcd.rbm(), states
 
@@ -585,6 +587,26 @@ def _reference_train_rows(rows, config, history):
         TrainConfig(learning_rate=0.5, epochs=2, batch_size=3, n_chains=2, seed=6),
     ),
 )
+@example(  # 9 rows in batches of 4: the last batch has one row, the
+    # stacked rows of its update are 4 + 1
+    run=(
+        normalized_matrix(np.linspace(0.0, 1.0, 9 * 9).reshape(9, 9) ** 2),
+        TrainConfig(epochs=2, seed=11),
+    ),
+)
+@example(  # one chain and 1-row batches: each half-step is a vector-matrix
+    # product, and the phase product stacks 1 + 1 rows
+    run=(
+        normalized_matrix(np.linspace(1.0, 0.0, 5 * 9).reshape(5, 9)),
+        TrainConfig(learning_rate=0.3, epochs=2, batch_size=1, n_chains=1, seed=12),
+    ),
+)
+@example(  # three Gibbs steps per update, with a 1-row last batch
+    run=(
+        normalized_matrix(np.linspace(0.0, 1.0, 5 * 9).reshape(5, 9) % 0.7),
+        TrainConfig(epochs=2, n_chains=3, gibbs_steps_per_update=3, seed=13),
+    ),
+)
 def test_fused_training_is_bit_equal_to_a_loop_of_reference_updates(run):
     matrix, config = run
     fused = _trained_bytes(_train_rows, matrix.values, config)
@@ -614,6 +636,13 @@ def test_fused_training_is_bit_equal_to_a_loop_of_reference_updates(run):
         TrainConfig(learning_rate=0.5, batch_size=4, n_chains=3, seed=8),
     ),
     n_hidden=11,
+)
+@example(  # a 1-row batch and its one chain, three Gibbs steps
+    run=(
+        normalized_matrix(np.linspace(0.2, 0.9, 9).reshape(1, 9)),
+        TrainConfig(batch_size=1, n_chains=1, gibbs_steps_per_update=3, seed=14),
+    ),
+    n_hidden=9,
 )
 def test_pcd_update_is_bit_equal_to_the_reference_update(run, n_hidden):
     matrix, config = run
@@ -648,6 +677,60 @@ def test_training_stays_finite_or_raises_typed_error(run):
         assert np.isfinite(parameter).all()
     probabilities = enhance(matrix, rbm).values
     assert ((probabilities >= 0.0) & (probabilities <= 1.0)).all()
+
+
+# Fused and unfused training sum in different orders.  On the documents
+# below their parameters differ by at most 1.1e-15 and their scores by at
+# most 5 ULP, well inside these bounds, and no pick or rank moves.
+PARAMETER_ATOL = 1e-14
+SCORE_RTOL = 1e-13
+
+
+def _harness_report(monkeypatch) -> RawDocument:
+    """The determinism harness's report: the first 75 paragraphs, 308
+    sentences, of the benchmark's seed-1 report."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    (generated,) = importlib.import_module("gen").long_report(1)
+    del sys.modules["gen"]
+    return RawDocument("\n\n".join(generated.text.split("\n\n")[:75]) + "\n", "report")
+
+
+def test_fused_training_keeps_the_picks_and_ranks_of_the_unfused_reference(
+    monkeypatch, data_dir
+):
+    paths = [data_dir / "article_market.txt", *sorted((data_dir / "corpus").glob("*.txt"))]
+    documents = [RawDocument(path.read_text("utf-8"), path.stem) for path in paths]
+    documents.append(_harness_report(monkeypatch))
+    assert len(documents) == 8
+    fused_train_rows = rbm_module._train_rows
+    machines = []
+
+    def unfused_train_rows(rows, config, history=None):
+        reference = pcd_train_rows(rows, config, N_HIDDEN, history, fused=False)
+        fused = fused_train_rows(rows, config)
+        for name in ("weights", "visible_bias", "hidden_bias"):
+            np.testing.assert_allclose(
+                getattr(fused, name), getattr(reference, name), rtol=0, atol=PARAMETER_ATOL
+            )
+        machines.append(rows.shape[0])
+        return reference
+
+    for raw in documents:
+        for layers in (1, 2):
+            fused = run_pipeline(raw, layers=layers)
+            with monkeypatch.context() as patch:
+                patch.setattr(rbm_module, "_train_rows", unfused_train_rows)
+                reference = run_pipeline(raw, layers=layers)
+            assert machines[-layers:] == [fused.doc.n_sentences] * layers
+            assert fused.summary.selected == reference.summary.selected
+            ranked = [[r.doc_index for r in result.summary.scores] for result in (fused, reference)]
+            assert ranked[0] == ranked[1]
+            np.testing.assert_allclose(
+                [r.score for r in fused.summary.scores],
+                [r.score for r in reference.summary.scores],
+                rtol=SCORE_RTOL, atol=0,
+            )
+    assert 308 in machines
 
 
 class TestEnhance:

@@ -45,6 +45,16 @@ class TestReferenceStream:
     def test_seed_0_raw_outputs(self):
         check_documented_stream(0)
 
+    def test_the_seed_that_seeds_a_zero_state_still_draws(self):
+        # the one seed whose splitmix64 output is 0; xorshift maps state 0
+        # to itself, so without the guard its stream would be all zeros
+        seed = 7046029254386353131
+        assert rng_module._splitmix64(seed) == 0
+        oracle = ScalarXorshift64Star(seed)
+        uniforms = Xorshift64Star(seed)._take(2 * rng_module._CHUNK)
+        assert uniforms[:3].tolist() == [oracle.random() for _ in range(3)]
+        assert (uniforms != 0.0).all()
+
     def test_same_seed_same_stream(self):
         a = Xorshift64Star(123)
         b = Xorshift64Star(123)

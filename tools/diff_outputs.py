@@ -27,7 +27,13 @@ The documents are ``tests/data/article_market.txt``, the small
 2000-sentence report and the first news article; the corpora are ``tests/data/corpus`` and the
 seed-1 ``compare_corpus`` and ``news_corpus``.  Every run's exit code,
 stdout, stderr and written files are compared byte for byte; each
-difference is printed, and the exit code is 1 if there is any.
+difference is printed, and the exit code is 1 if there is any.  A
+differing ``summarize --format json`` or ``features`` output also gets
+the largest distance in ULPs (units in the last place) between its
+floats, each paired with the float at the same place on the other side,
+and a summary says whether its ``selected_indices`` or its rank order,
+the ``doc_index`` order of its ``scores``, changed; its scores are
+paired by ``doc_index``.
 
 Both sides inherit the environment of this script, so a switch set on
 its command line applies to both: for instance
@@ -44,6 +50,7 @@ import itertools
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
@@ -147,6 +154,60 @@ def run(src: Path, argv: list[str]) -> tuple:
     return proc.returncode, proc.stdout, proc.stderr, files
 
 
+def ulps(a: float, b: float) -> int:
+    """The number of doubles from ``a`` to ``b``; 0.0 and -0.0 are one."""
+    keys = []
+    for x in (a, b):
+        bits = struct.unpack("<q", struct.pack("<d", x))[0]
+        # negative doubles count down from -0.0, which meets 0.0
+        keys.append(bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF))
+    return abs(keys[0] - keys[1])
+
+
+def float_pairs(a, b) -> list[tuple[float, float]] | None:
+    """The floats at the same places of two parsed JSON values, or None
+    where the two differ in shape; other scalars are passed over."""
+    if isinstance(a, float) and isinstance(b, float):
+        return [(a, b)]
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        a, b = list(a.values()), list(b.values())
+    if isinstance(a, list) and isinstance(b, list):
+        pairs = [float_pairs(x, y) for x, y in zip(a, b)]
+        if len(a) != len(b) or None in pairs:
+            return None
+        return [pair for inner in pairs for pair in inner]
+    return [] if type(a) is type(b) and not isinstance(a, (dict, list)) else None
+
+
+def float_report(argv: list[str], parent: bytes, change: bytes) -> str | None:
+    """How a ``summarize --format json`` or ``features`` output moved:
+    the largest ULP distance over its floats and, for a summary, whether
+    its picks or its rank order changed.  None for other commands and
+    for outputs that are not JSON."""
+    summary = argv[0] == "summarize" and "json" in argv
+    if not (summary or argv[0] == "features"):
+        return None
+    try:
+        a, b = json.loads(parent), json.loads(change)
+    except ValueError:
+        return None
+    notes = []
+    if summary:
+        same_picks = a["selected_indices"] == b["selected_indices"]
+        same_ranks = [s["doc_index"] for s in a["scores"]] == [s["doc_index"] for s in b["scores"]]
+        notes += [f"selected {'un' * same_picks}changed", f"rank order {'un' * same_ranks}changed"]
+        # pair each sentence's score with its own
+        a, b = (
+            {**out, "scores": sorted(out["scores"], key=lambda s: s["doc_index"])}
+            for out in (a, b)
+        )
+    pairs = float_pairs(a, b)
+    if pairs is None:
+        return "; ".join(["floats not paired: the outputs differ in shape", *notes])
+    distance = max((ulps(x, y) for x, y in pairs), default=0)
+    return "; ".join([f"largest float distance {distance} ULP", *notes])
+
+
 def differences(parent_src: Path, change_src: Path, matrix: list[list[str]]) -> list[str]:
     """One line for each command whose outputs differ between the two
     package trees, naming the parts that differ."""
@@ -158,7 +219,14 @@ def differences(parent_src: Path, change_src: Path, matrix: list[list[str]]) -> 
         for name in sorted(set(parent[3]) | set(change[3])):
             if parent[3].get(name) != change[3].get(name):
                 parts.append(f"file {name}")
-        return f"{' '.join(argv)}: {', '.join(parts)} differ" if parts else None
+        if not parts:
+            return None
+        line = f"{' '.join(argv)}: {', '.join(parts)} differ"
+        # the output is the --output file when there is one, else stdout
+        sink = "--output" in argv
+        outputs = [side[3].get(OUTPUT) if sink else side[1] for side in (parent, change)]
+        report = None if None in outputs else float_report(argv, *outputs)
+        return f"{line} ({report})" if report else line
 
     with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
         return [line for line in pool.map(compare, matrix) if line]
