@@ -9,6 +9,11 @@ concrete seed, which is echoed on standard error so results can be
 reproduced.  Each subcommand makes one pass through the library;
 ``evaluate --compare`` runs both layer counts and prints the metrics of
 the one ``--layers`` names.
+
+Handlers return their stderr facts and their outputs, each a text and
+a path or None for stdout; ``main`` alone prints the ``seed=`` line,
+writes the outputs and maps each error to its exit code, escaping any
+unprintable character so that its ``error:`` line stays one line.
 """
 
 from __future__ import annotations
@@ -35,12 +40,6 @@ from .evaluation import (
 from .features import FEATURE_NAMES, FeatureConfig
 from .rbm import TrainConfig, stack_enhance
 from .summarizer import DEFAULT_LIMIT_RATIO, SummaryConfig, featurize, run_pipeline
-
-EXIT_OK = 0
-EXIT_UNREADABLE = 2
-EXIT_EMPTY = 3
-EXIT_MISSING_REFERENCE = 4
-
 
 @dataclass(frozen=True)
 class _CliSettings:
@@ -155,29 +154,27 @@ def _check_value(key: str, value) -> None:
     if float in types:
         types += (int,)
     if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
-        raise _CliError(EXIT_UNREADABLE, f"config key {key!r} must be {names}, not {value!r}")
+        raise _CliError(f"config key {key!r} must be {names}, not {value!r}")
     if choices and value not in choices:
-        raise _CliError(
-            EXIT_UNREADABLE, f"config key {key!r} must be one of {choices}, not {value!r}"
-        )
+        raise _CliError(f"config key {key!r} must be one of {choices}, not {value!r}")
 
 
 def _read_config(path: str) -> dict:
     try:
         text = Path(path).read_text("utf-8")
     except UnicodeDecodeError as exc:
-        raise _CliError(EXIT_UNREADABLE, f"config file is not valid JSON: {exc}")
+        raise _CliError(f"config file is not valid JSON: {exc}")
     except (OSError, ValueError) as exc:  # a NUL in the path is a ValueError
-        raise _CliError(EXIT_UNREADABLE, f"cannot read config file: {exc}")
+        raise _CliError(f"cannot read config file: {exc}")
     try:
         loaded = json.loads(text)
     except ValueError as exc:  # includes JSONDecodeError
-        raise _CliError(EXIT_UNREADABLE, f"config file is not valid JSON: {exc}")
+        raise _CliError(f"config file is not valid JSON: {exc}")
     if not isinstance(loaded, dict):
-        raise _CliError(EXIT_UNREADABLE, "config file must hold a JSON object")
+        raise _CliError("config file must hold a JSON object")
     unknown = set(loaded) - set(_KEYS)
     if unknown:
-        raise _CliError(EXIT_UNREADABLE, f"unknown config keys: {sorted(unknown)}")
+        raise _CliError(f"unknown config keys: {sorted(unknown)}")
     for key, value in loaded.items():
         _check_value(key, value)
     return loaded
@@ -198,9 +195,18 @@ def _merge_settings(args: argparse.Namespace) -> dict:
 
 
 class _CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+    """A bad setting, path, file or reference that the CLI reports."""
+
+
+# each error that main reports, with its exit code: 2 for a bad setting,
+# path or learning rate, 3 for an empty document, 4 for a missing reference
+_EXIT_CODES = {
+    _CliError: 2,
+    NonFiniteParameter: 2,
+    EmptyDocument: 3,
+    DegenerateDocument: 3,
+    MissingReference: 4,
+}
 
 
 def _library_kwargs(settings: dict) -> dict:
@@ -216,13 +222,13 @@ def _library_kwargs(settings: dict) -> dict:
             "summary_config": build(SummaryConfig),
         }
     except ValueError as exc:
-        raise _CliError(EXIT_UNREADABLE, f"invalid setting: {exc}")
+        raise _CliError(f"invalid setting: {exc}")
     try:
         kwargs["lexicons"] = load_lexicons(
             settings["stopwords"], settings["abbreviations"], settings["lexicon_dir"]
         )
     except (OSError, ValueError) as exc:  # ValueError includes UnicodeDecodeError
-        raise _CliError(EXIT_UNREADABLE, f"cannot read word list: {exc}")
+        raise _CliError(f"cannot read word list: {exc}")
     kwargs["anchor"] = settings["similarity_anchor"]
     return kwargs
 
@@ -235,9 +241,9 @@ def _read_input(path: str) -> RawDocument:
             return RawDocument(text=text, source_id="stdin")
         return RawDocument(text=Path(path).read_text("utf-8"), source_id=Path(path).stem)
     except UnicodeDecodeError as exc:
-        raise _CliError(EXIT_UNREADABLE, f"input {path} is not UTF-8: {exc}")
+        raise _CliError(f"input {path} is not UTF-8: {exc}")
     except (OSError, ValueError) as exc:  # a NUL in the path is a ValueError
-        raise _CliError(EXIT_UNREADABLE, f"cannot read input: {exc}")
+        raise _CliError(f"cannot read input: {exc}")
 
 
 def _write_output(text: str, output: str | None) -> None:
@@ -248,18 +254,14 @@ def _write_output(text: str, output: str | None) -> None:
         else:
             Path(output).write_text(text, encoding="utf-8", newline="\n")
     except (OSError, ValueError) as exc:  # BrokenPipeError, or a NUL in the path
-        raise _CliError(EXIT_UNREADABLE, f"cannot write output: {exc}")
+        raise _CliError(f"cannot write output: {exc}")
 
 
-def _cmd_summarize(args: argparse.Namespace, settings: dict, kwargs: dict) -> int:
+def _cmd_summarize(args: argparse.Namespace, settings: dict, kwargs: dict) -> tuple[str, list]:
     result = run_pipeline(_read_input(args.input), layers=settings["layers"], **kwargs)
     summary = result.summary
     n = result.doc.n_sentences
     limit = kwargs["summary_config"].effective_limit(n)
-    print(
-        f"seed={settings['seed']} sentences={n} limit={limit}",
-        file=sys.stderr,
-    )
     if settings["format"] == "json":
         payload = {
             "selected_indices": list(summary.selected),
@@ -268,13 +270,13 @@ def _cmd_summarize(args: argparse.Namespace, settings: dict, kwargs: dict) -> in
             ],
             "text": summary.text,
         }
-        _write_output(json.dumps(payload, indent=2) + "\n", settings["output"])
+        text = json.dumps(payload, indent=2) + "\n"
     else:
-        _write_output(summary.text + "\n", settings["output"])
-    return EXIT_OK
+        text = summary.text + "\n"
+    return f"sentences={n} limit={limit}", [(text, settings["output"])]
 
 
-def _cmd_features(args: argparse.Namespace, settings: dict, kwargs: dict) -> int:
+def _cmd_features(args: argparse.Namespace, settings: dict, kwargs: dict) -> tuple[str, list]:
     raw = _read_input(args.input)
     doc, raw_matrix, normalized = featurize(raw, kwargs["feature_config"], kwargs["lexicons"])
     enhanced = None
@@ -291,19 +293,15 @@ def _cmd_features(args: argparse.Namespace, settings: dict, kwargs: dict) -> int
             record["enhanced"] = [float(x) for x in enhanced.values[i]]
             record["enhanced_sum"] = float(enhanced.values[i].sum())
         records.append(record)
-    print(
-        f"seed={settings['seed']} sentences={doc.n_sentences}",
-        file=sys.stderr,
-    )
-    _write_output(json.dumps(records, indent=2) + "\n", settings["output"])
-    return EXIT_OK
+    text = json.dumps(records, indent=2) + "\n"
+    return f"sentences={doc.n_sentences}", [(text, settings["output"])]
 
 
-def _cmd_evaluate(args: argparse.Namespace, settings: dict, kwargs: dict) -> int:
+def _cmd_evaluate(args: argparse.Namespace, settings: dict, kwargs: dict) -> tuple[str, list]:
     try:
         entries = load_corpus(args.corpus)
     except (OSError, ValueError) as exc:  # ValueError includes undecodable files
-        raise _CliError(EXIT_UNREADABLE, f"cannot read corpus: {exc}")
+        raise _CliError(f"cannot read corpus: {exc}")
     comparison = None
     try:
         if settings["compare"]:
@@ -312,25 +310,28 @@ def _cmd_evaluate(args: argparse.Namespace, settings: dict, kwargs: dict) -> int
         else:
             result = evaluate_corpus(entries, layers=settings["layers"], **kwargs)
     except ValueError as exc:  # a reference that does not fit its document
-        raise _CliError(EXIT_UNREADABLE, str(exc))
-    print(
-        f"seed={settings['seed']} documents={len(entries)}",
-        file=sys.stderr,
-    )
+        raise _CliError(str(exc))
     output = settings["output"]
-    _write_output(render_metrics_csv(result), output)
+    outputs = [(render_metrics_csv(result), output)]
     if comparison is not None:
         if output is not None:
-            output = str(Path(output).with_name(Path(output).stem + ".compare.csv"))
-        _write_output(render_comparison_csv(comparison), output)
-    return EXIT_OK
+            # not with_name, which raises on "" or "/", where the metrics' write fails first
+            output = str(Path(output).parent / f"{Path(output).stem}.compare.csv")
+        outputs.append((render_comparison_csv(comparison), output))
+    return f"documents={len(entries)}", outputs
+
+
+def _escaped(text: str) -> str:
+    """``text`` with each unprintable character, such as a newline or a
+    NUL, escaped as a Python literal writes it, so a message is one line."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args, unknown = parser.parse_known_args(argv)
     if unknown:  # with the subcommand's usage line, not the root's
-        args.command_parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+        args.command_parser.error(f"unrecognized arguments: {_escaped(' '.join(unknown))}")
     for action in args.command_parser._actions:  # argparse reads "--flag=--" as []
         if action.option_strings and getattr(args, action.dest, None) == []:
             args.command_parser.error(f"argument {action.option_strings[0]}: expected one argument")
@@ -341,19 +342,14 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         settings = _merge_settings(args)
-        return handlers[args.command](args, settings, _library_kwargs(settings))
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except NonFiniteParameter as exc:  # a learning rate that training cannot take
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNREADABLE
-    except (EmptyDocument, DegenerateDocument) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY
-    except MissingReference as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISSING_REFERENCE
+        facts, outputs = handlers[args.command](args, settings, _library_kwargs(settings))
+        print(f"seed={settings['seed']} {facts}", file=sys.stderr)
+        for text, path in outputs:
+            _write_output(text, path)
+        return 0
+    except tuple(_EXIT_CODES) as exc:
+        print(f"error: {_escaped(str(exc))}", file=sys.stderr)
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

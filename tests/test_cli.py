@@ -609,13 +609,13 @@ def _subcommand_actions() -> dict[str, list[argparse.Action]]:
 _ARGV_ACTIONS = _subcommand_actions()
 # one short document, and a corpus of it, keep each run fast
 _ARGV_TEXT = "Markets rose in Nairobi. Prices fell 12 points. Markets rose again.\n"
-# values inside and outside each flag's range, words, and paths relative
-# to the test's working directory; an argument from the OS holds no NUL
+# values inside and outside each flag's range, words, paths relative to
+# the test's working directory, and strings with a newline or a NUL
 _ARGV_INTS = ["0", "1", "2", "3", "-1", str(2**64), "1_0"]
 _ARGV_FLOATS = ["0.5", "0.9", "1", "1.5", "0", "nan", "inf", "1e400"]
 _ARGV_STRINGS = [
     "doc.txt", "corpus", "config.json", "missing.txt", "out/result", "doc.txt/x",
-    "", " ", "-", "--", "x", "text", "json", "first", "latest",
+    "", " ", "-", "--", "x", "text", "json", "first", "latest", "a\nb", "a\x00b",
 ]
 _ARGV_VALUES = st.sampled_from(_ARGV_INTS + _ARGV_FLOATS + _ARGV_STRINGS)
 _ARGV_JUNK = st.sampled_from(
@@ -674,6 +674,8 @@ def _fuzzed_argv(draw):
 @example(argv=["evaluate", "corpus", "--compare", "--limit", "1", "--ratio", "0.5"])
 @example(argv=["features", "-", "--similarity-anchor", "first"])
 @example(argv=["summarize", "doc.txt", "--stopwords=--"])
+@example(argv=["evaluate", "corpus", "--compare", "--output", ""])
+@example(argv=["evaluate", "a\nb", "--output", "a\x00b"])
 def test_fuzzed_argv_never_escapes_main(capsys, tmp_path, monkeypatch, argv):
     """``main`` exits with a code the CLI documents, with no traceback and
     no warning, and on failure with exactly one error line, the last:
@@ -743,6 +745,63 @@ def test_a_nul_in_a_path_exits_2(capsys, argv, fragment):
     assert out == ""
     assert err.count("error: ") == 1
     assert_one_error_line(err.splitlines(keepends=True)[-1], fragment)  # after any seed= line
+
+
+def _latin1_document(path: Path) -> Path:
+    path.write_bytes("Caf\xe9 prices rose. Markets fell.\n".encode("latin-1"))
+    return path
+
+
+# each case gives a command on a path that holds ``name``, and the
+# fragment of its error line where the path shows as ``shown``
+def _undecodable_input(tmp_path, name, shown):
+    path = _latin1_document(tmp_path / f"{name}.txt")
+    return ["summarize", str(path)], f"input {tmp_path}/{shown}.txt is not UTF-8"
+
+
+def _missing_corpus(tmp_path, name, shown):
+    return ["evaluate", str(tmp_path / name)], f"no .txt documents found in {tmp_path}/{shown}"
+
+
+def _undecodable_corpus_document(tmp_path, name, shown):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    _latin1_document(corpus / f"{name}.txt")
+    (corpus / f"{name}.ref").write_text("0\n")
+    return ["evaluate", str(corpus)], f"cannot read corpus: {corpus}/{shown}.txt is not UTF-8"
+
+
+@pytest.mark.parametrize("name, shown", [("a\nb", "a\\nb"), ("café", "café")])
+@pytest.mark.parametrize(
+    "case", [_undecodable_input, _missing_corpus, _undecodable_corpus_document]
+)
+def test_an_error_line_escapes_the_control_characters_of_a_path(
+    capsys, tmp_path, case, name, shown
+):
+    """A newline in a path shows as ``\\n``, so the error stays one line;
+    printable characters, accented letters too, keep their bytes."""
+    argv, fragment = case(tmp_path, name, shown)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert_one_error_line(err, fragment)
+
+
+def test_an_error_line_escapes_a_nul(capsys):
+    code, _, err = run_cli(capsys, "evaluate", "a\x00b")
+    assert code == 2
+    assert_one_error_line(err, "no .txt documents found in a\\x00b")
+    assert "\x00" not in err
+
+
+def test_an_unrecognized_argument_is_escaped_in_the_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["summarize", ARTICLE, "a\nb", "c\x00d"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines(keepends=True)[-1] == (
+        "rbmsumm summarize: error: unrecognized arguments: a\\nb c\\x00d\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -82,6 +82,22 @@ def test_identical_copies_match_and_a_stop_word_edit_is_reported(tmp_path):
     assert "(" not in found[2]
 
 
+def test_the_line_report_counts_the_package_modules_of_both_trees(tmp_path):
+    parent = _copy_package(tmp_path / "parent")
+    change = _copy_package(tmp_path / "change")
+    lines = sum(len(path.read_text("utf-8").splitlines()) for path in PACKAGE.glob("*.py"))
+    same = f"src/rbmsumm/*.py: {lines} lines at HEAD, {lines} in the working tree (+0)"
+    assert diff_outputs.line_report(parent, change) == same
+    # three lines more in a module, and a file that is not a module
+    with (change / "rbmsumm" / "cli.py").open("a", encoding="utf-8") as module:
+        module.write("\n# one\n# two\n")
+    (change / "rbmsumm" / "notes.txt").write_text("not counted\n", "utf-8")
+    assert diff_outputs.line_report(parent, change) == (
+        f"src/rbmsumm/*.py: {lines} lines at HEAD, {lines + 3} in the working tree (+3)"
+    )
+    assert diff_outputs.line_report(change, parent).endswith(f"{lines} in the working tree (-3)")
+
+
 def _summary(selected, ranked, text="t"):
     """A ``summarize --format json`` output of (doc_index, score) pairs,
     best first."""

@@ -79,6 +79,14 @@ class TestSegmentSentences:
             "Fine.",
         ]
 
+    def test_trailing_whitespace_after_the_last_terminator(self):
+        # the last boundary ends at the paragraph's end, where no next
+        # character can be read
+        assert segment_sentences("First one. Second one. ", LEX.abbreviations) == [
+            "First one.",
+            "Second one.",
+        ]
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.text(

@@ -613,41 +613,62 @@ def test_fused_training_is_bit_equal_to_a_loop_of_reference_updates(run):
     assert fused == _trained_bytes(_reference_train_rows, matrix.values, config)
 
 
+@st.composite
+def _pcd_updates(draw):
+    """A training run, with chain states of 0s and 1s drawn apart from
+    its rows: an update may meet more chains than batch rows."""
+    matrix, config = draw(_training_runs(max_gibbs_steps=3))
+    bits = st.sampled_from([0.0, 1.0])
+    return matrix, config, draw(arrays(np.float64, (config.n_chains, 9), elements=bits))
+
+
+def _update_case(values, config):
+    """An update of the rows ``values``, its chains the rounded first rows."""
+    return normalized_matrix(values), config, np.asarray(values)[: config.n_chains].round()
+
+
 @settings(max_examples=100, deadline=None)
-@given(_training_runs(max_gibbs_steps=3), st.integers(1, 11))
+@given(_pcd_updates(), st.integers(1, 11))
 @example(  # a 1-row batch and one chain: np.dot's vector-matrix shapes; the
     # hidden and the visible scratch arrays differ in width
-    run=(
-        normalized_matrix(np.linspace(0.0, 1.0, 9).reshape(1, 9)),
+    case=_update_case(
+        np.linspace(0.0, 1.0, 9).reshape(1, 9),
         TrainConfig(batch_size=1, n_chains=1, gibbs_steps_per_update=2, seed=3),
     ),
     n_hidden=5,
 )
 @example(  # one hidden unit and one row: 1 x 1 operands
-    run=(
-        normalized_matrix(np.linspace(1.0, 0.0, 9).reshape(1, 9)),
+    case=_update_case(
+        np.linspace(1.0, 0.0, 9).reshape(1, 9),
         TrainConfig(batch_size=1, n_chains=1, seed=4),
     ),
     n_hidden=1,
 )
 @example(  # a wider hidden layer than the visible one, over several rows
-    run=(
-        normalized_matrix(np.linspace(0.0, 1.0, 4 * 9).reshape(4, 9)),
+    case=_update_case(
+        np.linspace(0.0, 1.0, 4 * 9).reshape(4, 9),
         TrainConfig(learning_rate=0.5, batch_size=4, n_chains=3, seed=8),
     ),
     n_hidden=11,
 )
 @example(  # a 1-row batch and its one chain, three Gibbs steps
-    run=(
-        normalized_matrix(np.linspace(0.2, 0.9, 9).reshape(1, 9)),
+    case=_update_case(
+        np.linspace(0.2, 0.9, 9).reshape(1, 9),
         TrainConfig(batch_size=1, n_chains=1, gibbs_steps_per_update=3, seed=14),
     ),
     n_hidden=9,
 )
-def test_pcd_update_is_bit_equal_to_the_reference_update(run, n_hidden):
-    matrix, config = run
+@example(  # a 1-row batch beside four chains
+    case=(
+        normalized_matrix(np.linspace(0.1, 0.8, 9).reshape(1, 9)),
+        TrainConfig(batch_size=1, n_chains=4, seed=15),
+        (np.arange(4 * 9).reshape(4, 9) % 3 == 0).astype(np.float64),
+    ),
+    n_hidden=9,
+)
+def test_pcd_update_is_bit_equal_to_the_reference_update(case, n_hidden):
+    matrix, config, chains = case
     rbm = random_rbm(9, n_hidden, seed=config.seed % 1000)
-    chains = matrix.values[: config.n_chains].round()
     outcomes = []
     for update in (fused_update, oracles.pcd_update):
         try:

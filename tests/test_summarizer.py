@@ -86,6 +86,12 @@ class TestRank:
         ranked = rank([RankedSentence(i, 1.0) for i in range(5)])
         assert [r.doc_index for r in ranked] == [0, 1, 2, 3, 4]
 
+    def test_ties_given_out_of_document_order_take_document_order(self):
+        ranked = rank(
+            [RankedSentence(2, 1.0), RankedSentence(1, 3.0), RankedSentence(0, 1.0)]
+        )
+        assert [r.doc_index for r in ranked] == [1, 0, 2]
+
     def test_single(self):
         only = RankedSentence(0, 0.5)
         assert rank([only]) == [only]

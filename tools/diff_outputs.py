@@ -33,7 +33,8 @@ the largest distance in ULPs (units in the last place) between its
 floats, each paired with the float at the same place on the other side,
 and a summary says whether its ``selected_indices`` or its rank order,
 the ``doc_index`` order of its ``scores``, changed; its scores are
-paired by ``doc_index``.
+paired by ``doc_index``.  The report ends with the line counts of
+``src/rbmsumm/*.py`` on both sides and their difference.
 
 Both sides inherit the environment of this script, so a switch set on
 its command line applies to both: for instance
@@ -232,6 +233,19 @@ def differences(parent_src: Path, change_src: Path, matrix: list[list[str]]) -> 
         return [line for line in pool.map(compare, matrix) if line]
 
 
+def line_report(parent_src: Path, change_src: Path) -> str:
+    """The ``rbmsumm/*.py`` line counts, as ``wc -l`` counts them, under
+    both ``src`` trees and their difference."""
+    parent, change = (
+        sum(path.read_bytes().count(b"\n") for path in (src / "rbmsumm").glob("*.py"))
+        for src in (parent_src, change_src)
+    )
+    return (
+        f"src/rbmsumm/*.py: {parent} lines at HEAD, {change} in the working tree "
+        f"({change - parent:+d})"
+    )
+
+
 def main() -> int:
     bench_pairs = _load(ROOT / "tools" / "bench_pairs.py")
     with tempfile.TemporaryDirectory(prefix="diff-outputs-parent-") as parent, \
@@ -239,9 +253,11 @@ def main() -> int:
         bench_pairs.export_commit("HEAD", Path(parent))
         matrix = command_matrix(*build_inputs(Path(inputs)))
         found = differences(Path(parent) / "src", ROOT / "src", matrix)
+        lines = line_report(Path(parent) / "src", ROOT / "src")
     for line in found:
         print(line)
     print(f"{len(matrix)} commands, {len(found)} with different outputs", file=sys.stderr)
+    print(lines, file=sys.stderr)
     return 1 if found else 0
 
 
