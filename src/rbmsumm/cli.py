@@ -13,7 +13,8 @@ the one ``--layers`` names.
 Handlers return their stderr facts and their outputs, each a text and
 a path or None for stdout; ``main`` alone prints the ``seed=`` line,
 writes the outputs and maps each error to its exit code, escaping any
-unprintable character so that its ``error:`` line stays one line.
+unprintable character so that its ``error:`` line stays one line.  The
+parsers escape their usage errors the same way.
 """
 
 from __future__ import annotations
@@ -88,8 +89,15 @@ def _choices(key: str) -> tuple:
     return typing.get_args(annotation) if typing.get_origin(annotation) is typing.Literal else ()
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors, and its subparsers', are one line."""
+
+    def error(self, message: str) -> typing.NoReturn:
+        super().error(_escaped(message))
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rbmsumm",
         description="Extractive summarizer with RBM feature enhancement.",
     )
@@ -331,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args, unknown = parser.parse_known_args(argv)
     if unknown:  # with the subcommand's usage line, not the root's
-        args.command_parser.error(f"unrecognized arguments: {_escaped(' '.join(unknown))}")
+        args.command_parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     for action in args.command_parser._actions:  # argparse reads "--flag=--" as []
         if action.option_strings and getattr(args, action.dest, None) == []:
             args.command_parser.error(f"argument {action.option_strings[0]}: expected one argument")

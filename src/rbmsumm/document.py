@@ -37,7 +37,7 @@ class Sentence:
 
     def content_stems(self) -> tuple[str, ...]:
         """Stems of non-stopword tokens, in sentence order."""
-        return tuple(t.stem for t in self.tokens if not t.is_stopword)
+        return tuple([t.stem for t in self.tokens if not t.is_stopword])
 
 
 @dataclass(frozen=True)

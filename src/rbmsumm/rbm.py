@@ -11,21 +11,24 @@ samples, row-major).
 Training runs one fused update per batch (``_Pcd.update``).  The
 parameters are one (V+1) x (H+1) matrix, the biases in its last row
 and column, and each row that meets it ends in a 1, so a bias rides in
-its product.  The chain rows and the batch rows are stacked: each Gibbs
-half-step is one product, both phases' hidden probabilities Y are one
-product, and the step of W and both biases is one signed product
-``X^T (Y * s)`` of the stacked rows X, with the learning rate folded
-into the row scale s.  Every intermediate lands in an array made once
-per machine, so an update allocates only the samples that its draws
-return.  Its products go through ``np.dot(..., out=)``, the same BLAS
-call as ``@`` with less overhead.  A Gibbs half-step hands its
-pre-activations to ``bernoulli_array``, which compares them with its
-uniforms' logits, so only the phase statistics compute a sigmoid.  The
-update computes the same values and draws the same uniforms in the
-same order as the fused reference update in ``tests/oracles.py``, so
-its weights are bit-equal to a loop of those.  Against the unfused
-reference, with separate products, bias adds and divides, its sums run
-in another order, so the parameters differ in their last bits.
+its product.  The chain rows and the batch rows are stacked: each
+Gibbs half-step is one product, both phases' hidden probabilities Y
+are one product, and the step of W and both biases is one signed
+product ``X^T (Y * s)`` of the stacked rows X, with the learning rate
+folded into the row scale s.  The sigmoid runs in place on the
+contiguous logits, and one product by s writes them into the cells of
+a scaled Y whose ones column already holds s, since 1.0 * s == s.
+Every intermediate lands in an array made once per machine or batch
+size, so an update allocates only the samples that its draws return.
+Its products go through ``np.dot(..., out=)``, the same BLAS call as
+``@`` with less overhead.  A Gibbs half-step hands its pre-activations
+to ``bernoulli_array``, which compares them with its uniforms' logits,
+so only the phase statistics compute a sigmoid.  The update computes
+the same values and draws the same uniforms in the same order as the
+fused reference update in ``tests/oracles.py``, so its weights are
+bit-equal to a loop of those.  Against the unfused reference, with
+separate products, bias adds and divides, its sums run in another
+order, so the parameters differ in their last bits.
 Finiteness is checked once per epoch: adding a step never makes a
 non-finite float finite, so a parameter that breaks mid-epoch still
 fails the check, with the same history as a check after every update.
@@ -88,18 +91,15 @@ class TrainConfig:
             raise ValueError(f"gibbs_steps_per_update must be in [1, {MAX_CHAINS}]")
 
 
-def _sigmoid(
-    x: np.ndarray, nonnegative: np.ndarray, denominator: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
+def _sigmoid(x: np.ndarray, nonnegative: np.ndarray, denominator: np.ndarray) -> np.ndarray:
     """Logistic function of ``x``, in place, with ``nonnegative`` (bool)
     and ``denominator`` as scratch arrays of its shape; exp only ever
-    sees a value <= 0, so it never overflows.  Returns ``x``, or writes
-    the result into ``out`` when it is given and returns that."""
+    sees a value <= 0, so it never overflows.  Returns ``x``."""
     np.greater_equal(x, 0.0, out=nonnegative)
     np.exp(np.copysign(x, -1.0, out=x), out=x)  # exp(-|x|)
     np.add(x, 1.0, out=denominator)
     np.copyto(x, 1.0, where=nonnegative)  # 1/d there, e/d elsewhere
-    return np.divide(x, denominator, out=x if out is None else out)
+    return np.divide(x, denominator, out=x)
 
 
 def hidden_probabilities(rbm: Rbm, v: np.ndarray) -> np.ndarray:
@@ -120,8 +120,7 @@ class _Pcd:
     hidden bias in row V and the visible bias in column H, so that a row
     ending in 1 meets each bias in its product.  The corner ``[V, H]``
     is spare: no product, check or copy reads it.  Each update writes
-    into scratch arrays made once, through views made once per batch
-    size.
+    into scratch arrays made once per machine or per batch size.
     """
 
     def __init__(self, rbm: Rbm, states: np.ndarray, config: TrainConfig, max_batch: int):
@@ -146,12 +145,10 @@ class _Pcd:
         self._hidden_sample = self._chain_hidden[:, :n_hidden]
         self._gibbs_hidden = np.empty((n_chains, n_hidden))
         self._gibbs_visible = np.empty((n_chains, n_visible))
-        # the stacked rows' hidden logits, with _sigmoid's scratch, and
-        # their probabilities, each row ending in 1, before and after scaling
+        # the stacked rows' hidden logits, with _sigmoid's scratch; the
+        # sigmoid turns them into probabilities in place
         shape = (n_chains + max_batch, n_hidden)
         self._logits = np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape)
-        self._probabilities = np.ones((n_chains + max_batch, n_hidden + 1))
-        self._scaled = np.empty_like(self._probabilities)
         self._step = np.empty_like(params)
         self._views: dict[int, tuple] = {}
 
@@ -165,26 +162,28 @@ class _Pcd:
         )
 
     def _batch_views(self, n: int) -> tuple:
-        """The views that an update of an ``n``-row batch works in: the
+        """The arrays that an update of an ``n``-row batch works in: the
         stacked rows X = [chains; batch] with their ones, X^T, X's batch
-        cells, ``_sigmoid``'s arguments for X's hidden logits, Y = [P, 1]
-        and its cells P, the scaled Y, and the step's row scale s:
-        ``-lr/C`` on the C chain rows, ``+lr/n`` on the batch rows."""
+        cells, ``_sigmoid``'s arguments for X's hidden logits, the scaled
+        Y = [P, 1] and its cells, and the step's row scale s, one column
+        per cell: ``-lr/C`` on the C chain rows, ``+lr/n`` on the batch
+        rows.  The scaled Y is this batch size's own, its ones column
+        holding s, since 1.0 * s == s."""
         views = self._views.get(n)
         if views is None:
             n_chains, n_visible = self._gibbs_visible.shape
             lr, size = self._config.learning_rate, n_chains + n
             scale = np.concatenate((np.full(n_chains, -lr / n_chains), np.full(n, lr / n)))
-            rows, y = self._rows[:size], self._probabilities[:size]
+            scaled = np.repeat(scale[:, None], self._gibbs_hidden.shape[1] + 1, axis=1)
+            rows = self._rows[:size]
             views = self._views[n] = (
                 rows,
                 rows.T,
                 rows[n_chains:, :n_visible],
                 tuple(a[:size] for a in self._logits),
-                y,
-                y[:, :-1],
-                self._scaled[:size],
-                scale[:, None],
+                scaled,
+                scaled[:, :-1],
+                scaled[:, :-1].copy(),
             )
         return views
 
@@ -200,9 +199,7 @@ class _Pcd:
         statistics, of W and both biases at once.  The caller checks
         the parameters with ``check_finite``.
         """
-        rows, rows_t, data, logits, y, probabilities, scaled, scale = (
-            self._batch_views(batch.shape[0])
-        )
+        rows, rows_t, data, logits, scaled, scaled_cells, scale = self._batch_views(batch.shape[0])
         hidden, visible = self._gibbs_hidden, self._gibbs_visible
         for _ in range(self._config.gibbs_steps_per_update):
             np.dot(self._chains, self._to_hidden, out=hidden)
@@ -212,8 +209,7 @@ class _Pcd:
             np.copyto(self._chain_states, states)
         np.copyto(data, batch)
         np.dot(rows, self._to_hidden, out=logits[0])
-        _sigmoid(*logits, out=probabilities)
-        np.multiply(y, scale, out=scaled)
+        np.multiply(_sigmoid(*logits), scale, out=scaled_cells)
         np.dot(rows_t, scaled, out=self._step)
         np.add(self.params, self._step, out=self.params)
         return states

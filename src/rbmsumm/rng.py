@@ -26,11 +26,15 @@ uniforms' logits.  The xorshift step is linear over GF(2), so ``k``
 steps are one 64x64 bit matrix ``T^k``, kept as its 64 columns
 (Haramoto et al., "Efficient Jump Ahead for F2-Linear Random Number
 Generators", 2008).  A block steps ``_LANES`` lanes of ``_STEPS``
-states side by side.  Lane ``i`` starts ``i * _STEPS`` steps into the
-block; the starts are reached by doubling, lanes ``[2^j, 2^(j+1))``
-being ``T^(_STEPS * 2^j)`` times lanes ``[0, 2^j)``.  A generator
-takes its first block at construction from a small cache of read-only
-blocks, so generators of the same seed build it once.
+states side by side, lane ``i`` starting ``i * _STEPS`` steps into the
+block.  A generator's state is the lane-start vector of its next
+block: each block carries it forward by ``T^_CHUNK``, applied as the
+xor of one entry per byte of a state from 8 tables of 256 (16 KB),
+built at import from the columns of ``T^_CHUNK``.  Only a generator's
+first block reaches its lane starts from one state, by doubling: lanes
+``[2^j, 2^(j+1))`` are ``T^(_STEPS * 2^j)`` times lanes ``[0, 2^j)``.
+That block comes at construction from a small cache of read-only
+blocks and lane vectors, so generators of the same seed build it once.
 """
 
 from __future__ import annotations
@@ -50,10 +54,10 @@ _ONE = _U64(1)
 _BITS = np.arange(64, dtype=np.uint64)
 _STAR_U64 = _U64(_STAR)
 
-# powers of two; a block of 8192 outputs is 64 KB, and 32 x 256 was the
-# fastest split of it measured
-_STEPS = 32  # states per lane
-_LANES = 256  # lanes per block
+# powers of two; a block of 8192 outputs is 64 KB, and 1024 x 8 was the
+# fastest split of it measured once lane starts were carried
+_STEPS = 8  # states per lane
+_LANES = 1024  # lanes per block
 _CHUNK = _STEPS * _LANES
 
 
@@ -78,8 +82,11 @@ def _apply(columns: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(bits * columns, axis=1)
 
 
-def _lane_jumps() -> tuple[np.ndarray, ...]:
-    """Columns of ``T^(_STEPS * 2^j)`` for the doubling rounds."""
+def _jumps() -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Columns of ``T^(_STEPS * 2^j)`` for the doubling rounds, and 8
+    byte tables of ``T^_CHUNK``, the next power in the chain: row ``k``,
+    entry ``b``, is ``T^_CHUNK`` times the state whose byte ``k`` is
+    ``b`` and whose other bytes are 0."""
     columns = _step(_ONE << _BITS)
     for _ in range(_STEPS.bit_length() - 1):
         columns = _apply(columns, columns)
@@ -87,44 +94,63 @@ def _lane_jumps() -> tuple[np.ndarray, ...]:
     for _ in range(_LANES.bit_length() - 1):
         jumps.append(columns)
         columns = _apply(columns, columns)
-    return tuple(jumps)
+    tables = np.zeros((8, 256), dtype=np.uint64)
+    for j, column in enumerate(columns.reshape(8, 8).T):  # bit j of each byte
+        tables[:, 1 << j : 2 << j] = tables[:, : 1 << j] ^ column[:, None]
+    return tuple(jumps), tables
 
 
-_LANE_JUMPS = _lane_jumps()
+_LANE_JUMPS, _CHUNK_TABLES = _jumps()
+_TABLE_ROWS = np.arange(0, 8 * 256, 256)  # each byte's offset into the flat tables
 
 
-def _block(state: int) -> tuple[np.ndarray, int]:
-    """The next ``_CHUNK`` raw outputs after ``state``, and the state
-    after them."""
+def _jump(lanes: np.ndarray) -> np.ndarray:
+    """``T^_CHUNK`` times every state in ``lanes``, as the xor of one
+    table entry per byte, the bytes taken least significant first."""
+    octets = lanes.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    return np.bitwise_xor.reduce(np.take(_CHUNK_TABLES, octets + _TABLE_ROWS), axis=1)
+
+
+def _lanes(state: int) -> np.ndarray:
+    """The lane starts of the block after ``state``, by doubling."""
     x = np.empty(_LANES, dtype=np.uint64)
     x[0] = _U64(state)
     for j, jump in enumerate(_LANE_JUMPS):
         x[1 << j : 2 << j] = _apply(jump, x[: 1 << j])
+    return x
+
+
+def _block(lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``_CHUNK`` raw outputs of the block whose lanes start at
+    ``lanes``, and the lane starts of the block after it."""
+    x = lanes.copy()
     states = np.empty((_STEPS, _LANES), dtype=np.uint64)
     for i in range(_STEPS):
         states[i] = _step(x)
-    states = states.T.ravel()
-    return states * _STAR_U64, int(states[-1])
+    return states.T.ravel() * _STAR_U64, _jump(lanes)
 
 
-def _uniform_block(state: int) -> tuple[np.ndarray, int]:
-    """Read-only rows of the uniform doubles in [0, 1) of ``_block(state)``,
-    from the top 53 bits of each raw output, and of their logits; and the
-    state after them."""
-    raw, end = _block(state)
+def _uniform_block(lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only rows of the uniform doubles in [0, 1) of
+    ``_block(lanes)``, from the top 53 bits of each raw output, and of
+    their logits; and the read-only lane starts of the block after them."""
+    raw, after = _block(lanes)
     block = np.empty((2, _CHUNK))
     uniforms, logits = block
     np.multiply(raw >> _U64(11), 2.0 ** -53, out=uniforms)
     np.log1p(np.negative(uniforms, out=logits), out=logits)
     with np.errstate(divide="ignore"):  # log(0) is -inf, below every logit
         np.subtract(np.log(uniforms), logits, out=logits)
-    block.flags.writeable = False
-    return block, end
+    block.flags.writeable = after.flags.writeable = False
+    return block, after
 
 
 # every machine of a run is seeded with the same config.seed, so each
-# would otherwise rebuild the same first block; 4 blocks are 512 KB
-_first_block = functools.lru_cache(maxsize=4)(_uniform_block)
+# would otherwise rebuild the same first block; 4 blocks, with their
+# lane starts, are 544 KB
+@functools.lru_cache(maxsize=4)
+def _first_block(state: int) -> tuple[np.ndarray, np.ndarray]:
+    return _uniform_block(_lanes(state))
 
 
 class Xorshift64Star:
@@ -134,8 +160,8 @@ class Xorshift64Star:
         state = _splitmix64(seed & _MASK64)
         if state == 0:
             state = _STAR
-        # the current block's uniforms and logits, and the state after them
-        self._block, self._state = _first_block(state)
+        # the current block's uniforms and logits, and the next block's lanes
+        self._block, self._lanes = _first_block(state)
         self._pos = 0
 
     def _take(self, n: int, row: int = 0) -> np.ndarray:
@@ -149,7 +175,7 @@ class Xorshift64Star:
         parts = [self._block[row, self._pos :]]
         need = n - parts[0].size
         while need > 0:
-            self._block, self._state = _uniform_block(self._state)
+            self._block, self._lanes = _uniform_block(self._lanes)
             self._pos = min(need, _CHUNK)
             parts.append(self._block[row, : self._pos])
             need -= self._pos
@@ -173,5 +199,10 @@ class Xorshift64Star:
         """0/1 samples of ``sigmoid(logits)``, one uniform per entry in
         row-major order; a logit of +inf draws 1, and -inf or NaN 0."""
         x = np.asarray(logits, dtype=np.float64)
-        # a bool written into float64 is exactly 0.0 or 1.0
-        return np.less(self._take(x.size, 1).reshape(x.shape), x, out=np.empty(x.shape))
+        end = self._pos + x.size
+        if end <= _CHUNK:  # _take's common case, inline: a draw is hot
+            thresholds = self._block[1, self._pos : end]
+            self._pos = end
+        else:
+            thresholds = self._take(x.size, 1)
+        return np.less(thresholds.reshape(x.shape), x).astype(np.float64)

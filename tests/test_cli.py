@@ -804,6 +804,18 @@ def test_an_unrecognized_argument_is_escaped_in_the_usage_error(capsys):
     )
 
 
+def test_an_ambiguous_option_is_escaped_in_the_usage_error(capsys):
+    # argparse formats this one with %s before main sees the arguments
+    with pytest.raises(SystemExit) as exc:
+        main(["summarize", ARTICLE, "--s=a\nb"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines(keepends=True)[-1] == (
+        "rbmsumm summarize: error: ambiguous option: --s=a\\nb could match "
+        "--seed, --stopwords, --similarity-anchor\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [

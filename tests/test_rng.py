@@ -14,6 +14,10 @@ from rbmsumm.rng import Xorshift64Star
 from oracles import ScalarXorshift64Star
 
 
+# the one seed whose splitmix64 output is 0
+ZERO_STATE_SEED = 7046029254386353131
+
+
 def next_uniform(rng: Xorshift64Star) -> float:
     return float(rng._take(1)[0])
 
@@ -30,7 +34,7 @@ def check_documented_stream(seed: int) -> None:
     uniforms all follow the docstring's stream."""
     expected = documented_stream(seed)
     state = rng_module._splitmix64(seed)
-    assert rng_module._block(state)[0][:3].tolist() == expected
+    assert rng_module._block(rng_module._lanes(state))[0][:3].tolist() == expected
     oracle = ScalarXorshift64Star(seed)
     assert oracle.state == state
     assert [oracle.next_uint64() for _ in range(3)] == expected
@@ -48,7 +52,7 @@ class TestReferenceStream:
     def test_the_seed_that_seeds_a_zero_state_still_draws(self):
         # the one seed whose splitmix64 output is 0; xorshift maps state 0
         # to itself, so without the guard its stream would be all zeros
-        seed = 7046029254386353131
+        seed = ZERO_STATE_SEED
         assert rng_module._splitmix64(seed) == 0
         oracle = ScalarXorshift64Star(seed)
         uniforms = Xorshift64Star(seed)._take(2 * rng_module._CHUNK)
@@ -109,6 +113,22 @@ class TestDistributions:
             assert arr.tobytes() == oracle.normal_array(shape, std=std).tobytes()
         assert next_uniform(rng) == oracle.random()
 
+    @pytest.mark.parametrize(
+        "logits",
+        ([0.5, -1.0, 3.0], np.array([[1, -2], [0, 5]]), np.zeros((0, 9)), np.zeros((2, 3, 4))),
+        ids=["list", "int-array", "size-0", "3-d"],
+    )
+    def test_bernoulli_returns_a_fresh_writable_float64_array(self, logits):
+        rng = Xorshift64Star(42)
+        first, second = rng.bernoulli_array(logits), rng.bernoulli_array(logits)
+        for drawn in (first, second):
+            assert drawn.dtype == np.float64
+            assert drawn.shape == np.shape(logits)
+            assert not np.shares_memory(drawn, rng._block)
+            drawn[...] = 0.5  # writable
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, logits)
+
     def test_bernoulli_extremes_and_mean(self):
         rng = Xorshift64Star(3)
         zeros = rng.bernoulli_array(np.full(100, -np.inf))
@@ -131,15 +151,41 @@ SIZES = sorted(
 class TestBlockStream:
     """The numpy block stream against the scalar definition, bit for bit."""
 
-    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("seed", SEEDS + (ZERO_STATE_SEED,))
     def test_consecutive_blocks_and_end_states(self, seed):
+        """Four blocks in a row, the first from lanes reached by doubling
+        and each next one from the lanes its block carried: lane ``i``
+        starts at the oracle's state ``i * _STEPS`` steps into its block."""
         oracle = ScalarXorshift64Star(seed)
-        state = oracle.state
-        for _ in range(2):
-            raw, state = rng_module._block(state)
-            assert raw.dtype == np.uint64
-            assert raw.tolist() == [oracle.next_uint64() for _ in range(CHUNK)]
-            assert state == oracle.state
+        lanes = rng_module._lanes(oracle.state)
+        for _ in range(4):
+            starts, raw = [], []
+            for i in range(CHUNK):
+                if i % STEPS == 0:
+                    starts.append(oracle.state)
+                raw.append(oracle.next_uint64())
+            assert lanes.dtype == np.uint64
+            assert lanes.tolist() == starts
+            block, lanes = rng_module._block(lanes)
+            assert block.dtype == np.uint64
+            assert block.tolist() == raw
+        assert int(lanes[0]) == oracle.state
+
+    def test_the_byte_table_jump_is_the_chunk_matrix(self):
+        # a table's entry for one set bit is a column of T^_CHUNK: the
+        # state _CHUNK steps after that bit alone
+        columns = rng_module._CHUNK_TABLES[:, 1 << np.arange(8)].reshape(64)
+        for j in (0, 7, 8, 31, 56, 63):
+            oracle = ScalarXorshift64Star(0)
+            oracle.state = 1 << j
+            for _ in range(CHUNK):
+                oracle.next_uint64()
+            assert int(columns[j]) == oracle.state
+        edges = [0, 1, 2**63, 2**64 - 1] + [1 << j for j in range(64)]
+        drawn = np.random.default_rng(0).integers(0, 2**64, size=1000, dtype=np.uint64)
+        states = np.concatenate((np.array(edges, dtype=np.uint64), drawn))
+        expected = rng_module._apply(columns, states)
+        assert rng_module._jump(states).tolist() == expected.tolist()
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_buffer_hands_out_the_stream_in_order(self, seed):
@@ -205,17 +251,18 @@ class TestFirstBlockCache:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_cached_uniforms_are_read_only_top_53_bits(self, seed):
         oracle = ScalarXorshift64Star(seed)
-        (uniforms, logits), end = rng_module._first_block(oracle.state)
-        raw, raw_end = rng_module._block(oracle.state)
+        (uniforms, logits), after = rng_module._first_block(oracle.state)
+        raw, raw_after = rng_module._block(rng_module._lanes(oracle.state))
         assert uniforms.dtype == logits.dtype == np.float64
         assert uniforms.tobytes() == ((raw >> np.uint64(11)) * 2.0**-53).tobytes()
         assert uniforms.tolist() == [oracle.random() for _ in range(CHUNK)]
         with np.errstate(divide="ignore"):
             assert logits.tobytes() == (np.log(uniforms) - np.log1p(-uniforms)).tobytes()
-        assert end == raw_end == oracle.state
-        for row in (uniforms, logits):
+        assert after.tolist() == raw_after.tolist()
+        assert int(after[0]) == oracle.state
+        for row in (uniforms, logits, after):
             with pytest.raises(ValueError):
-                row[0] = 0.5
+                row[0] = 0
 
     def test_cache_holds_at_most_four_blocks(self):
         assert rng_module._first_block.cache_info().maxsize == 4
@@ -240,8 +287,8 @@ def generator_over(uniforms) -> Xorshift64Star:
     raw = np.zeros(CHUNK, dtype=np.uint64)
     raw[: len(uniforms)] = [int(u * 2.0**53) << 11 for u in uniforms]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(rng_module, "_block", lambda state: (raw, state))
-        rng._block, _ = rng_module._uniform_block(0)
+        patch.setattr(rng_module, "_block", lambda lanes: (raw, lanes))
+        rng._block, _ = rng_module._uniform_block(rng._lanes)
     assert rng._take(len(uniforms)).tolist() == list(uniforms)
     rng._pos = 0
     return rng

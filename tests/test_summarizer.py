@@ -386,6 +386,14 @@ class TestSummaryConfig:
     def test_limit_caps_at_n(self):
         assert SummaryConfig(limit_sentences=10).effective_limit(4) == 4
 
+    def test_no_sentences_still_give_a_limit_of_one(self):
+        for config in (
+            SummaryConfig(),
+            SummaryConfig(limit_sentences=3),
+            SummaryConfig(limit_ratio=1.0),
+        ):
+            assert config.effective_limit(0) == 1
+
 
 # the name lexicons' entries as they would open a sentence or a name
 CAPITALIZED_LEXICON_WORDS = tuple(
