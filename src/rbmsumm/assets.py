@@ -45,6 +45,11 @@ def load_wordlist(path: str | Path) -> frozenset[str]:
     return _parse_wordlist(Path(path).read_text("utf-8"))
 
 
+def _wordlist(path: str | Path | None, filename: str) -> frozenset[str]:
+    """The word list at ``path``, or the bundled ``filename`` if ``path`` is None."""
+    return _parse_wordlist(_read_bundled(filename)) if path is None else load_wordlist(path)
+
+
 @dataclass(frozen=True)
 class Lexicons:
     """The word lists driving stop-word flagging, splitting and the name
@@ -69,20 +74,12 @@ def load_lexicons(
     """
     if lexicon_dir is not None and not Path(lexicon_dir).is_dir():
         raise NotADirectoryError(f"lexicon directory {str(lexicon_dir)!r} is not a directory")
-    if stopwords_path is not None:
-        stopwords = load_wordlist(stopwords_path)
-    else:
-        stopwords = _parse_wordlist(_read_bundled("stopwords.txt"))
-    if abbreviations_path is not None:
-        abbreviations = load_wordlist(abbreviations_path)
-    else:
-        abbreviations = _parse_wordlist(_read_bundled("abbreviations.txt"))
+    stopwords = _wordlist(stopwords_path, "stopwords.txt")
+    abbreviations = _wordlist(abbreviations_path, "abbreviations.txt")
 
     def lexicon(filename: str) -> frozenset[str]:
-        override = Path(lexicon_dir) / filename if lexicon_dir is not None else None
-        if override is not None and override.exists():
-            return load_wordlist(override)
-        return _parse_wordlist(_read_bundled(filename))
+        override = None if lexicon_dir is None else Path(lexicon_dir) / filename
+        return _wordlist(override if override and override.exists() else None, filename)
 
     lexica = {
         key: frozenset().union(*map(lexicon, files))

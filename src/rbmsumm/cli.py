@@ -28,6 +28,7 @@ import typing
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from . import assets
 from .assets import load_lexicons
 from .errors import DegenerateDocument, EmptyDocument, MissingReference, NonFiniteParameter
 from .document import RawDocument
@@ -220,8 +221,10 @@ _EXIT_CODES = {
 def _library_kwargs(settings: dict) -> dict:
     """The keyword arguments that every pipeline entry point takes."""
 
-    def build(owner):
-        return owner(**{name: settings[key] for key, (o, name) in _KEYS.items() if o is owner})
+    def build(owner, call=None):
+        """``call``, by default ``owner``, given the settings of ``owner``'s keys."""
+        own = {name: settings[key] for key, (o, name) in _KEYS.items() if o is owner}
+        return (call or owner)(**own)
 
     try:
         kwargs = {
@@ -232,9 +235,8 @@ def _library_kwargs(settings: dict) -> dict:
     except ValueError as exc:
         raise _CliError(f"invalid setting: {exc}")
     try:
-        kwargs["lexicons"] = load_lexicons(
-            settings["stopwords"], settings["abbreviations"], settings["lexicon_dir"]
-        )
+        # assets' function owns the keys; the call reads this module's name, which tracers wrap
+        kwargs["lexicons"] = build(assets.load_lexicons, load_lexicons)
     except (OSError, ValueError) as exc:  # ValueError includes UnicodeDecodeError
         raise _CliError(f"cannot read word list: {exc}")
     kwargs["anchor"] = settings["similarity_anchor"]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 @dataclass(frozen=True)
@@ -13,8 +14,9 @@ class RawDocument:
     source_id: str = "doc"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One word of a sentence; a tuple, equal to the plain tuple of its fields."""
+
     surface: str
     stem: str
     is_name: bool = False

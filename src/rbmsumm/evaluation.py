@@ -214,8 +214,9 @@ def render_comparison_csv(comparison: ModeComparison) -> str:
 def load_corpus(directory: str | Path) -> list[tuple[RawDocument, ReferenceSummary]]:
     """Read ``<id>.txt`` / ``<id>.ref`` sibling pairs from a directory.
 
-    A ``.ref`` file of integers (one per line) names 0-based sentence
-    indices; anything else is read as literal reference sentences.
+    A ``.ref`` file whose every line is ASCII digits names 0-based
+    sentence indices, one per line; anything else, a sign, a ``_`` or a
+    non-ASCII digit included, is read as literal reference sentences.
     """
     directory = Path(directory)
     entries = []
@@ -230,7 +231,7 @@ def load_corpus(directory: str | Path) -> list[tuple[RawDocument, ReferenceSumma
         ]
         if not lines:
             raise MissingReference(f"reference file for {source_id!r} is empty")
-        if all(_is_int(line) for line in lines):
+        if all(line.isascii() and line.isdigit() for line in lines):
             reference = ReferenceSummary(
                 source_id=source_id, selected=frozenset(int(x) for x in lines)
             )
@@ -247,11 +248,3 @@ def _read_utf8(path: Path) -> str:
         return path.read_text("utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path} is not UTF-8: {exc}") from exc
-
-
-def _is_int(text: str) -> bool:
-    try:
-        int(text)
-    except ValueError:
-        return False
-    return True

@@ -2,7 +2,9 @@
 
 The pipeline is deliberately rule-based and free of model downloads so
 that identical input bytes always produce the identical structured
-document, on any machine.
+document, on any machine.  Each distinct word of a document becomes one
+``Token``, a NamedTuple built by one positional call of its own
+constructor and shared by every repeat of the word.
 """
 
 from __future__ import annotations
@@ -85,10 +87,6 @@ def is_numeral(surface: str) -> bool:
     return surface[:1].isdecimal() and _NUMERAL.fullmatch(surface) is not None
 
 
-_new_object = object.__new__
-_set_attribute = object.__setattr__
-
-
 def make_token(surface: str, sentence_initial: bool, lex: Lexicons) -> Token:
     """Stem, numeral flag, stop-word flag and name decision of one word.
 
@@ -105,17 +103,8 @@ def make_token(surface: str, sentence_initial: bool, lex: Lexicons) -> Token:
         and lowered not in lex.not_names
         and not (sentence_initial and lowered in lex.common_words)
     )
-    # what Token's frozen __init__ does, without the cost of a keyword
-    # call, so the token has the layout Token(...) gives it; filling
-    # __dict__ builds faster but makes later attribute reads slower, and
-    # did not win end to end (figures: commit acbc85b, in CHANGES.md)
-    token = _new_object(Token)
-    _set_attribute(token, "surface", surface)
-    _set_attribute(token, "stem", porter_stem(lowered) if lowered.isalpha() else lowered)
-    _set_attribute(token, "is_name", name)
-    _set_attribute(token, "is_stopword", stopword)
-    _set_attribute(token, "is_numeral", is_numeral(surface))
-    return token
+    stem = porter_stem(lowered) if lowered.isalpha() else lowered
+    return Token(surface, stem, name, stopword, is_numeral(surface))
 
 
 def build_tokens(

@@ -89,6 +89,8 @@ class TrainConfig:
             raise ValueError(f"n_chains must be in [1, {MAX_CHAINS}]")
         if not 1 <= self.gibbs_steps_per_update <= MAX_CHAINS:
             raise ValueError(f"gibbs_steps_per_update must be in [1, {MAX_CHAINS}]")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError("seed must be in [0, 2**64)")
 
 
 def _sigmoid(x: np.ndarray, nonnegative: np.ndarray, denominator: np.ndarray) -> np.ndarray:

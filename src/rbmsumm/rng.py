@@ -1,10 +1,10 @@
 """Seeded, portable pseudo-random number generator.
 
 The generator is xorshift64* (Marsaglia xorshift with a multiplicative
-output scramble), seeded through one round of splitmix64 from any int
-reduced modulo 2^64 (so ``-1`` and ``2**64 - 1`` give one stream), 0
-included, into a valid nonzero state.  All arithmetic is on 64-bit
-unsigned integers, so the stream is reproducible across platforms.
+output scramble), seeded through one round of splitmix64 from a seed
+in [0, 2^64), 0 included, into a valid nonzero state; ``TrainConfig``
+rejects any other seed.  All arithmetic is on 64-bit unsigned
+integers, so the stream is reproducible across platforms.
 
 Reference stream (first three raw outputs):
 
@@ -23,18 +23,20 @@ sigmoid computed (Hinton, UTML TR 2010-003, section 3).
 Every draw reads, in stream order, from one buffer that numpy fills a
 block of ``_CHUNK`` outputs at a time, holding their uniforms and the
 uniforms' logits.  The xorshift step is linear over GF(2), so ``k``
-steps are one 64x64 bit matrix ``T^k``, kept as its 64 columns
-(Haramoto et al., "Efficient Jump Ahead for F2-Linear Random Number
-Generators", 2008).  A block steps ``_LANES`` lanes of ``_STEPS``
-states side by side, lane ``i`` starting ``i * _STEPS`` steps into the
-block.  A generator's state is the lane-start vector of its next
-block: each block carries it forward by ``T^_CHUNK``, applied as the
-xor of one entry per byte of a state from 8 tables of 256 (16 KB),
-built at import from the columns of ``T^_CHUNK``.  Only a generator's
-first block reaches its lane starts from one state, by doubling: lanes
-``[2^j, 2^(j+1))`` are ``T^(_STEPS * 2^j)`` times lanes ``[0, 2^j)``.
-That block comes at construction from a small cache of read-only
-blocks and lane vectors, so generators of the same seed build it once.
+steps are one 64x64 bit matrix ``T^k`` (Haramoto et al., "Efficient
+Jump Ahead for F2-Linear Random Number Generators", 2008).  Every such
+matrix is kept in one form, 8 tables of 256 entries (16 KB), and
+applied as the xor of one entry per byte of a state.  The tables of
+``T^(2^i)`` are built at import by squaring, each power's columns the
+previous power times its own columns.  A block steps ``_LANES`` lanes
+of ``_STEPS`` states side by side, lane ``i`` starting ``i * _STEPS``
+steps into the block.  A generator's state is the lane-start vector of
+its next block: each block carries it forward by ``T^_CHUNK``.  Only a
+generator's first block reaches its lane starts from one state, by
+doubling: lanes ``[2^j, 2^(j+1))`` are ``T^(_STEPS * 2^j)`` times
+lanes ``[0, 2^j)``.  That block comes at construction from a small
+cache of read-only blocks and lane vectors, so generators of the same
+seed build it once.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ _STAR = 0x2545F4914F6CDD1D
 # shift amount and multiplier is an np.uint64
 _U64 = np.uint64
 _ONE = _U64(1)
-_BITS = np.arange(64, dtype=np.uint64)
 _STAR_U64 = _U64(_STAR)
 
 # powers of two; a block of 8192 outputs is 64 KB, and 1024 x 8 was the
@@ -59,6 +60,8 @@ _STAR_U64 = _U64(_STAR)
 _STEPS = 8  # states per lane
 _LANES = 1024  # lanes per block
 _CHUNK = _STEPS * _LANES
+
+_TABLE_ROWS = np.arange(0, 8 * 256, 256)  # each byte's offset into flat byte tables
 
 
 def _splitmix64(x: int) -> int:
@@ -76,39 +79,36 @@ def _step(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _apply(columns: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The bit matrix given by ``columns`` times every state in ``x``."""
-    bits = (x[:, None] >> _BITS) & _ONE
-    return np.bitwise_xor.reduce(bits * columns, axis=1)
-
-
-def _jumps() -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Columns of ``T^(_STEPS * 2^j)`` for the doubling rounds, and 8
-    byte tables of ``T^_CHUNK``, the next power in the chain: row ``k``,
-    entry ``b``, is ``T^_CHUNK`` times the state whose byte ``k`` is
-    ``b`` and whose other bytes are 0."""
-    columns = _step(_ONE << _BITS)
-    for _ in range(_STEPS.bit_length() - 1):
-        columns = _apply(columns, columns)
-    jumps = []
-    for _ in range(_LANES.bit_length() - 1):
-        jumps.append(columns)
-        columns = _apply(columns, columns)
+def _tables(columns: np.ndarray) -> np.ndarray:
+    """8 byte tables of the bit matrix given by its 64 ``columns``: row
+    ``k``, entry ``b``, is the matrix times the state whose byte ``k``
+    is ``b`` and whose other bytes are 0."""
     tables = np.zeros((8, 256), dtype=np.uint64)
     for j, column in enumerate(columns.reshape(8, 8).T):  # bit j of each byte
         tables[:, 1 << j : 2 << j] = tables[:, : 1 << j] ^ column[:, None]
-    return tuple(jumps), tables
+    return tables
 
 
-_LANE_JUMPS, _CHUNK_TABLES = _jumps()
-_TABLE_ROWS = np.arange(0, 8 * 256, 256)  # each byte's offset into the flat tables
+def _times(tables: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The bit matrix of ``tables`` times every state in ``x``: the xor
+    of one table entry per byte, least significant byte first."""
+    octets = x.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    return np.bitwise_xor.reduce(np.take(tables, octets + _TABLE_ROWS), axis=1)
 
 
-def _jump(lanes: np.ndarray) -> np.ndarray:
-    """``T^_CHUNK`` times every state in ``lanes``, as the xor of one
-    table entry per byte, the bytes taken least significant first."""
-    octets = lanes.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
-    return np.bitwise_xor.reduce(np.take(_CHUNK_TABLES, octets + _TABLE_ROWS), axis=1)
+def _jumps() -> list[np.ndarray]:
+    """Byte tables of ``T^(_STEPS * 2^j)`` for the doubling rounds, then
+    of ``T^_CHUNK``, the chain's last power; each power squares the one
+    before, its columns the earlier matrix times the earlier columns."""
+    columns = _step(_ONE << np.arange(64, dtype=np.uint64))  # of T
+    chain = [_tables(columns)]  # of T^(2^i)
+    for _ in range(_CHUNK.bit_length() - 1):
+        columns = _times(chain[-1], columns)
+        chain.append(_tables(columns))
+    return chain[_STEPS.bit_length() - 1 :]
+
+
+*_LANE_JUMPS, _CHUNK_TABLES = _jumps()
 
 
 def _lanes(state: int) -> np.ndarray:
@@ -116,7 +116,7 @@ def _lanes(state: int) -> np.ndarray:
     x = np.empty(_LANES, dtype=np.uint64)
     x[0] = _U64(state)
     for j, jump in enumerate(_LANE_JUMPS):
-        x[1 << j : 2 << j] = _apply(jump, x[: 1 << j])
+        x[1 << j : 2 << j] = _times(jump, x[: 1 << j])
     return x
 
 
@@ -127,7 +127,7 @@ def _block(lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     states = np.empty((_STEPS, _LANES), dtype=np.uint64)
     for i in range(_STEPS):
         states[i] = _step(x)
-    return states.T.ravel() * _STAR_U64, _jump(lanes)
+    return states.T.ravel() * _STAR_U64, _times(_CHUNK_TABLES, lanes)
 
 
 def _uniform_block(lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -4,14 +4,15 @@ Nothing here reuses the production feature or RBM code paths: features
 are recomputed with plain loops and ``math`` calls from a processed
 document, and RBM expectations come from brute-force enumeration of the
 joint state space.  The per-record feature stage, the per-column
-min-max, the scalar xorshift64* generator, the three-pass token builder,
+min-max, the scalar xorshift64* generator, the bit-matrix product that
+xors a matrix's columns at a state's set bits, the three-pass token builder,
 the four-mask sigmoid, the loop of one-update-per-call PCD training
 that builds the fused parameter matrix afresh in every call and
 multiplies with plain ``@``, the Porter stemmer that classes each letter
 on its own and scans each suffix table in order, the numeral regex run on every
 surface and the tokenizer that runs its edge regex on every word are
 the plain forms that the package's one-pass feature matrix, one-call
-normalization, block RNG stream, one-pass token builder, in-place
+normalization, block RNG stream, byte-table jumps, one-pass token builder, in-place
 sigmoid, fused training loop, gated pattern-reading stemmer,
 digit-gated numeral test and fast-path tokenizer must match exactly;
 the nine-way part-of-speech chain is the former tagger, whose
@@ -33,7 +34,6 @@ import itertools
 import math
 import re
 from collections import Counter
-from dataclasses import replace
 from functools import cache
 from pathlib import Path
 
@@ -344,6 +344,16 @@ _MASK64 = (1 << 64) - 1
 _STAR = 0x2545F4914F6CDD1D
 
 
+def oracle_bit_matrix_times(columns, state: int) -> int:
+    """The 64 x 64 bit matrix given by its 64 ``columns`` times
+    ``state``: the xor of the columns at the state's set bits."""
+    out = 0
+    for j in range(64):
+        if state >> j & 1:
+            out ^= int(columns[j])
+    return out
+
+
 class ScalarXorshift64Star:
     """The stream definition on Python ints: splitmix64 seeding, one
     xorshift step and one multiplicative scramble per raw output."""
@@ -615,9 +625,9 @@ def oracle_tokens(surfaces: list[str], stopwords: frozenset[str] | None = None) 
         lowered = surface.lower()
         stem = oracle_porter_stem(lowered) if lowered.isalpha() else lowered
         tokens.append(Token(surface=surface, stem=stem, is_numeral=oracle_is_numeral(surface)))
-    tokens = [replace(t, is_stopword=t.surface.lower() in stopwords) for t in tokens]
+    tokens = [t._replace(is_stopword=t.surface.lower() in stopwords) for t in tokens]
     return [
-        replace(t, is_name=_oracle_tag(t, i == 0) == "proper_noun")
+        t._replace(is_name=_oracle_tag(t, i == 0) == "proper_noun")
         for i, t in enumerate(tokens)
     ]
 

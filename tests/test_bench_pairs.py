@@ -1,8 +1,10 @@
 """``tools/bench_pairs.py``: the summary it writes from alternating runs,
-the seed it runs, and the printed figures each run keeps."""
+the seed it runs, the checkouts it runs in, and the printed figures each
+run keeps."""
 
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -69,6 +71,53 @@ def test_seed_reaches_every_run_and_the_recorded_command(tmp_path, monkeypatch):
     assert "--seed 7 " in record["command"]
     assert {r["seed"] for r in record["runs"]} == {7}
     assert list(record["summary"]) == ["w seed=7"]
+
+
+def test_both_sides_run_from_sibling_copies_of_their_trees(tmp_path, monkeypatch):
+    """The parent side from its commit and the change side from a copy
+    of the working tree, edits and untracked files included, and neither
+    from the repository itself."""
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    benchmark = {
+        "run_seconds": 1, "workloads": [{"name": "w"}],
+        "end_to_end": [{"name": "latency_p50_ms", "better": "lower"}], "per_layer": [],
+    }
+    (repo / "BENCHMARK.json").write_text(json.dumps(benchmark))
+    (repo / "tracked.txt").write_text("committed\n")
+    (repo / ".gitignore").write_text("ignored.txt\n")
+
+    def git(*args):
+        subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+            cwd=repo, check=True, stdout=subprocess.DEVNULL,
+        )
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "parent")
+    (repo / "tracked.txt").write_text("edited\n")
+    (repo / "untracked.txt").write_text("new\n")
+    (repo / "ignored.txt").write_text("left behind\n")
+    seen = {}
+
+    def run_once(checkout, workload, seed, seconds, trace):
+        files = {p.name: p.read_text() for p in checkout.iterdir() if p.is_file()}
+        seen.setdefault(checkout, files)
+        metrics = {"latency_p50_ms": {"value": 1.0, "unit": "ms"}}
+        return {"correct": True, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--pr", "0", "--what", "x"])
+    assert bench_pairs.main() == 0
+    assert len(seen) == 2 and repo not in seen
+    assert len({checkout.parent for checkout in seen}) == 1
+    parent, change = seen.values()  # the first pair runs the parent first
+    assert parent["tracked.txt"] == "committed\n" and "untracked.txt" not in parent
+    assert change["tracked.txt"] == "edited\n"
+    assert change["untracked.txt"] == "new\n"
+    assert "ignored.txt" not in change
 
 
 def test_a_run_keeps_the_figures_printed_before_its_result(tmp_path):

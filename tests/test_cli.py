@@ -52,6 +52,7 @@ def assert_main_ends_cleanly(capsys, *argv):
     assert sum(line.startswith("error: ") for line in lines) == (1 if code else 0), err
     if code:
         assert lines[-1].startswith("error: ") and lines[-1].endswith("\n"), err
+    return code
 
 
 class TestSummarizeCommand:
@@ -426,6 +427,11 @@ class TestConfigPrecedence:
         ({"gibbs_steps": 10**20}, [], "gibbs_steps_per_update must be in [1, 65536]"),
         # 1 / (2 * th_fraction * N) would overflow in the position feature
         ({"th_fraction": 1e-310}, [], "th_fraction must be in [2.2250738585072014e-308, 0.5)"),
+        # the generator would reduce these modulo 2**64, onto legal seeds
+        (None, ["--seed=-1"], "invalid setting: seed must be in [0, 2**64)"),
+        (None, ["--seed", str(2**64)], "invalid setting: seed must be in [0, 2**64)"),
+        ({"seed": -1}, [], "invalid setting: seed must be in [0, 2**64)"),
+        ({"seed": 2**64}, [], "invalid setting: seed must be in [0, 2**64)"),
     ],
     ids=[
         "seed-str", "epochs-float", "layers-3", "anchor-middle", "top-level-list",
@@ -434,6 +440,8 @@ class TestConfigPrecedence:
         "learning-rate-infinity", "learning-rate-int-past-float-range",
         "learning-rate-overflows-a-parameter", "chains-1e30", "chains-past-bound",
         "epochs-1e20", "gibbs-steps-1e20", "th-fraction-below-normal-floats",
+        "seed-flag-negative", "seed-flag-2-to-the-64", "seed-key-negative",
+        "seed-key-2-to-the-64",
     ],
 )
 def test_bad_setting_exits_2(capsys, tmp_path, config, flags, fragment):
@@ -453,8 +461,10 @@ _FUZZ_FLOATS = st.sampled_from(
     [math.nan, math.inf, -math.inf, 1e308, -1e308, 10**400, -0.5, 0.0, 1e-300, 0.2, 0.5, 2.5]
 )
 # small counts keep each run fast; the large ones lie past every bound
-# that a count has, and past int64 and uint64
-_FUZZ_INTS = st.one_of(st.integers(-3, 6), st.sampled_from([2**16 + 1, 2**63, 2**64, 10**20]))
+# that a count has, and at and past the ends of int64 and uint64
+_FUZZ_INTS = st.one_of(
+    st.integers(-3, 6), st.sampled_from([2**16 + 1, 2**63, 2**64 - 1, 2**64, 10**20])
+)
 # relative paths land in the test's working directory
 _FUZZ_STRINGS = st.sampled_from(["", "missing.txt"])
 _FUZZ_SCALARS = st.one_of(st.none(), st.booleans(), _FUZZ_INTS, _FUZZ_FLOATS, _FUZZ_STRINGS)
@@ -560,12 +570,16 @@ def _broken_symlink(path):
         ("doc.ref", _broken_symlink, 4, "no reference file for document 'doc'"),
         ("doc.txt", _broken_symlink, 2, "No such file or directory"),
         ("doc.ref", lambda p: p.write_bytes(b"\xff\n"), 2, "doc.ref is not UTF-8"),
-        ("doc.ref", lambda p: p.write_text("-1\n"), 2, "out-of-range indices [-1]"),
+        # only a line of ASCII digits is an index; the rest are sentences
+        ("doc.ref", lambda p: p.write_text("-1\n"), 2, "reference sentence not found"),
         ("doc.ref", lambda p: p.write_text(f"{10**30}\n"), 2, f"indices [{10**30}]"),
+        ("doc.ref", lambda p: p.write_text("\u0661\n"), 2, "reference sentence not found"),
+        ("doc.ref", lambda p: p.write_text("1_0\n"), 2, "not found in 'doc': '1_0'"),
     ],
     ids=[
         "ref-is-a-directory", "ref-is-a-broken-symlink", "txt-is-a-broken-symlink",
-        "ref-not-utf-8", "negative-index", "huge-index",
+        "ref-not-utf-8", "negative-index", "huge-index", "arabic-indic-digit",
+        "underscore-digits",
     ],
 )
 def test_odd_corpus_exits_with_one_error_line(capsys, tmp_path, name, make, code, fragment):
@@ -578,6 +592,42 @@ def test_odd_corpus_exits_with_one_error_line(capsys, tmp_path, name, make, code
     assert got == code
     assert out == ""
     assert_one_error_line(err, fragment)
+
+
+def test_the_largest_seed_runs_and_is_echoed(capsys):
+    code, _, err = run_cli(capsys, "summarize", ARTICLE, "--seed", str(2**64 - 1))
+    assert code == 0
+    assert f"seed={2**64 - 1} " in err
+
+
+# reference lines: indices in and out of the document's two sentences, a
+# sign, a "_", non-ASCII digits, spaces, and sentences in and not in it
+_REF_LINES = st.sampled_from([
+    "0", "1", "2", "00", " 1 ", "", "-1", "+1", "1_0", "\u0660", "\u0661", "\u00b9",
+    "\uff11", "Markets rose in Nairobi.", "prices fell sharply", "x",
+])
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(lines=st.lists(_REF_LINES, max_size=4))
+def test_fuzzed_reference_never_escapes_main(capsys, tmp_path, lines):
+    """Lines that are all ASCII digits name indices, which must be in
+    range; any other reference is sentences, which must be found."""
+    (tmp_path / "doc.txt").write_text("Markets rose in Nairobi. Prices fell sharply.\n")
+    (tmp_path / "doc.ref").write_text("\n".join(lines) + "\n")
+    kept = [line.strip() for line in lines if line.strip()]
+    if not kept:
+        expected = 4
+    elif all(line.isascii() and line.isdigit() for line in kept):
+        expected = 0 if all(int(line) < 2 for line in kept) else 2
+    else:
+        found = {"Markets rose in Nairobi.", "prices fell sharply"}
+        expected = 0 if set(kept) <= found else 2
+    assert assert_main_ends_cleanly(capsys, "evaluate", str(tmp_path)) == expected
 
 
 def test_each_settings_signature_is_read_once(capsys, monkeypatch):
@@ -611,7 +661,7 @@ _ARGV_ACTIONS = _subcommand_actions()
 _ARGV_TEXT = "Markets rose in Nairobi. Prices fell 12 points. Markets rose again.\n"
 # values inside and outside each flag's range, words, paths relative to
 # the test's working directory, and strings with a newline or a NUL
-_ARGV_INTS = ["0", "1", "2", "3", "-1", str(2**64), "1_0"]
+_ARGV_INTS = ["0", "1", "2", "3", "-1", str(2**64 - 1), str(2**64), "1_0"]
 _ARGV_FLOATS = ["0.5", "0.9", "1", "1.5", "0", "nan", "inf", "1e400"]
 _ARGV_STRINGS = [
     "doc.txt", "corpus", "config.json", "missing.txt", "out/result", "doc.txt/x",

@@ -1,4 +1,3 @@
-import dataclasses
 import re
 import sys
 from collections import Counter
@@ -426,15 +425,14 @@ class TestOneTokenPerWord:
         self, surface, sentence_initial
     ):
         token = make_token(surface, sentence_initial, LEX)
-        constructed = Token(**{f.name: getattr(token, f.name) for f in dataclasses.fields(Token)})
+        constructed = Token(*(getattr(token, name) for name in Token._fields))
         expected = oracle_tokens(["Start", surface] if not sentence_initial else [surface])[-1]
         for other in (constructed, expected):
             assert token == other and other == token
             assert hash(token) == hash(other)
             assert repr(token) == repr(other)
-            assert list(vars(token).items()) == list(vars(other).items())
         assert type(token) is Token
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             token.stem = "x"
 
 

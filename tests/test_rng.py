@@ -11,7 +11,7 @@ from rbmsumm import rng as rng_module
 from rbmsumm.rbm import _sigmoid
 from rbmsumm.rng import Xorshift64Star
 
-from oracles import ScalarXorshift64Star
+from oracles import ScalarXorshift64Star, oracle_bit_matrix_times
 
 
 # the one seed whose splitmix64 output is 0
@@ -172,20 +172,26 @@ class TestBlockStream:
         assert int(lanes[0]) == oracle.state
 
     def test_the_byte_table_jump_is_the_chunk_matrix(self):
-        # a table's entry for one set bit is a column of T^_CHUNK: the
-        # state _CHUNK steps after that bit alone
-        columns = rng_module._CHUNK_TABLES[:, 1 << np.arange(8)].reshape(64)
-        for j in (0, 7, 8, 31, 56, 63):
-            oracle = ScalarXorshift64Star(0)
-            oracle.state = 1 << j
-            for _ in range(CHUNK):
-                oracle.next_uint64()
-            assert int(columns[j]) == oracle.state
+        """Every kept power of the chain: the doubling rounds' jumps
+        ``T^(_STEPS * 2^j)``, then the block carry's ``T^_CHUNK``.  A
+        table's entry for one set bit is a column of its power: the
+        state that many steps after that bit alone; and ``_times`` is
+        that matrix times every state."""
+        powers = [STEPS << j for j in range(len(rng_module._LANE_JUMPS))] + [CHUNK]
+        assert powers[-2] * 2 == CHUNK
         edges = [0, 1, 2**63, 2**64 - 1] + [1 << j for j in range(64)]
         drawn = np.random.default_rng(0).integers(0, 2**64, size=1000, dtype=np.uint64)
         states = np.concatenate((np.array(edges, dtype=np.uint64), drawn))
-        expected = rng_module._apply(columns, states)
-        assert rng_module._jump(states).tolist() == expected.tolist()
+        for power, tables in zip(powers, [*rng_module._LANE_JUMPS, rng_module._CHUNK_TABLES]):
+            columns = tables[:, 1 << np.arange(8)].reshape(64)
+            for j in (0, 7, 8, 31, 56, 63):
+                oracle = ScalarXorshift64Star(0)
+                oracle.state = 1 << j
+                for _ in range(power):
+                    oracle.next_uint64()
+                assert int(columns[j]) == oracle.state, (power, j)
+            expected = [oracle_bit_matrix_times(columns, int(x)) for x in states]
+            assert rng_module._times(tables, states).tolist() == expected, power
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_buffer_hands_out_the_stream_in_order(self, seed):

@@ -3,8 +3,11 @@
     python3 tools/bench_pairs.py --pr N --what "what the change does" [--seed N]
 
 Run from the repository root.  The parent side is the committed tree of
-``HEAD``, exported with ``git archive`` into a temporary directory; the
-change side is the working tree.  Both run ``perfbench/run.py`` with
+``HEAD``, exported with ``git archive``; the change side is a copy of
+the working tree, its tracked files and the untracked ones that git
+does not ignore.  The two are sibling directories under one temporary
+directory, so that where the files live is the same for both sides.
+Both run ``perfbench/run.py`` with
 the workload seed ``--seed`` (default 1) and the run length
 ``BENCHMARK.json`` fixes, one run at a time.  A gain claimed on seed 1
 should also hold on a seed not used while the change was written.
@@ -29,6 +32,7 @@ import json
 import os
 import platform
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -56,6 +60,16 @@ def export_commit(commit: str, dest: Path) -> None:
         ["git", "archive", "--format=tar", commit], cwd=ROOT, check=True, stdout=subprocess.PIPE
     ).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def copy_working_tree(dest: Path) -> None:
+    """The working tree's tracked files, and its untracked files that git
+    does not ignore, as they are now, under ``dest``."""
+    for name in _git("ls-files", "-co", "--exclude-standard", "-z").split("\0"):
+        source = ROOT / name
+        if name and os.path.lexists(source):  # a deleted tracked file stays listed
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name, follow_symlinks=False)
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -156,9 +170,12 @@ def main() -> int:
         "summary": {},
         "runs": [],
     }
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        export_commit(parent_commit, Path(tmp))
-        checkouts = {"parent": Path(tmp), "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        checkouts = {"parent": Path(tmp, "parent"), "change": Path(tmp, "change")}
+        for checkout in checkouts.values():
+            checkout.mkdir()
+        export_commit(parent_commit, checkouts["parent"])
+        copy_working_tree(checkouts["change"])
         for workload in workloads:
             for trace, count in ((0, PAIRS), (1, TRACED_PAIRS)):
                 for pair in range(1, count + 1):
