@@ -10,11 +10,15 @@ reproduced.  Each subcommand makes one pass through the library;
 ``evaluate --compare`` runs both layer counts and prints the metrics of
 the one ``--layers`` names.
 
-Handlers return their stderr facts and their outputs, each a text and
-a path or None for stdout; ``main`` alone prints the ``seed=`` line,
-writes the outputs and maps each error to its exit code, escaping any
-unprintable character so that its ``error:`` line stays one line.  The
-parsers escape their usage errors the same way.
+Each subcommand's parser stores its handler.  Handlers return their
+stderr facts and their outputs, each a text and a path or None for
+stdout; ``main`` alone prints the ``seed=`` line, writes the outputs
+and maps each error to its exit code, escaping any unprintable
+character so that its ``error:`` line stays one line.  The parsers
+escape their usage errors the same way.  Standard input and output
+are UTF-8 bytes, as files are, whatever the locale's encoding, and a
+standard stream closed at startup is an unreadable input or an
+unwritable output.
 """
 
 from __future__ import annotations
@@ -107,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def default(key: str) -> str:
         return f"(default {_parameter(key).default})"
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_common(p: argparse.ArgumentParser, handler: typing.Callable) -> None:
         p.add_argument("--seed", type=int, help=f"RNG seed {default('seed')}")
         p.add_argument("--layers", type=int, choices=_choices("layers"),
                        help=f"RBM layers, 2 being stacked {default('layers')}")
@@ -117,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lexicon-dir", dest="lexicon_dir",
                        help="directory overriding the name lexicons")
         p.add_argument("--output", help="write output to this path instead of stdout")
-        p.set_defaults(command_parser=p)
+        p.set_defaults(command_parser=p, handler=handler)
 
     def add_selection(p: argparse.ArgumentParser) -> None:
         """The flags that only a summary reads; ``features`` has none."""
@@ -134,20 +138,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sum.add_argument("input", help="input text file, or - for stdin")
     p_sum.add_argument("--format", choices=_choices("format"),
                        help=f"output format {default('format')}")
-    add_common(p_sum)
+    add_common(p_sum, _cmd_summarize)
     add_selection(p_sum)
 
     p_feat = sub.add_parser("features", help="dump per-sentence feature records")
     p_feat.add_argument("input", help="input text file, or - for stdin")
     p_feat.add_argument("--no-enhance", action="store_true", default=None,
                         help="skip RBM training; omit enhanced fields")
-    add_common(p_feat)
+    add_common(p_feat, _cmd_features)
 
     p_eval = sub.add_parser("evaluate", help="score a corpus of <id>.txt/<id>.ref pairs")
     p_eval.add_argument("corpus", help="directory with document/reference pairs")
     p_eval.add_argument("--compare", action="store_true", default=None,
                         help="also run the stacked two-layer mode")
-    add_common(p_eval)
+    add_common(p_eval, _cmd_evaluate)
     add_selection(p_eval)
     return parser
 
@@ -246,9 +250,10 @@ def _library_kwargs(settings: dict) -> dict:
 def _read_input(path: str) -> RawDocument:
     try:
         if path == "-":
-            # stdin may decode with surrogateescape; decode its bytes strictly
-            text = sys.stdin.read().encode("utf-8", "surrogateescape").decode("utf-8")
-            return RawDocument(text=text, source_id="stdin")
+            if sys.stdin is None:  # descriptor 0 was closed at startup
+                raise OSError("standard input is closed")
+            # its bytes, decoded strictly, whatever the locale's encoding
+            return RawDocument(text=sys.stdin.buffer.read().decode("utf-8"), source_id="stdin")
         return RawDocument(text=Path(path).read_text("utf-8"), source_id=Path(path).stem)
     except UnicodeDecodeError as exc:
         raise _CliError(f"input {path} is not UTF-8: {exc}")
@@ -259,8 +264,12 @@ def _read_input(path: str) -> RawDocument:
 def _write_output(text: str, output: str | None) -> None:
     try:
         if output is None:
-            sys.stdout.write(text)
-            sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+            if sys.stdout is None:  # descriptor 1 was closed at startup
+                raise OSError("standard output is closed")
+            sys.stdout.flush()  # text printed before this call goes first
+            # UTF-8 bytes, as --output writes, whatever the locale's encoding
+            sys.stdout.buffer.write(text.encode("utf-8"))
+            sys.stdout.buffer.flush()  # so that a closed stdout fails here, not at exit
         else:
             Path(output).write_text(text, encoding="utf-8", newline="\n")
     except (OSError, ValueError) as exc:  # BrokenPipeError, or a NUL in the path
@@ -345,14 +354,9 @@ def main(argv: list[str] | None = None) -> int:
     for action in args.command_parser._actions:  # argparse reads "--flag=--" as []
         if action.option_strings and getattr(args, action.dest, None) == []:
             args.command_parser.error(f"argument {action.option_strings[0]}: expected one argument")
-    handlers = {
-        "summarize": _cmd_summarize,
-        "features": _cmd_features,
-        "evaluate": _cmd_evaluate,
-    }
     try:
         settings = _merge_settings(args)
-        facts, outputs = handlers[args.command](args, settings, _library_kwargs(settings))
+        facts, outputs = args.handler(args, settings, _library_kwargs(settings))
         print(f"seed={settings['seed']} {facts}", file=sys.stderr)
         for text, path in outputs:
             _write_output(text, path)

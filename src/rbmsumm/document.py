@@ -27,15 +27,10 @@ class Token(NamedTuple):
 @dataclass(frozen=True)
 class Sentence:
     doc_index: int
-    para_index: int
-    pos_in_para: int
     is_para_first: bool
     is_para_last: bool
     tokens: tuple[Token, ...]
     original_text: str
-
-    def __len__(self) -> int:
-        return len(self.tokens)
 
     def content_stems(self) -> tuple[str, ...]:
         """Stems of non-stopword tokens, in sentence order."""

@@ -10,6 +10,8 @@ both corpus evaluations.
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import get_args
@@ -188,16 +190,15 @@ def compare_modes(
 
 
 def render_metrics_csv(result: CorpusEvaluation) -> str:
-    """Per-document rows plus a MEAN row, six decimal places."""
-    lines = ["source_id,precision,recall,f_measure"]
-    for entry in result.per_document:
-        s = entry.scores
-        lines.append(
-            f"{entry.source_id},{s.precision:.6f},{s.recall:.6f},{s.f_measure:.6f}"
-        )
-    m = result.mean
-    lines.append(f"MEAN,{m.precision:.6f},{m.recall:.6f},{m.f_measure:.6f}")
-    return "\n".join(lines) + "\n"
+    """Per-document rows plus a MEAN row, six decimal places; an id that
+    holds a comma, a quote or a line feed is quoted as RFC 4180 writes it."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["source_id", "precision", "recall", "f_measure"])
+    rows = [(entry.source_id, entry.scores) for entry in result.per_document]
+    for name, s in rows + [("MEAN", result.mean)]:
+        writer.writerow([name, f"{s.precision:.6f}", f"{s.recall:.6f}", f"{s.f_measure:.6f}"])
+    return out.getvalue()
 
 
 def render_comparison_csv(comparison: ModeComparison) -> str:

@@ -154,8 +154,6 @@ def preprocess(raw: RawDocument, lexicons: Lexicons | None = None) -> ProcessedD
             sentences.append(
                 Sentence(
                     doc_index=len(sentences),
-                    para_index=para_index,
-                    pos_in_para=pos,
                     is_para_first=pos == 0,
                     is_para_last=pos == last,
                     tokens=tuple(tokens),

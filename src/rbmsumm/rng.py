@@ -199,10 +199,4 @@ class Xorshift64Star:
         """0/1 samples of ``sigmoid(logits)``, one uniform per entry in
         row-major order; a logit of +inf draws 1, and -inf or NaN 0."""
         x = np.asarray(logits, dtype=np.float64)
-        end = self._pos + x.size
-        if end <= _CHUNK:  # _take's common case, inline: a draw is hot
-            thresholds = self._block[1, self._pos : end]
-            self._pos = end
-        else:
-            thresholds = self._take(x.size, 1)
-        return np.less(thresholds.reshape(x.shape), x).astype(np.float64)
+        return np.less(self._take(x.size, 1).reshape(x.shape), x).astype(np.float64)

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import inspect
 import io
 import json
@@ -129,7 +130,8 @@ class TestSummarizeCommand:
         assert out.strip()
 
     def test_stdin_input(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("One sentence from a pipe."))
+        stdin = io.TextIOWrapper(io.BytesIO(b"One sentence from a pipe."), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
         code, out, _ = run_cli(capsys, "summarize", "-")
         assert code == 0
         assert out.strip() == "One sentence from a pipe."
@@ -249,6 +251,18 @@ class TestEvaluateCommand:
         code, out, _ = run_cli(capsys, "evaluate", CORPUS, "--seed", "42")
         assert code == 0
         assert out == (DATA / "golden_metrics.csv").read_text("utf-8")
+
+    def test_metrics_csv_quotes_ids_that_need_it(self, capsys, tmp_path):
+        ids = ["a,b", '"q', "line\nbreak", "plain"]
+        for source_id in ids:
+            shutil.copy(ARTICLE, tmp_path / f"{source_id}.txt")
+            (tmp_path / f"{source_id}.ref").write_text("0\n")
+        code, out, _ = run_cli(capsys, "evaluate", str(tmp_path))
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out, newline="")))
+        assert [len(row) for row in rows] == [4] * (len(ids) + 2)
+        assert [row[0] for row in rows] == ["source_id", *sorted(ids), "MEAN"]
+        assert "\nplain,0." in out  # an id that needs no quotes keeps its bytes
 
     def test_missing_reference_exits_4(self, capsys, tmp_path):
         (tmp_path / "lone.txt").write_text("A sentence without a reference.")
@@ -370,6 +384,15 @@ class TestConfigPrecedence:
         )
         assert code == 0
         assert "limit=3" in err  # ceil(0.5 * 6)
+
+    def test_flag_limit_clears_config_ratio(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"ratio": 0.9}))
+        code, _, err = run_cli(
+            capsys, "summarize", ARTICLE, "--config", str(config), "--limit", "2"
+        )
+        assert code == 0
+        assert "limit=2" in err
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         config = tmp_path / "config.json"
@@ -737,7 +760,8 @@ def test_fuzzed_argv_never_escapes_main(capsys, tmp_path, monkeypatch, argv):
     (tmp_path / "corpus" / "doc.ref").write_text("0\n")
     (tmp_path / "config.json").write_text('{"layers": 2}')
     (tmp_path / "out").mkdir(exist_ok=True)
-    monkeypatch.setattr("sys.stdin", io.StringIO(_ARGV_TEXT))
+    stdin = io.TextIOWrapper(io.BytesIO(_ARGV_TEXT.encode("utf-8")), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -866,6 +890,70 @@ def test_an_ambiguous_option_is_escaped_in_the_usage_error(capsys):
     )
 
 
+def _child_env(**extra: str) -> dict:
+    """The environment of a child ``python -m rbmsumm`` that imports this
+    package, with ``extra`` variables set."""
+    package_root = str(Path(rbmsumm.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+def _run_closed(redirect: str, *argv: str) -> subprocess.CompletedProcess:
+    """``python -m rbmsumm argv`` with a standard stream closed by the
+    shell ``redirect``, such as ``<&-``."""
+    script = f'exec "$0" -m rbmsumm "$@" {redirect}'
+    return subprocess.run(
+        ["sh", "-c", script, sys.executable, *argv],
+        stderr=subprocess.PIPE, env=_child_env(), text=True, timeout=120,
+    )
+
+
+@pytest.mark.parametrize("encoding", ["latin-1", "ascii"])
+@pytest.mark.parametrize("source", ["stdin", "path"])
+def test_standard_streams_are_utf8_whatever_the_locale(tmp_path, encoding, source):
+    """stdin is read and stdout written as UTF-8 bytes, as a file is,
+    whatever encoding Python gives its standard streams."""
+    document = tmp_path / "cafe.txt"
+    document.write_bytes("Café prices rose.".encode("utf-8"))
+
+    def summarize(*flags: str) -> bytes:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rbmsumm", "summarize",
+             "-" if source == "stdin" else str(document), *flags],
+            input=document.read_bytes(), capture_output=True,
+            env=_child_env(PYTHONIOENCODING=encoding), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    assert summarize() == "Café prices rose.\n".encode("utf-8")
+    # Latin-1 maps bytes to text and back one to one, so only JSON's
+    # ASCII escapes show what text the pipeline read
+    assert json.loads(summarize("--format", "json"))["text"] == "Café prices rose."
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["summarize", ARTICLE], ["features", ARTICLE], ["evaluate", CORPUS, "--compare"]],
+    ids=["summarize", "features", "evaluate-compare"],
+)
+def test_a_closed_stdout_descriptor_exits_2(argv):
+    """Descriptor 1 is closed at startup, so Python has no ``sys.stdout``."""
+    proc = _run_closed(">&-", *argv)
+    assert proc.returncode == 2, proc.stderr
+    seed_line, error = proc.stderr.splitlines(keepends=True)
+    assert seed_line.startswith("seed=")
+    assert_one_error_line(error, "cannot write output")
+
+
+@pytest.mark.parametrize("command", ["summarize", "features"])
+def test_a_closed_stdin_descriptor_exits_2(command):
+    """Descriptor 0 is closed at startup, so Python has no ``sys.stdin``."""
+    proc = _run_closed("<&-", command, "-")
+    assert proc.returncode == 2, proc.stderr
+    assert_one_error_line(proc.stderr, "cannot read input")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -881,13 +969,10 @@ def test_closed_stdout_exits_2(argv):
     starts: one error line, no traceback, nothing more at exit."""
     read_end, write_end = os.pipe()
     os.close(read_end)
-    package_root = str(Path(rbmsumm.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "rbmsumm", *argv],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+            stdout=write_end, stderr=subprocess.PIPE, env=_child_env(), text=True, timeout=120,
         )
     finally:
         os.close(write_end)

@@ -35,8 +35,8 @@ CONFIG = FeatureConfig()
 ORACLE_FILE = Path(__file__).parent / "data" / "feature_oracle.json"
 
 
-def make_sentence(words, doc_index=0, para_index=0, pos_in_para=0,
-                  first=True, last=True, stopwords=(), proper=(), numerals=()):
+def make_sentence(words, doc_index=0, first=True, last=True, stopwords=(), proper=(),
+                  numerals=()):
     """Hand-built sentence; stems equal the lowercased words."""
     tokens = tuple(
         Token(
@@ -50,8 +50,6 @@ def make_sentence(words, doc_index=0, para_index=0, pos_in_para=0,
     )
     return Sentence(
         doc_index=doc_index,
-        para_index=para_index,
-        pos_in_para=pos_in_para,
         is_para_first=first,
         is_para_last=last,
         tokens=tokens,

@@ -272,17 +272,14 @@ class TestPreprocessPipeline:
     def test_fixture_structure(self, article_doc):
         assert article_doc.paragraph_count == 2
         assert article_doc.n_sentences == 6
-        flags = [
-            (s.para_index, s.pos_in_para, s.is_para_first, s.is_para_last)
-            for s in article_doc.sentences
-        ]
+        flags = [(s.is_para_first, s.is_para_last) for s in article_doc.sentences]
         assert flags == [
-            (0, 0, True, False),
-            (0, 1, False, False),
-            (0, 2, False, True),
-            (1, 0, True, False),
-            (1, 1, False, False),
-            (1, 2, False, True),
+            (True, False),
+            (False, False),
+            (False, True),
+            (True, False),
+            (False, False),
+            (False, True),
         ]
 
     def test_doc_indices_contiguous(self, article_doc):
@@ -356,14 +353,12 @@ class TestPreprocessPipeline:
         assert calls == []
 
     def test_flag_consistency_invariant(self, article_doc):
-        for s in article_doc.sentences:
-            assert s.is_para_first == (s.pos_in_para == 0)
-        for para in range(article_doc.paragraph_count):
-            lasts = [
-                s for s in article_doc.sentences
-                if s.para_index == para and s.is_para_last
-            ]
-            assert len(lasts) == 1
+        sentences = article_doc.sentences
+        assert sentences[0].is_para_first and sentences[-1].is_para_last
+        # a sentence closes a paragraph exactly when the next one opens one
+        for s, following in zip(sentences, sentences[1:]):
+            assert s.is_para_last == following.is_para_first
+        assert sum(s.is_para_first for s in sentences) == article_doc.paragraph_count
 
 
 # repeated words in and out of sentence-initial position, in several
