@@ -27,6 +27,7 @@ import argparse
 import functools
 import inspect
 import json
+import os
 import sys
 import typing
 from dataclasses import dataclass, fields
@@ -266,10 +267,16 @@ def _write_output(text: str, output: str | None) -> None:
         if output is None:
             if sys.stdout is None:  # descriptor 1 was closed at startup
                 raise OSError("standard output is closed")
-            sys.stdout.flush()  # text printed before this call goes first
-            # UTF-8 bytes, as --output writes, whatever the locale's encoding
-            sys.stdout.buffer.write(text.encode("utf-8"))
-            sys.stdout.buffer.flush()  # so that a closed stdout fails here, not at exit
+            try:
+                sys.stdout.flush()  # text printed before this call goes first
+                # UTF-8 bytes, as --output writes, whatever the locale's encoding
+                sys.stdout.buffer.write(text.encode("utf-8"))
+                sys.stdout.buffer.flush()  # so that a closed stdout fails here, not at exit
+            except OSError:
+                # bytes still buffered would fail again at exit: drop them
+                with open(os.devnull, "wb") as null:
+                    os.dup2(null.fileno(), sys.stdout.fileno())
+                raise
         else:
             Path(output).write_text(text, encoding="utf-8", newline="\n")
     except (OSError, ValueError) as exc:  # BrokenPipeError, or a NUL in the path

@@ -189,27 +189,27 @@ def compare_modes(
     return ModeComparison(by_layers[one].mean, by_layers[two].mean, by_layers)
 
 
-def render_metrics_csv(result: CorpusEvaluation) -> str:
-    """Per-document rows plus a MEAN row, six decimal places; an id that
-    holds a comma, a quote or a line feed is quoted as RFC 4180 writes it."""
+def _render_csv(rows: list[list[str]]) -> str:
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["source_id", "precision", "recall", "f_measure"])
-    rows = [(entry.source_id, entry.scores) for entry in result.per_document]
-    for name, s in rows + [("MEAN", result.mean)]:
-        writer.writerow([name, f"{s.precision:.6f}", f"{s.recall:.6f}", f"{s.f_measure:.6f}"])
+    csv.writer(out, lineterminator="\n").writerows(rows)
     return out.getvalue()
 
 
+def render_metrics_csv(result: CorpusEvaluation) -> str:
+    """Per-document rows plus a MEAN row, six decimal places; an id that
+    holds a comma, a quote or a line feed is quoted as RFC 4180 writes it."""
+    rows = [(e.source_id, e.scores) for e in result.per_document] + [("MEAN", result.mean)]
+    return _render_csv([["source_id", "precision", "recall", "f_measure"]] + [
+        [name, f"{s.precision:.6f}", f"{s.recall:.6f}", f"{s.f_measure:.6f}"] for name, s in rows
+    ])
+
+
 def render_comparison_csv(comparison: ModeComparison) -> str:
-    one = comparison.proposed_1layer
-    two = comparison.existing_2layer
-    lines = ["metric,proposed_1layer,existing_2layer"]
-    for name in ("precision", "recall", "f_measure"):
-        lines.append(
-            f"{name},{getattr(one, name):.6f},{getattr(two, name):.6f}"
-        )
-    return "\n".join(lines) + "\n"
+    modes = (comparison.proposed_1layer, comparison.existing_2layer)
+    return _render_csv([["metric", "proposed_1layer", "existing_2layer"]] + [
+        [name] + [f"{getattr(s, name):.6f}" for s in modes]
+        for name in ("precision", "recall", "f_measure")
+    ])
 
 
 def load_corpus(directory: str | Path) -> list[tuple[RawDocument, ReferenceSummary]]:

@@ -8,8 +8,8 @@ recently selected sentence by default ("latest") or always the seed
 rank order.  All ties break toward the better-ranked candidate.
 
 Each top-half sentence's content stems are turned into a set once per
-``select`` call.  With the "latest" anchor, a ``uint8`` incidence matrix
-has one column per candidate and one row per stem that two or more
+``select`` call.  For either anchor, a ``uint8`` incidence matrix has
+one column per candidate and one row per stem that two or more
 candidates hold, with a 1 where the candidate holds the stem; a stem
 that one candidate holds adds to no overlap, so it gets no row.  A pick
 sums the anchor's rows into each candidate's overlap ``k`` and scores
@@ -19,8 +19,8 @@ summing, so each score is one correctly rounded division of the same
 two integers as ``jaccard``'s ``int / int``, and bit-equal to it.  A
 picked candidate's size becomes infinite, so it scores ``k / inf = 0``
 from then on, and ``argmax`` takes the first best score, the better
-rank.  With the "first" anchor every score is fixed, so each is counted
-once and one sort gives the order of the picks.
+rank.  With the "first" anchor the anchor never changes, so its scores
+are computed once; a picked candidate's score is set to 0 as well.
 """
 
 from __future__ import annotations
@@ -118,12 +118,13 @@ def select(
 ) -> list[int]:
     """Pick sentence indices, in selection order.
 
-    Candidates are the top half of ``ranked`` after the seed.  A live
-    candidate that shares ``k`` stems with the anchor has the Jaccard
-    score ``k / (len(a) + len(b) - k)``: the same ``int / int`` division
-    as ``jaccard``, so scores are bit-equal to it.  The best score wins
-    and ties go to the better rank.  When no live candidate shares a
-    stem with the anchor, all score 0 and the best-ranked live one wins.
+    Candidates are the top half of ``ranked`` after the seed, and one
+    loop serves both anchors.  A live candidate that shares ``k`` stems
+    with the anchor has the Jaccard score ``k / (len(a) + len(b) - k)``:
+    the same ``int / int`` division as ``jaccard``, so scores are
+    bit-equal to it.  The best score wins and ties go to the better
+    rank.  When no live candidate shares a stem with the anchor, all
+    score 0 and the best-ranked live one wins.
     """
     if anchor not in get_args(Anchor):
         raise ValueError("anchor must be 'latest' or 'first'")
@@ -133,60 +134,51 @@ def select(
     half = math.ceil(n / 2)
     top = [r.doc_index for r in ranked[:half]]  # rank position -> doc index
     stems = [frozenset(doc.sentences[i].content_stems()) for i in top]
-    if anchor == "first":
-        # the anchor never changes, so neither does any score: a stable
-        # sort by descending score keeps ties, and the candidates without
-        # overlap after them, in rank order
-        a = stems[0]
-
-        def key(pos: int) -> float:
-            k = len(a & stems[pos])
-            return -(k / (len(a) + len(stems[pos]) - k)) if k else 0.0
-
-        selected = [0] + sorted(range(1, half), key=key)[: limit - 1]
-    else:
-        # the incidence matrix: a stem gets a row once a second candidate
-        # holds it.  Rows follow the sets' iteration order, which no score
-        # depends on, since sums of 0s and 1s are exact in any order
-        holder: dict[str, int] = {}  # stem -> the first position holding it
-        row: dict[str, int] = {}  # shared stem -> its row
-        rows_of: list[list[int]] = []  # rank position -> its shared rows
-        for pos, s in enumerate(stems):
-            rows_of.append([])
-            for stem in s:
-                first = holder.setdefault(stem, pos)
-                if first != pos:
-                    if stem not in row:
-                        row[stem] = len(row)
-                        rows_of[first].append(row[stem])
-                    rows_of[pos].append(row[stem])
-        held = np.zeros((len(row), half), np.uint8)
-        held.put([r * half + pos for pos, rows in enumerate(rows_of) for r in rows], 1)
-        sizes = np.array([len(s) for s in stems], np.float64)
-        lengths = sizes.tolist()
-        # a picked candidate's size is infinite, so it scores k / inf = 0
-        sizes[0] = math.inf
-        overlap, den = np.empty(half), np.empty(half)
-        live = [True] * half
-        first_live = 1
-        selected = [0]  # rank positions
-        while len(selected) < limit and first_live < half:
-            pos = selected[-1]
-            best = first_live
-            rows = rows_of[pos]
-            if rows:  # so len(a) >= 1, and every denominator too
+    # the incidence matrix: a stem gets a row once a second candidate
+    # holds it.  Rows follow the sets' iteration order, which no score
+    # depends on, since sums of 0s and 1s are exact in any order
+    holder: dict[str, int] = {}  # stem -> the first position holding it
+    row: dict[str, int] = {}  # shared stem -> its row
+    rows_of: list[list[int]] = []  # rank position -> its shared rows
+    for pos, s in enumerate(stems):
+        rows_of.append([])
+        for stem in s:
+            first = holder.setdefault(stem, pos)
+            if first != pos:
+                if stem not in row:
+                    row[stem] = len(row)
+                    rows_of[first].append(row[stem])
+                rows_of[pos].append(row[stem])
+    held = np.zeros((len(row), half), np.uint8)
+    held.put([r * half + pos for pos, rows in enumerate(rows_of) for r in rows], 1)
+    sizes = np.array([len(s) for s in stems], np.float64)
+    lengths = sizes.tolist()
+    # a picked candidate's size is infinite, so it scores k / inf = 0, and
+    # a position is live exactly while its size is finite
+    sizes[0] = math.inf
+    overlap, den = np.empty(half), np.empty(half)
+    scored = None  # the anchor position that overlap holds the scores of
+    first_live = 1
+    selected = [0]  # rank positions
+    while len(selected) < limit and first_live < half:
+        pos = selected[-1] if anchor == "latest" else 0
+        best = first_live
+        rows = rows_of[pos]
+        if rows:  # so len(a) >= 1, and every denominator too
+            if pos != scored:
                 np.add.reduce(held.take(rows, 0), 0, np.float64, overlap)
                 np.subtract(sizes, overlap, den)
                 den += lengths[pos]
                 np.divide(overlap, den, overlap)
-                candidate = overlap.argmax()
-                if overlap[candidate]:
-                    best = int(candidate)
-            selected.append(best)
-            sizes[best] = math.inf
-            live[best] = False
-            while first_live < half and not live[first_live]:
-                first_live += 1
+                scored = pos
+            candidate = overlap.argmax()
+            if overlap[candidate]:
+                best = int(candidate)
+        selected.append(best)
+        # the scores are kept while the anchor stays, so the pick's goes too
+        sizes[best], overlap[best] = math.inf, 0
+        while first_live < half and sizes[first_live] == math.inf:
+            first_live += 1
     picks = [top[pos] for pos in selected]
     for r in ranked[half:]:
         if len(picks) >= limit:

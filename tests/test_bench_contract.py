@@ -83,15 +83,23 @@ def test_tracer_and_capture_see_one_run_per_mode(bench, tmp_path, capsys):
     assert _attributes() == before
 
 
-@pytest.mark.parametrize("layers", [1, 2])
-def test_layer_counters_of_one_pipeline_run(bench, article_raw, layers):
+@pytest.mark.parametrize(
+    "layers, anchor",
+    [
+        pytest.param(1, "latest", id="1"),
+        pytest.param(2, "latest", id="2"),
+        pytest.param(1, "first", id="1-first"),
+        pytest.param(2, "first", id="2-first"),
+    ],
+)
+def test_layer_counters_of_one_pipeline_run(bench, article_raw, layers, anchor):
     """Counts, not timings: each is exact for a given document and config."""
     tracing, _ = bench
     summarizer = importlib.import_module("rbmsumm.summarizer")
     default_lexicons()
     tracer = tracing.Tracer().install()
     try:
-        result = summarizer.run_pipeline(article_raw, layers=layers)
+        result = summarizer.run_pipeline(article_raw, layers=layers, anchor=anchor)
     finally:
         tracer.close()
     metrics = tracer.layer_metrics(ops=1, docs=1, rounds=1)

@@ -954,33 +954,88 @@ def test_a_closed_stdin_descriptor_exits_2(command):
     assert_one_error_line(proc.stderr, "cannot read input")
 
 
+def _stdout_env(buffered: bool) -> dict:
+    """A child's environment with block-buffered stdout, Python's default
+    for a pipe or a file, or with ``PYTHONUNBUFFERED`` set."""
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env if buffered else {**env, "PYTHONUNBUFFERED": "1"}
+
+
+# each output fits the 4 KB buffer of a pipe or /dev/full, where a failed
+# write leaves bytes for the exit flush; enhanced features would not
+_WRITERS = {
+    "summarize": ["summarize", ARTICLE],
+    "features": ["features", ARTICLE, "--no-enhance"],
+    "evaluate": ["evaluate", CORPUS],
+    "evaluate-compare": ["evaluate", CORPUS, "--compare"],
+}
+
+
+def _writer_cases(*names: str) -> list:
+    """Each named command with unbuffered stdout, under its name, and with
+    buffered stdout, under its name and ``-buffered``."""
+    return [
+        pytest.param(_WRITERS[name], buffered, id=name + "-buffered" * buffered)
+        for name in names
+        for buffered in (False, True)
+    ]
+
+
+def _assert_write_fails_once(proc: subprocess.CompletedProcess, fragment: str) -> None:
+    """Exit 2 with the seed line and one error line: the interpreter's
+    flush at exit prints nothing more and keeps the exit code."""
+    assert proc.returncode == 2, proc.stderr
+    seed_line, error = proc.stderr.splitlines(keepends=True)
+    assert seed_line.startswith("seed=")
+    assert_one_error_line(error, "cannot write output")
+    assert fragment in error
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["summarize", ARTICLE],
-        ["features", ARTICLE],
-        ["evaluate", CORPUS],
-        ["evaluate", CORPUS, "--compare"],
-    ],
-    ids=["summarize", "features", "evaluate", "evaluate-compare"],
+    "argv, buffered", _writer_cases("summarize", "features", "evaluate", "evaluate-compare")
 )
-def test_closed_stdout_exits_2(argv):
+def test_closed_stdout_exits_2(argv, buffered):
     """Standard output is a pipe whose reader is gone before the run
     starts: one error line, no traceback, nothing more at exit."""
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "rbmsumm", *argv],
-            stdout=write_end, stderr=subprocess.PIPE, env=_child_env(), text=True, timeout=120,
+            [sys.executable, "-m", "rbmsumm", *argv], stdout=write_end,
+            stderr=subprocess.PIPE, env=_stdout_env(buffered), text=True, timeout=120,
         )
     finally:
         os.close(write_end)
-    assert proc.returncode == 2, proc.stderr
-    seed_line, error = proc.stderr.splitlines(keepends=True)
-    assert seed_line.startswith("seed=")
-    assert_one_error_line(error, "cannot write output")
-    assert "Broken pipe" in error
+    _assert_write_fails_once(proc, "Broken pipe")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv, buffered", _writer_cases("summarize", "features", "evaluate-compare"))
+def test_a_full_stdout_exits_2(argv, buffered):
+    """Standard output is /dev/full, where every write fails for want of
+    space: one error line, and nothing more at exit."""
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rbmsumm", *argv], stdout=full,
+            stderr=subprocess.PIPE, env=_stdout_env(buffered), text=True, timeout=120,
+        )
+    _assert_write_fails_once(proc, "No space left on device")
+
+
+def test_text_printed_before_main_comes_first(capsys):
+    """A library caller that printed to a block-buffered stdout, then ran
+    ``main``, gets its own line first: ``main`` flushes the text layer
+    before it writes bytes beneath it."""
+    script = "import sys\nfrom rbmsumm.cli import main\nprint('printed first')\nmain(sys.argv[1:])"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "summarize", ARTICLE],
+        capture_output=True, env=_stdout_env(buffered=True), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, out, _ = run_cli(capsys, "summarize", ARTICLE)
+    assert code == 0
+    assert proc.stdout == b"printed first\n" + out.encode("utf-8")
 
 
 @pytest.mark.parametrize(
